@@ -57,7 +57,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file whose keys override flag defaults")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="holoflat",
         description="Holomorphic quantization on flat manifolds: "
@@ -121,29 +121,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", nargs="*", help="run only criteria whose name contains a token")
     _add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # --config supplies defaults; explicit flags still win.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # --config supplies the subcommand's defaults; argparse then lets every
+    # explicit flag, abbreviated or not, win over them.
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValidationError("config file must hold a JSON object")
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ValidationError(f"config key {key!r} unknown for this subcommand")
-            flag = "--" + key.replace("_", "-")
-            explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-            if not explicit:
-                setattr(args, attr, value)
-    return args
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ValidationError("config file must hold a JSON object")
+    defaults = {}
+    for key, value in overrides.items():
+        attr = key.replace("-", "_")
+        if not hasattr(args, attr):
+            raise ValidationError(f"config key {key!r} unknown for this subcommand")
+        defaults[attr] = value
+    subparsers[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _cmd_gram(args) -> int:
@@ -184,6 +186,8 @@ def _cmd_orthonormalize(args) -> int:
 
 
 def _kernel_grid(args):
+    if args.grid_points < 1:
+        raise ValidationError(f"--grid-points must be >= 1, got {args.grid_points}")
     basis = cylinder_basis(args.truncation)
     gram = gram_matrix(basis)
     kernel = reproducing_kernel(gram, basis)
@@ -243,6 +247,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_greens(args) -> int:
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
     T = complex(args.T_real, args.T_imag) * (1 - 1j * args.epsilon)
     thetas = np.linspace(-math.pi, math.pi, args.points, endpoint=False)
     rows = []
@@ -364,9 +370,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except (ValidationError, QuadratureError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -375,3 +380,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import FactorizationError, ValidationError
 from .geometry import FlatChart
-from .quadrature import QuadratureRule, tangent_blocks
+from .quadrature import QuadratureRule, tangent_nodes
 
 __all__ = [
     "BasisSpec",
@@ -27,6 +27,7 @@ __all__ = [
     "inner_product",
     "inner_product_exponential",
     "gram_matrix",
+    "moment_matrix",
     "orthonormalize",
     "alternating_ordering",
     "reproducing_kernel",
@@ -44,7 +45,9 @@ _HERMITICITY_TOL = 1e-12
 class BasisSpec:
     """Ordered holomorphic basis: integer labels and an evaluation map.
 
-    ``eval_fn(k, z)`` must be vectorized over a complex array ``z``.
+    ``eval_fn(k, z)`` must be vectorized over a complex array ``z``, in
+    double or long double precision (quadrature Gram matrices evaluate the
+    basis on long-double nodes).
     ``closed_form_inner(p, q)``, when given, supplies analytic Gram entries.
     """
 
@@ -64,7 +67,8 @@ class BasisSpec:
 
     def design_matrix(self, z) -> np.ndarray:
         """Evaluate every basis function at ``z``; shape ``(len(z), size)``."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = np.atleast_1d(np.asarray(z))
+        z = z if z.dtype == np.clongdouble else z.astype(complex, copy=False)
         return np.column_stack([self.eval_fn(k, z) for k in self.labels])
 
 
@@ -153,11 +157,8 @@ def inner_product(f, g, chart: FlatChart, rule: QuadratureRule) -> complex:
     coordinate (one-dimensional charts).
     """
     fe, ge = _as_function(f), _as_function(g)
-    total = 0.0 + 0.0j
-    for Z, w in tangent_blocks(chart, rule):
-        z = Z[:, 0]
-        total += np.sum(w * np.conj(fe(z)) * ge(z))
-    return complex(total)
+    z, w = tangent_nodes(chart, rule)
+    return complex(np.sum(w * np.conj(fe(z)) * ge(z)))
 
 
 def inner_product_exponential(alpha: complex, beta: complex) -> complex:
@@ -179,6 +180,15 @@ def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(range(nb))
 
 
+def moment_matrix(basis: BasisSpec, z, w, g=None) -> np.ndarray:
+    """Moments ``Phi^H diag(w g) Phi`` of the basis on the nodes ``z`` with
+    weights ``w``: the Gram matrix for ``g = None``, the moments of
+    multiplication by ``g`` otherwise."""
+    Phi = basis.design_matrix(z)
+    wg = w if g is None else w * g
+    return np.conj(Phi).T @ (wg[:, None] * Phi)
+
+
 def gram_matrix(
     basis: BasisSpec,
     chart: FlatChart | None = None,
@@ -191,7 +201,6 @@ def gram_matrix(
     Uses ``closed_form_inner`` when available unless ``force_quadrature``;
     otherwise integrates every pair on the tensor grid.
     """
-    nb = basis.size
     if basis.closed_form_inner is not None and not force_quadrature:
         G = np.array(
             [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
@@ -202,15 +211,7 @@ def gram_matrix(
         # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
         # summand magnitudes; extended-precision accumulation keeps the
         # cancellation error below the closed forms' 1e-10 target.
-        G = np.zeros((nb, nb), dtype=np.clongdouble)
-        for Z, w in tangent_blocks(chart, rule, extended=True):
-            z = Z[:, 0]
-            try:
-                Phi = np.column_stack([basis.eval_fn(k, z) for k in basis.labels])
-            except TypeError:
-                Phi = basis.design_matrix(z.astype(complex)).astype(np.clongdouble)
-            G += np.conj(Phi).T @ (w[:, None] * Phi)
-        G = G.astype(complex)
+        G = moment_matrix(basis, *tangent_nodes(chart, rule, extended=True)).astype(complex)
     scale = max(np.abs(G).max(), 1.0)
     if np.abs(G - np.conj(G).T).max() > _HERMITICITY_TOL * scale:
         raise FactorizationError("Gram matrix is not Hermitian to tolerance")
@@ -319,12 +320,9 @@ def project_coeffs(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule)
     to that projection.
     """
     fe = _as_function(f)
-    b = np.zeros(kernel.basis.size, dtype=complex)
-    for Z, w in tangent_blocks(chart, rule):
-        z = Z[:, 0]
-        Phi = kernel.basis.design_matrix(z)
-        b += np.conj(Phi).T @ (w * fe(z))
-    return kernel.mid @ b
+    z, w = tangent_nodes(chart, rule)
+    Phi = kernel.basis.design_matrix(z)
+    return kernel.mid @ (np.conj(Phi).T @ (w * fe(z)))
 
 
 def _coeffs_to_state(coeffs: np.ndarray, basis: BasisSpec) -> HoloState:

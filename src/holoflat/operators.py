@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import FlatChart
-from .hilbert import GramData, HoloState, orthonormalize
-from .quadrature import QuadratureRule, tangent_blocks
+from .hilbert import GramData, HoloState, moment_matrix, orthonormalize
+from .quadrature import QuadratureRule, tangent_nodes
 
 __all__ = [
     "OperatorMatrix",
@@ -80,13 +80,8 @@ def _multiplication_moments_quadrature(
 ) -> np.ndarray:
     from .cylinder import cylinder_basis
 
-    basis = cylinder_basis(N)
-    T = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
-    for Z, w in tangent_blocks(chart, rule):
-        z = Z[:, 0]
-        Phi = basis.design_matrix(z)
-        T += np.conj(Phi).T @ ((w * z)[:, None] * Phi)
-    return T
+    z, w = tangent_nodes(chart, rule)
+    return moment_matrix(cylinder_basis(N), z, w, z)
 
 
 def ladder_raise(

@@ -20,7 +20,7 @@ from .errors import QuadratureError, ValidationError
 from .geometry import FlatChart
 from .hilbert import HoloState, KernelRep
 from .operators import OperatorMatrix
-from .quadrature import QuadratureRule, tangent_blocks
+from .quadrature import QuadratureRule, tangent_nodes
 
 __all__ = [
     "PropagatorConfig",
@@ -65,14 +65,6 @@ def _cayley(x: np.ndarray) -> np.ndarray:
     return (1.0 - 0.5j * x) / (1.0 + 0.5j * x)
 
 
-def _grid(chart: FlatChart, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    zs, ws = [], []
-    for Z, w in tangent_blocks(chart, rule):
-        zs.append(Z[:, 0])
-        ws.append(w)
-    return np.concatenate(zs), np.concatenate(ws)
-
-
 def _phase_weighted_kernel_rows(A_rows, B_rows, PhiT_conj, delta, guard):
     """Rows of K * cayley(delta K_H / K) for a chunk of outer grid points."""
     K = A_rows @ PhiT_conj
@@ -104,7 +96,7 @@ def step_matrix(
     basis = kernel.basis
     if len(basis.labels) != 2 * H.N + 1:
         raise ValidationError("Hamiltonian truncation does not match the kernel basis")
-    z, w = _grid(chart, rule)
+    z, w = tangent_nodes(chart, rule)
     Phi = basis.design_matrix(z)
     A = Phi @ kernel.mid
     B = Phi @ (H.entries @ kernel.mid)
@@ -128,28 +120,12 @@ def infinitesimal_step(
     rule: QuadratureRule,
     division_guard: float = DEFAULT_DIVISION_GUARD,
 ) -> HoloState:
-    """One short-time step applied to a single state by direct quadrature.
-
-    Evaluates the phase-weighted kernel integral pointwise on the outer grid
-    and projects the result; ``step_matrix`` packages the same computation
-    for repeated application.
-    """
-    basis = kernel.basis
-    z, w = _grid(chart, rule)
-    Phi = basis.design_matrix(z)
-    A = Phi @ kernel.mid
-    B = Phi @ (H.entries @ kernel.mid)
-    PhiT_conj = np.conj(Phi).T
-    f = state.evaluate(z)
-    nb = basis.size
-    b = np.zeros(nb, dtype=complex)
-    for i0 in range(0, len(z), _CHUNK):
-        sl = slice(i0, i0 + _CHUNK)
-        E = _phase_weighted_kernel_rows(A[sl], B[sl], PhiT_conj, delta, division_guard)
-        u = E @ (w * f)  # u_Delta applied to the state, at the outer chunk nodes
-        b += PhiT_conj[:, sl] @ (w[sl] * u)
-    coeffs = kernel.gram.solve(b)
-    return HoloState(N=state.N, coeffs=coeffs)
+    """One short-time step applied to a single state: ``step_matrix`` times
+    its coefficients."""
+    if state.N != H.N:
+        raise ValidationError("state and Hamiltonian truncations differ")
+    S = step_matrix(kernel, H, delta, chart, rule, division_guard)
+    return HoloState(N=state.N, coeffs=S @ state.coeffs)
 
 
 def evolve(

@@ -26,6 +26,7 @@ __all__ = [
     "gaussian_rule",
     "integrate_tangent",
     "tangent_blocks",
+    "tangent_nodes",
 ]
 
 DEFAULT_ORDER = 64
@@ -163,6 +164,20 @@ def tangent_blocks(
         x = u[:, :n] @ T.T
         y = u[:, n:] @ T.T
         yield x - 1j * y, normalization * wout * wplane
+
+
+def tangent_nodes(
+    chart: FlatChart, rule: QuadratureRule, extended: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Holomorphic coordinates ``z`` and weights ``w`` of the grid of a
+    one-dimensional chart; other charts are rejected before any grid is built."""
+    if chart.n != 1:
+        raise ValidationError(
+            f"the Hilbert layer supports one-dimensional charts only, got n = {chart.n}"
+        )
+    # With dims = 2 there are no outer axes, so the grid is a single block.
+    [(Z, w)] = tangent_blocks(chart, rule, extended)
+    return np.ascontiguousarray(Z[:, 0]), w
 
 
 def integrate_tangent(

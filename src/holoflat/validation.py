@@ -35,7 +35,7 @@ from .hilbert import (
 )
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import PropagatorConfig, evolve, evolve_exact, greens_spectral, greens_winding
-from .quadrature import gaussian_rule, tangent_blocks
+from .quadrature import gaussian_rule, tangent_nodes
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
 
@@ -156,11 +156,9 @@ def criterion_kernel_properties() -> CriterionResult:
     herm = float(np.abs(kernel.eval_grid(w, z) - np.conj(kernel.eval_grid(z, w)).T).max())
 
     comp = 0.0
+    nodes, wt = tangent_nodes(chart, rule)
     for zi, ui in zip(z[:5], w[:5]):
-        total = 0.0 + 0.0j
-        for Z, wt in tangent_blocks(chart, rule):
-            nodes = Z[:, 0]
-            total += np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])
+        total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])
         comp = max(comp, abs(total - kernel.eval(zi, ui)))
 
     bound_violation = 0.0

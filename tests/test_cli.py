@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import holoflat
 from holoflat.cli import run
 from holoflat.io import parse_complex
 
@@ -84,6 +88,14 @@ class TestKernelCommands:
         assert data["adjointness_residual"] < 1e-8
         assert data["lower"][0][0] == [0.0, -3.0]  # ik at k = -3
 
+    @pytest.mark.parametrize("command", ["kernel", "heatkernel"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one(self, command, points, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        assert run([command, "--grid-points", points, "--output", str(out)]) == 1
+        assert "error: --grid-points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGreens:
     def test_equivalence_column(self, tmp_path):
@@ -105,6 +117,11 @@ class TestGreens:
     def test_divergent_inputs_exit_1(self, capsys):
         assert run(["greens", "--T-real", "1", "--epsilon", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one(self, points, capsys):
+        assert run(["greens", "--points", points]) == 1
+        assert "error: --points must be >= 1" in capsys.readouterr().err
 
 
 class TestEvolve:
@@ -149,6 +166,19 @@ class TestValidate:
     def test_no_match(self, capsys):
         assert run(["validate", "--only", "nonexistent"]) == 1
 
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(holoflat.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "holoflat.cli", "validate", "--only", "theta"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "PASS theta-identity" in proc.stdout
+
 
 class TestPlumbing:
     def test_determinism(self, tmp_path):
@@ -179,8 +209,9 @@ class TestPlumbing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"truncation": 1}))
         out = tmp_path / "g.csv"
-        assert run(["gram", "--config", str(cfg), "--truncation", "2", "--output", str(out)]) == 0
-        assert len(read_csv(str(out))) == 6
+        for flag in (["--truncation", "2"], ["--trunc", "2"], ["--trunc=2"]):
+            assert run(["gram", "--config", str(cfg), *flag, "--output", str(out)]) == 0
+            assert len(read_csv(str(out))) == 6
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,10 @@ from holoflat import (
     inner_product,
     inner_product_exponential,
     integrate_tangent,
+    hamiltonian_free,
+    ladder_raise,
     make_chart,
+    moment_matrix,
     operator_kernel,
     orthonormal_series_kernel,
     orthonormalize,
@@ -25,7 +28,9 @@ from holoflat import (
     project_coeffs,
     reproducing_kernel,
     state_norm,
+    step_matrix,
     tangent_blocks,
+    tangent_nodes,
 )
 
 
@@ -331,6 +336,67 @@ class TestOperatorKernel:
         basis, gram = setup_n4
         with pytest.raises(ValidationError):
             operator_kernel(np.eye(5), gram, basis)
+
+
+class TestDesignMatrix:
+    def test_keeps_long_double(self):
+        z = np.array([0.5 - 0.25j, -1.0 + 0.5j], dtype=np.clongdouble)
+        Phi = cylinder_basis(2).design_matrix(z)
+        assert Phi.dtype == np.clongdouble
+        assert Phi.shape == (2, 5)
+        assert cylinder_basis(2).design_matrix([0.0, 1.0]).dtype == np.complex128
+
+
+class TestMomentMatrix:
+    def test_gram_and_multiplication_moments(self, chart, rule):
+        basis = cylinder_basis(2)
+        z, w = tangent_nodes(chart, rule)
+        G = moment_matrix(basis, z, w)
+        assert np.abs(G - gram_matrix(basis).matrix).max() < 1e-10
+        T = moment_matrix(basis, z, w, z)
+        l = np.array(basis.labels)[:, None]
+        k = np.array(basis.labels)[None, :]
+        assert np.abs(T - (-1j * l * np.exp(-((l - k) ** 2) / 2.0))).max() < 1e-10
+
+
+class TestOneDimensionalCharts:
+    """The Hilbert layer rejects charts with n != 1 before building a grid."""
+
+    @pytest.fixture
+    def torus(self, monkeypatch):
+        import holoflat.quadrature
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for a rejected chart")
+
+        monkeypatch.setattr(holoflat.quadrature, "tangent_blocks", no_grid)
+        return make_chart(2, [[2.0, 0.5], [0.5, 1.0]], [2 * math.pi, 2 * math.pi])
+
+    def test_inner_product(self, torus):
+        f = lambda z: np.exp(1j * z)
+        with pytest.raises(ValidationError):
+            inner_product(f, f, torus, gaussian_rule(4, 6))
+
+    def test_gram_matrix(self, torus):
+        with pytest.raises(ValidationError):
+            gram_matrix(cylinder_basis(2), torus, gaussian_rule(4, 6), force_quadrature=True)
+
+    def test_project_coeffs(self, torus, setup_n4):
+        basis, gram = setup_n4
+        kernel = reproducing_kernel(gram, basis)
+        with pytest.raises(ValidationError):
+            project_coeffs(basis_state(4, 1), kernel, torus, gaussian_rule(4, 6))
+
+    def test_ladder_raise_quadrature(self, torus, setup_n4):
+        _, gram = setup_n4
+        with pytest.raises(ValidationError):
+            ladder_raise(gram, 4, method="quadrature", chart=torus, rule=gaussian_rule(4, 6))
+
+    def test_step_matrix(self, torus, setup_n4):
+        basis, gram = setup_n4
+        kernel = reproducing_kernel(gram, basis)
+        with pytest.raises(ValidationError):
+            step_matrix(kernel, hamiltonian_free(4), 0.05, torus, gaussian_rule(4, 6))
 
 
 class TestBasisHolomorphy:

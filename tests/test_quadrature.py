@@ -11,6 +11,7 @@ from holoflat import (
     integrate_tangent,
     make_chart,
     tangent_blocks,
+    tangent_nodes,
 )
 from holoflat.quadrature import hermite_rule_extended
 
@@ -73,6 +74,31 @@ class TestGaussianRule:
         rule = gaussian_rule(4, 8)
         with pytest.raises(ValidationError):
             next(tangent_blocks(cylinder(), rule))
+
+
+class TestTangentNodes:
+    def test_equals_concatenated_blocks(self):
+        chart = make_chart(1, [[2.0]], [2 * math.pi])
+        rule = gaussian_rule(2, 24)
+        for extended in (False, True):
+            blocks = list(tangent_blocks(chart, rule, extended))
+            z, w = tangent_nodes(chart, rule, extended)
+            assert np.array_equal(z, np.concatenate([Z[:, 0] for Z, _ in blocks]))
+            assert np.array_equal(w, np.concatenate([wb for _, wb in blocks]))
+
+    def test_weights_sum_to_one(self):
+        _, w = tangent_nodes(cylinder(), gaussian_rule(2, 24))
+        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+
+    def test_extended_precision(self):
+        z, w = tangent_nodes(cylinder(), gaussian_rule(2, 16), extended=True)
+        assert z.dtype == np.clongdouble
+        assert w.dtype == np.longdouble
+
+    def test_rejects_torus(self):
+        torus = make_chart(2, np.eye(2), [2 * math.pi, 2 * math.pi])
+        with pytest.raises(ValidationError):
+            tangent_nodes(torus, gaussian_rule(4, 4))
 
 
 class TestIntegrateTangent:
