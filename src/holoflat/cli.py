@@ -124,6 +124,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _config_value_fits(action: argparse.Action, value) -> bool:
+    # argparse type-converts string defaults only and checks no default against choices.
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    if action.nargs == "*":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kinds = (str, action.type, int if action.type is float else str)
+    return type(value) in kinds and (action.choices is None or value in action.choices)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     # --config supplies the subcommand's defaults; argparse then lets every
     # explicit flag, abbreviated or not, win over them.
@@ -138,11 +148,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValidationError("config file must hold a JSON object")
+    actions = {a.dest: a for a in subparsers[args.command]._actions}
     defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ValidationError(f"config key {key!r} unknown for this subcommand")
+        if not _config_value_fits(actions[attr], value):
+            raise ValidationError(f"config key {key!r} has an invalid value {value!r}")
         defaults[attr] = value
     subparsers[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
@@ -288,6 +301,7 @@ def _cmd_greens(args) -> int:
 
 def _cmd_evolve(args) -> int:
     N = args.truncation
+    basis = cylinder_basis(N)
     if args.initial:
         try:
             with open(args.initial) as fh:
@@ -299,11 +313,9 @@ def _cmd_evolve(args) -> int:
                 f"initial state truncation {state.N} does not match --truncation {N}"
             )
     else:
-        coeffs = np.zeros(2 * N + 1, dtype=complex)
-        coeffs[N] = 1.0
-        coeffs[N + 1] = 1.0
+        coeffs = np.zeros(basis.size, dtype=complex)
+        coeffs[N : N + 2] = 1.0  # e_0 + e_1, or e_0 alone at N = 0
         state = HoloState(N=N, coeffs=coeffs)
-    basis = cylinder_basis(N)
     gram = gram_matrix(basis)
     state = HoloState(N=N, coeffs=state.coeffs / state_norm(state, gram))
     kernel = reproducing_kernel(gram, basis)

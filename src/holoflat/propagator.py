@@ -34,7 +34,7 @@ __all__ = [
 
 DEFAULT_DIVISION_GUARD = 1e-12
 DEFAULT_EPSILON = 0.05
-_CHUNK = 256
+_TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 
 
 @dataclass(frozen=True)
@@ -57,28 +57,6 @@ class PropagatorConfig:
             raise ValidationError("epsilon must be nonnegative")
 
 
-def _cayley(x: np.ndarray) -> np.ndarray:
-    # Pade (1,1) approximant of e^{-ix}: unimodular for real x, agrees with
-    # the exponential to O(x^3), and stays bounded where the kernel ratio
-    # x = Delta K_H / K blows up near kernel zeros (the continuum phase
-    # integral diverges there; the exponential form overflows numerically).
-    return (1.0 - 0.5j * x) / (1.0 + 0.5j * x)
-
-
-def _phase_weighted_kernel_rows(A_rows, B_rows, PhiT_conj, delta, guard):
-    """Rows of K * cayley(delta K_H / K) for a chunk of outer grid points."""
-    K = A_rows @ PhiT_conj
-    KH = B_rows @ PhiT_conj
-    bad = np.abs(K) < guard * np.abs(KH)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), bad.shape)
-        raise QuadratureError(
-            f"kernel magnitude |K|={abs(K[i, j]):.3e} below guard "
-            f"{guard:.1e}*|K_H|={guard * abs(KH[i, j]):.3e} at a node pair"
-        )
-    return K * _cayley(delta * KH / K)
-
-
 def step_matrix(
     kernel: KernelRep,
     H: OperatorMatrix,
@@ -91,7 +69,9 @@ def step_matrix(
 
     Column ``k`` is the projection of the step applied to basis element
     ``k``; at ``delta = 0`` the matrix is the identity on the span (pure
-    reproduction).
+    reproduction).  The node pairs are summed in ``_TILE`` blocks through buffers
+    allocated once, so memory is O(order^2 * basis size), and any pair with
+    ``|K| < division_guard * |K_H|`` raises QuadratureError.
     """
     basis = kernel.basis
     if len(basis.labels) != 2 * H.N + 1:
@@ -101,13 +81,34 @@ def step_matrix(
     A = Phi @ kernel.mid
     B = Phi @ (H.entries @ kernel.mid)
     PhiT_conj = np.conj(Phi).T
-    nb = basis.size
+    wPhi = w[:, None] * Phi
+    M, nb = Phi.shape
+    K, KH, E = (np.empty(_TILE, dtype=complex) for _ in range(3))
+    absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
     b = np.zeros((nb, nb), dtype=complex)
-    for i0 in range(0, len(z), _CHUNK):
-        sl = slice(i0, i0 + _CHUNK)
-        E = _phase_weighted_kernel_rows(A[sl], B[sl], PhiT_conj, delta, division_guard)
-        U = (E * w[None, :]) @ Phi  # step applied to each basis element, on the outer grid
-        b += PhiT_conj[:, sl] @ (w[sl, None] * U)
+    for i0 in range(0, M, _TILE[0]):
+        for j0 in range(0, M, _TILE[1]):
+            rows, cols = slice(i0, i0 + _TILE[0]), slice(j0, j0 + _TILE[1])
+            t = np.s_[: min(_TILE[0], M - i0), : min(_TILE[1], M - j0)]
+            k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
+            np.matmul(A[rows], PhiT_conj[:, cols], out=k)
+            np.matmul(B[rows], PhiT_conj[:, cols], out=kh)
+            np.multiply(np.abs(kh, out=akh), division_guard, out=akh)
+            if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
+                raise QuadratureError(
+                    f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
+                    f"{division_guard:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
+                )
+            # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
+            # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
+            # O(x^3) from the exponential, and bounded where x blows up near kernel
+            # zeros (the continuum phase integral diverges; the exponential overflows).
+            kh *= 0.5j * delta
+            np.subtract(k, kh, out=e)
+            kh += k
+            e /= kh
+            e *= k
+            b += np.conj(wPhi[rows]).T @ (e @ wPhi[cols])  # step of each basis element, projected
     return kernel.gram.solve(b)
 
 

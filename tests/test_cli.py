@@ -156,6 +156,18 @@ class TestEvolve:
         init.write_text(json.dumps(state))
         assert run(["evolve", "--truncation", "4", "--initial", str(init)]) == 1
 
+    def test_negative_truncation(self, capsys):
+        assert run(["evolve", "--truncation", "-1", "--quad-order", "8"]) == 1
+        assert "error: truncation must be nonnegative" in capsys.readouterr().err
+
+    def test_truncation_zero_default_initial(self, tmp_path):
+        # the default initial state e_0 + e_1 keeps only e_0 when N = 0
+        out = tmp_path / "e.json"
+        argv = ["evolve", "--truncation", "0", "--quad-order", "8", "--steps", "2"]
+        assert run(argv + ["--format", "json", "--output", str(out)]) == 0
+        history = json.loads(out.read_text())["history"]
+        assert history[0]["coeffs"] == [[1.0, 0.0]]
+
 
 class TestValidate:
     def test_subset(self, tmp_path, capsys):
@@ -217,6 +229,39 @@ class TestPlumbing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["gram", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gram", {"truncation": 2.5}),
+            ("gram", {"truncation": [2]}),
+            ("gram", {"truncation": True}),
+            ("gram", {"quadrature": "yes"}),
+            ("greens", {"epsilon": [0.1]}),
+            ("validate", {"only": [1]}),
+            ("validate", {"only": "theta"}),
+            ("gram", {"format": "xml"}),
+            ("evolve", {"initial": 3}),
+        ],
+    )
+    def test_config_value_of_wrong_type_or_choice(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", str(cfg)]) == 1
+        key = next(iter(config))
+        assert f"error: config key {key!r} has an invalid value" in capsys.readouterr().err
+
+    def test_config_values_of_the_flag_types(self, tmp_path, capsys):
+        # JSON values that fit the flag: a bool switch, an int for a float flag,
+        # a list of strings for --only, and a string argparse converts
+        for command, config in [
+            ("gram", {"quadrature": True, "quad_order": 16, "truncation": "1", "format": "json"}),
+            ("greens", {"epsilon": 1, "points": 2}),
+            ("validate", {"only": ["theta"]}),
+        ]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            assert run([command, "--config", str(cfg)]) == 0, config
 
     def test_stdout_output(self, capsys):
         assert run(["gram", "--truncation", "1"]) == 0

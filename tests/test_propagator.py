@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from holoflat import (
     HoloState,
     OperatorMatrix,
     PropagatorConfig,
+    QuadratureError,
     ValidationError,
     cylinder_basis,
     cylinder_chart,
@@ -25,6 +27,8 @@ from holoflat import (
     state_norm,
     step_matrix,
 )
+from holoflat import propagator
+from holoflat.quadrature import tangent_nodes
 
 N = 8
 
@@ -84,6 +88,45 @@ class TestInfinitesimalStep:
         phi = basis_state(1)
         out = infinitesimal_step(phi, kernel, H, 0.05, chart, rule)
         assert np.abs(S[:, N + 1] - out.coeffs).max() < 1e-12
+
+
+class TestStepMatrix:
+    @pytest.mark.parametrize("tile", [(7, 50), (50, 7), (144, 144), (256, 1024)])
+    def test_matches_dense_reference(self, tile, monkeypatch):
+        # order 12 gives M = 144 nodes: 7 x 50 tiles leave partial row and column tiles
+        chart, rule = cylinder_chart(), gaussian_rule(2, 12)
+        basis = cylinder_basis(N)
+        kernel = reproducing_kernel(gram_matrix(basis), basis)
+        H, delta = hamiltonian_free(N), 0.05
+        z, w = tangent_nodes(chart, rule)
+        Phi = basis.design_matrix(z)
+        K = Phi @ kernel.mid @ np.conj(Phi).T
+        KH = Phi @ H.entries @ kernel.mid @ np.conj(Phi).T
+        E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
+        ref = kernel.gram.solve(np.conj(Phi).T @ (w[:, None] * E * w[None, :]) @ Phi)
+        monkeypatch.setattr(propagator, "_TILE", tile)
+        S = step_matrix(kernel, H, delta, chart, rule)
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_division_guard_raises(self, ctx):
+        chart, rule, _, kernel = ctx
+        H = hamiltonian_free(N)
+        with pytest.raises(QuadratureError, match="below guard"):
+            step_matrix(kernel, H, 0.05, chart, rule, division_guard=1e3)
+        cfg = PropagatorConfig(H=H, t=0.5, n_steps=4, division_guard=1e3)
+        with pytest.raises(QuadratureError, match="below guard"):
+            evolve(basis_state(0), cfg, kernel, chart, rule)
+
+    def test_memory_bounded(self, ctx):
+        # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
+        chart, rule, _, kernel = ctx
+        tracemalloc.start()
+        try:
+            step_matrix(kernel, hamiltonian_free(N), 0.05, chart, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestEvolve:
