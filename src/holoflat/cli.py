@@ -68,12 +68,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("gram", help="Gram matrix of the periodic basis")
     p.add_argument("--truncation", type=int, default=DEFAULT_N)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--normalized", action="store_true", default=True,
-        help="normalized e^{ikz - k^2/2} basis (the default)",
-    )
-    group.add_argument("--raw", action="store_true", help="raw e^{ikz} basis instead")
+    p.add_argument("--raw", action="store_true", help="raw e^{ikz} basis, not e^{ikz - k^2/2}")
     p.add_argument("--quadrature", action="store_true", help="integrate instead of closed form")
     p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
     _add_common(p)

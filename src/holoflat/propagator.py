@@ -49,6 +49,8 @@ class PropagatorConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValidationError(f"evolution time must be finite, got {self.t}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.division_guard > 0:
@@ -180,6 +182,8 @@ def evolve_exact(state: HoloState, h, t: float) -> HoloState:
 
 def _check_time_converges(T: complex, what: str) -> complex:
     T = complex(T)
+    if not cmath.isfinite(T):
+        raise ValidationError(f"time parameter must be finite, got T={T}")
     if T == 0:
         raise ValidationError("time parameter must be nonzero")
     if T.imag >= 0:

@@ -48,6 +48,16 @@ class TestGram:
         assert run(["gram", "--truncation", "8", "--raw"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_quad_order_beyond_finite_nodes(self, capsys):
+        assert run(["gram", "--quadrature", "--quad-order", "741", "--truncation", "1"]) == 1
+        assert "error: Gauss-Hermite nodes of order 741 are not finite" in capsys.readouterr().err
+
+    def test_normalized_flag_removed(self):
+        # the normalized basis is the only default; there is no flag to ask for it
+        with pytest.raises(SystemExit) as exc:
+            run(["gram", "--normalized"])
+        assert exc.value.code == 2
+
 
 class TestOrthonormalize:
     def test_residual_line(self, tmp_path):
@@ -123,6 +133,11 @@ class TestGreens:
         assert run(["greens", "--points", points]) == 1
         assert "error: --points must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--T-real", "nan"], ["--epsilon", "nan"], ["--T-imag=-inf"]])
+    def test_nonfinite_time_exit_1(self, flag, capsys):
+        assert run(["greens", "--points", "2"] + flag) == 1
+        assert "error: time parameter must be finite" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_default_initial(self, tmp_path):
@@ -155,6 +170,11 @@ class TestEvolve:
         init = tmp_path / "init.json"
         init.write_text(json.dumps(state))
         assert run(["evolve", "--truncation", "4", "--initial", str(init)]) == 1
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_nonfinite_time_exit_1(self, t, capsys):
+        assert run(["evolve", "--t", t, "--quad-order", "8"]) == 1
+        assert "error: evolution time must be finite" in capsys.readouterr().err
 
     def test_negative_truncation(self, capsys):
         assert run(["evolve", "--truncation", "-1", "--quad-order", "8"]) == 1

@@ -170,6 +170,11 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             PropagatorConfig(H=hamiltonian_free(N), t=1.0, n_steps=1, epsilon=-0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        with pytest.raises(ValidationError, match="finite"):
+            PropagatorConfig(H=hamiltonian_free(N), t=t, n_steps=4)
+
 
 class TestEvolveExact:
     def test_zero_time(self):
@@ -217,6 +222,13 @@ class TestGreensWinding:
     def test_divergent_regime_error(self):
         with pytest.raises(ValidationError, match="regularize"):
             greens_winding(0.1, 0.0, 1.0, n_max=10)
+
+    @pytest.mark.parametrize("T", [complex(math.nan, -0.05), complex(1, -math.inf), math.inf])
+    def test_rejects_nonfinite_time(self, T):
+        with pytest.raises(ValidationError, match="finite"):
+            greens_winding(0.1, 0.0, T, n_max=10)
+        with pytest.raises(ValidationError, match="finite"):
+            greens_spectral(0.1, 0.0, T, M=10)
 
 
 class TestGreensSpectral:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from holoflat import (
     tangent_blocks,
     tangent_nodes,
 )
-from holoflat.quadrature import hermite_rule_extended
+import holoflat
+from holoflat.quadrature import _hermite_rule_cached, hermite_rule_extended
 
 
 def cylinder():
@@ -51,11 +56,93 @@ class TestHermiteRule:
         with pytest.raises(ValidationError):
             hermite_rule(0)
 
+    def test_rejects_order_with_nonfinite_nodes(self):
+        assert np.all(np.isfinite(hermite_rule(740)[0]))
+        with pytest.raises(QuadratureError, match="not finite"):
+            hermite_rule(741)
+
     def test_extended_matches_double(self):
         x, w = hermite_rule(16)
         xe, we = hermite_rule_extended(16)
         assert np.allclose(x, xe.astype(float))
         assert np.allclose(w, we.astype(float))
+
+
+def mpmath_hermite_rule(order):
+    """Independent reference: Newton in 40-digit arithmetic on the physicists'
+    Hermite recurrence, one node at a time, from the ``hermgauss`` start."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def hermite_pair(x):
+        h0, h1 = mp.mpf(1), 2 * x
+        if order == 1:
+            return h1, 2 * h0
+        for k in range(2, order + 1):
+            h0, h1 = h1, 2 * x * h1 - 2 * (k - 1) * h0
+        return h1, 2 * order * h0
+
+    nodes, weights = [], []
+    with mp.workdps(40):
+        scale = 2 ** (order + 1) * mp.factorial(order) * mp.sqrt(mp.pi)
+        for xi in np.polynomial.hermite.hermgauss(order)[0]:
+            x = mp.mpf(float(xi))
+            for _ in range(6):
+                h, dh = hermite_pair(x)
+                x = x - h / dh
+            dh = hermite_pair(x)[1]
+            nodes.append(x)
+            weights.append(scale / (dh * dh))
+    return nodes, weights
+
+
+def long_double(values):
+    """Round 40-digit values to long double via a double-double split."""
+    hi = np.array([float(v) for v in values])
+    lo = np.array([float(v - h) for v, h in zip(values, hi)])
+    return hi.astype(np.longdouble) + lo.astype(np.longdouble)
+
+
+class TestHermiteReference:
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 32, 64, 128])
+    def test_matches_multiprecision_newton(self, order):
+        ref_x, ref_w = mpmath_hermite_rule(order)
+        x, w = hermite_rule(order)
+        assert np.array_equal(x, [float(v) for v in ref_x])
+        ref_w64 = np.array([float(v) for v in ref_w])
+        assert np.all(np.abs(w - ref_w64) <= np.spacing(ref_w64))
+        xe, we = hermite_rule_extended(order)
+        ref_xe, ref_we = long_double(ref_x), long_double(ref_w)
+        assert np.all(np.abs(xe - ref_xe) <= 1e-16 * np.abs(ref_xe))
+        assert np.all(np.abs(we - ref_we) <= 1e-16 * ref_we)
+
+    def test_runs_without_mpmath(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(holoflat.__file__)))
+        code = (
+            "import math, sys; sys.modules['mpmath'] = None\n"
+            "import holoflat\n"
+            "x, w = holoflat.hermite_rule(128)\n"
+            "assert abs(w.sum() - math.sqrt(math.pi)) < 1e-13\n"
+            "basis = holoflat.cylinder_basis(2)\n"
+            "g = holoflat.gram_matrix(basis, holoflat.cylinder_chart(), "
+            "holoflat.gaussian_rule(2, 32), force_quadrature=True)\n"
+            "assert abs(g.matrix[2, 2] - 1) < 1e-12\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_rejects_double_precision_long_double(self, monkeypatch):
+        finfo = np.finfo
+        monkeypatch.setattr(
+            np, "finfo", lambda t: SimpleNamespace(nmant=52) if t is np.longdouble else finfo(t)
+        )
+        with pytest.raises(QuadratureError, match="long double"):
+            _hermite_rule_cached.__wrapped__(8)
 
 
 class TestGaussianRule:
