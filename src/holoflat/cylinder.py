@@ -96,8 +96,8 @@ class HeatKernelParams:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValidationError(f"diffusion time must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise ValidationError(f"diffusion time must be finite and positive, got {self.t}")
         if self.M < 1:
             raise ValidationError(f"mode cutoff must be >= 1, got {self.M}")
         if self.x_quad < 2:
@@ -133,8 +133,8 @@ def heat_rho_winding(t: float, x, n_max: int = 20) -> np.ndarray | float:
 
     Independent of the mode sum; the two agree by Poisson summation.
     """
-    if not t > 0:
-        raise ValidationError(f"diffusion time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"diffusion time must be finite and positive, got {t}")
     x = np.asarray(x, dtype=float)
     n = np.arange(-n_max, n_max + 1)
     shifts = np.add.outer(x, 2 * math.pi * n)

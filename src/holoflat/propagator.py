@@ -69,29 +69,42 @@ def step_matrix(
 ) -> np.ndarray:
     """Coefficient-space matrix of one short-time step of length ``delta``.
 
-    Column ``k`` is the projection of the step applied to basis element
-    ``k``; at ``delta = 0`` the matrix is the identity on the span (pure
-    reproduction).  The node pairs are summed in ``_TILE`` blocks through buffers
-    allocated once, so memory is O(order^2 * basis size), and any pair with
-    ``|K| < division_guard * |K_H|`` raises QuadratureError.
+    Column ``k`` is the projection of the step applied to basis element ``k``.  At
+    ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram matrix: the identity only
+    where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0
+    at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
+    allocated once (memory O(order^2 * basis size)); a summed pair with
+    ``|K| < division_guard * |K_H|`` raises QuadratureError.  If weights and basis are
+    exactly even under z -> -z, and kernel and ``H`` to 1e-14, the first ceil(M/2)
+    node rows are summed and the rest folded in as their mirrors; else all M are.
     """
     basis = kernel.basis
     if len(basis.labels) != 2 * H.N + 1:
         raise ValidationError("Hamiltonian truncation does not match the kernel basis")
     z, w = tangent_nodes(chart, rule)
     Phi = basis.design_matrix(z)
-    A = Phi @ kernel.mid
-    B = Phi @ (H.entries @ kernel.mid)
+    M, nb = Phi.shape
+    # J maps label k to -k; Phi is compared column by column, so no second M x nb array
+    J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
+    mirror = (
+        None not in J
+        and np.array_equal(w[::-1], w)
+        and all(np.array_equal(Phi[::-1, a], Phi[:, j]) for a, j in enumerate(J))
+        and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, H.entries))
+    )
+    R = (M + 1) // 2 if mirror else M  # node rows summed
+    A, B = Phi[:R] @ kernel.mid, Phi[:R] @ (H.entries @ kernel.mid)
     PhiT_conj = np.conj(Phi).T
     wPhi = w[:, None] * Phi
-    M, nb = Phi.shape
+    wPhiH = np.conj(wPhi[:R]).T
+    wPhiH[:, R - 1] *= 0.5 if mirror and M % 2 else 1.0  # at odd M the origin is its own mirror
     K, KH, E = (np.empty(_TILE, dtype=complex) for _ in range(3))
     absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
     b = np.zeros((nb, nb), dtype=complex)
-    for i0 in range(0, M, _TILE[0]):
+    for i0 in range(0, R, _TILE[0]):
         for j0 in range(0, M, _TILE[1]):
             rows, cols = slice(i0, i0 + _TILE[0]), slice(j0, j0 + _TILE[1])
-            t = np.s_[: min(_TILE[0], M - i0), : min(_TILE[1], M - j0)]
+            t = np.s_[: min(_TILE[0], R - i0), : min(_TILE[1], M - j0)]
             k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
             np.matmul(A[rows], PhiT_conj[:, cols], out=k)
             np.matmul(B[rows], PhiT_conj[:, cols], out=kh)
@@ -110,7 +123,9 @@ def step_matrix(
             kh += k
             e /= kh
             e *= k
-            b += np.conj(wPhi[rows]).T @ (e @ wPhi[cols])  # step of each basis element, projected
+            b += wPhiH[:, rows] @ (e @ wPhi[cols])  # step of each basis element, projected
+    if mirror:
+        b += b[np.ix_(J, J)]  # the rows not summed are mirror images of summed ones
     return kernel.gram.solve(b)
 
 

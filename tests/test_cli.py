@@ -106,6 +106,14 @@ class TestKernelCommands:
         assert "error: --grid-points must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", ["inf", "nan", "0"])
+    def test_heatkernel_rejects_nonfinite_or_nonpositive_time(self, t, tmp_path, capsys):
+        # --t inf used to exit 0 with rows of nan,nan
+        out = tmp_path / "h.csv"
+        assert run(["heatkernel", "--t", t, "--grid-points", "2", "--output", str(out)]) == 1
+        assert "error: diffusion time must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGreens:
     def test_equivalence_column(self, tmp_path):

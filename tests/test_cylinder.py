@@ -168,3 +168,8 @@ class TestHeatKernelFormula:
             HeatKernelParams(t=-1.0)
         with pytest.raises(ValidationError):
             HeatKernelParams(M=0)
+        for t in (math.inf, math.nan, 0.0, -math.inf):  # t = inf would give nan kernel values
+            with pytest.raises(ValidationError, match="finite and positive"):
+                HeatKernelParams(t=t)
+            with pytest.raises(ValidationError, match="finite and positive"):
+                heat_rho_winding(t, 0.3)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -23,6 +24,8 @@ from holoflat import (
     hamiltonian_free,
     heat_rho,
     infinitesimal_step,
+    ladder_lower,
+    operator_kernel,
     reproducing_kernel,
     state_norm,
     step_matrix,
@@ -90,23 +93,66 @@ class TestInfinitesimalStep:
         assert np.abs(S[:, N + 1] - out.coeffs).max() < 1e-12
 
 
+def dense_step(kernel, H, delta, chart, rule):
+    # every node pair at once, no tiles and no mirror fold
+    z, w = tangent_nodes(chart, rule)
+    Phi = kernel.basis.design_matrix(z)
+    K = Phi @ kernel.mid @ np.conj(Phi).T
+    KH = Phi @ H.entries @ kernel.mid @ np.conj(Phi).T
+    E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
+    return kernel.gram.solve(np.conj(Phi).T @ (w[:, None] * E * w[None, :]) @ Phi)
+
+
+def step_case(case):
+    """Kernel and Hamiltonian at N = 8: "free" is even under z -> -z (the mirror fold
+    applies); "skew-H" adds d/dz to H and "skew-kernel" puts d/dz into the kernel, so
+    neither is even and the full pair sum must run."""
+    basis = cylinder_basis(N)
+    gram = gram_matrix(basis)
+    kernel = reproducing_kernel(gram, basis)
+    H = hamiltonian_free(N)
+    if case == "skew-H":
+        H = OperatorMatrix(N=N, entries=H.entries + ladder_lower(N).entries)
+    if case == "skew-kernel":
+        kernel = operator_kernel(np.eye(2 * N + 1) + 0.1 * ladder_lower(N).entries, gram, basis)
+    return kernel, H
+
+
 class TestStepMatrix:
-    @pytest.mark.parametrize("tile", [(7, 50), (50, 7), (144, 144), (256, 1024)])
+    @pytest.mark.parametrize("tile", [(7, 50), (50, 7), (144, 144), (256, 1024), (40, 30)])
     def test_matches_dense_reference(self, tile, monkeypatch):
-        # order 12 gives M = 144 nodes: 7 x 50 tiles leave partial row and column tiles
-        chart, rule = cylinder_chart(), gaussian_rule(2, 12)
-        basis = cylinder_basis(N)
-        kernel = reproducing_kernel(gram_matrix(basis), basis)
-        H, delta = hamiltonian_free(N), 0.05
-        z, w = tangent_nodes(chart, rule)
-        Phi = basis.design_matrix(z)
-        K = Phi @ kernel.mid @ np.conj(Phi).T
-        KH = Phi @ H.entries @ kernel.mid @ np.conj(Phi).T
-        E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
-        ref = kernel.gram.solve(np.conj(Phi).T @ (w[:, None] * E * w[None, :]) @ Phi)
+        # order 12 gives M = 144 nodes: 7 x 50 tiles leave partial row and column tiles;
+        # order 11 (M = 121) has an origin node; 40-row tiles straddle the fold row
+        # ceil(M/2) at both orders (72 and 61)
         monkeypatch.setattr(propagator, "_TILE", tile)
-        S = step_matrix(kernel, H, delta, chart, rule)
-        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+        for order, case in itertools.product((12, 11), ("free", "skew-H", "skew-kernel")):
+            chart, rule = cylinder_chart(), gaussian_rule(2, order)
+            kernel, H = step_case(case)
+            ref = dense_step(kernel, H, 0.05, chart, rule)
+            S = step_matrix(kernel, H, 0.05, chart, rule)
+            assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
+
+    @pytest.mark.parametrize(
+        "case, order, pairs",
+        [
+            ("free", 12, 72 * 144),
+            ("free", 11, 61 * 121),
+            ("skew-H", 12, 144 * 144),
+            ("skew-kernel", 12, 144 * 144),
+        ],
+    )
+    def test_guarded_pairs_halved_when_even(self, case, order, pairs, monkeypatch):
+        # the guard compares |K| with guard * |K_H| on every node pair that is summed
+        guarded, less = [], np.less
+
+        def spy(a, b, out):
+            guarded.append(out.size)
+            return less(a, b, out=out)
+
+        monkeypatch.setattr(np, "less", spy)
+        kernel, H = step_case(case)
+        step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
+        assert sum(guarded) == pairs
 
     def test_division_guard_raises(self, ctx):
         chart, rule, _, kernel = ctx
