@@ -26,6 +26,7 @@ from .cylinder import (
 )
 from .errors import FactorizationError, QuadratureError, ValidationError
 from .hilbert import (
+    BasisSpec,
     HoloState,
     gram_matrix,
     orthonormalize,
@@ -294,25 +295,49 @@ def _cmd_greens(args) -> int:
     return 0
 
 
+def _read_state(path: str, basis: BasisSpec) -> HoloState:
+    """State from a ``{"N": int, "coeffs": [[re, im], ...]}`` file, whose
+    coefficients run over the labels ``-N..N`` of ``basis``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read initial state {path}: {exc}") from exc
+    try:
+        N = data["N"]
+        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed state description: {exc}") from exc
+    if type(N) is not int:
+        raise ValidationError(f"initial state N must be a JSON integer, got {N!r}")
+    if 2 * N + 1 != basis.size:
+        raise ValidationError(
+            f"initial state truncation {N} does not match --truncation {basis.size // 2}"
+        )
+    return HoloState(basis, coeffs)
+
+
+def _state_json(state: HoloState) -> dict:
+    return {
+        "N": state.basis.size // 2,
+        "coeffs": [[float(c.real), float(c.imag)] for c in state.coeffs],
+    }
+
+
 def _cmd_evolve(args) -> int:
     N = args.truncation
     basis = cylinder_basis(N)
     if args.initial:
-        try:
-            with open(args.initial) as fh:
-                state = HoloState.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read initial state {args.initial}: {exc}") from exc
-        if state.N != N:
-            raise ValidationError(
-                f"initial state truncation {state.N} does not match --truncation {N}"
-            )
+        state = _read_state(args.initial, basis)
     else:
         coeffs = np.zeros(basis.size, dtype=complex)
         coeffs[N : N + 2] = 1.0  # e_0 + e_1, or e_0 alone at N = 0
-        state = HoloState(N=N, coeffs=coeffs)
+        state = HoloState(basis, coeffs)
     gram = gram_matrix(basis)
-    state = HoloState(N=N, coeffs=state.coeffs / state_norm(state, gram))
+    norm = state_norm(state, gram)
+    if not 0 < norm < math.inf:
+        raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
+    state = HoloState(basis, state.coeffs / norm)
     kernel = reproducing_kernel(gram, basis)
     chart = cylinder_chart()
     rule = gaussian_rule(2, args.quad_order)
@@ -324,7 +349,7 @@ def _cmd_evolve(args) -> int:
             "t": args.t,
             "steps": args.steps,
             "history": [
-                {"step": i, "time": i * delta, "norm": state_norm(s, gram), **s.to_dict()}
+                {"step": i, "time": i * delta, "norm": state_norm(s, gram), **_state_json(s)}
                 for i, s in enumerate(history)
             ],
         }

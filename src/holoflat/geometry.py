@@ -1,4 +1,4 @@
-"""Flat configuration-space charts and their complexified tangent spaces.
+"""Flat configuration-space charts.
 
 A chart models a flat manifold (products of circles and lines) by a constant
 symmetric positive-definite metric ``sigma`` together with per-coordinate
@@ -9,26 +9,13 @@ for a tangent vector ``x d/dq + y d/dp``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "FlatChart",
-    "TangentComplex",
-    "make_chart",
-    "complexify",
-    "exp_map",
-    "norm_sq",
-    "volume_factor",
-    "chart_to_dict",
-    "chart_from_dict",
-    "chart_to_json",
-    "chart_from_json",
-]
+__all__ = ["FlatChart", "make_chart"]
 
 _SYMMETRY_TOL = 1e-12
 
@@ -38,30 +25,15 @@ class FlatChart:
     """Validated flat chart: dimension, constant metric and periods.
 
     ``periods[i]`` is the period ``L_i`` of coordinate ``i`` or ``None`` for
-    an aperiodic (line) coordinate.  ``sigma_inv``, ``sigma_det`` and the
-    factor ``tangent_transform`` (mapping Gauss-Hermite variables to chart
-    coordinates, ``x = T u``) are precomputed at construction.
+    an aperiodic (line) coordinate.  The factor ``tangent_transform``
+    (mapping Gauss-Hermite variables to chart coordinates, ``x = T u``) is
+    precomputed at construction.
     """
 
     n: int
     sigma: np.ndarray
     periods: tuple[float | None, ...]
-    sigma_inv: np.ndarray
-    sigma_det: float
     tangent_transform: np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentComplex:
-    """Holomorphic coordinates of a complexified tangent vector."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        if not np.all(np.isfinite(z)):
-            raise ValidationError("tangent coordinates must be finite")
-        object.__setattr__(self, "z", z)
 
 
 def make_chart(n: int, sigma, periods) -> FlatChart:
@@ -104,88 +76,5 @@ def make_chart(n: int, sigma, periods) -> FlatChart:
         n=n,
         sigma=sigma,
         periods=tuple(clean),
-        sigma_inv=np.linalg.inv(sigma),
-        sigma_det=float(np.linalg.det(sigma)),
         tangent_transform=transform,
     )
-
-
-def complexify(chart: FlatChart, qdot, pdot, p=None, Gamma=None) -> TangentComplex:
-    """Holomorphic coordinates of the tangent vector (qdot, pdot).
-
-    Implements ``z^i = qdot^i + i sigma^{im} (pdot_m - p_k Gamma^k_{ml} qdot^l)``.
-    ``Gamma`` (shape (n, n, n), indexed ``[k, m, l]``) defaults to zero, which
-    is exact for flat charts; the general term is kept so the formula is
-    testable with arbitrary connection coefficients.
-    """
-    n = chart.n
-    qdot = np.atleast_1d(np.asarray(qdot, dtype=float))
-    pdot = np.atleast_1d(np.asarray(pdot, dtype=float))
-    if qdot.shape != (n,) or pdot.shape != (n,):
-        raise ValidationError(f"qdot and pdot must have shape ({n},)")
-    if Gamma is None or p is None:
-        term = pdot
-    else:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        Gamma = np.asarray(Gamma, dtype=float)
-        if p.shape != (n,) or Gamma.shape != (n, n, n):
-            raise ValidationError("p must be an n-vector and Gamma an n^3 array")
-        term = pdot - np.einsum("k,kml,l->m", p, Gamma, qdot)
-    z = qdot + 1j * (chart.sigma_inv @ term)
-    return TangentComplex(z=z)
-
-
-def exp_map(chart: FlatChart, tangent) -> tuple[np.ndarray, np.ndarray]:
-    """Map tangent coordinates (x, y) to the phase point (q, p).
-
-    Periodic coordinates are reduced into the canonical interval
-    ``(-L/2, L/2]``; momenta pass through unchanged.
-    """
-    tangent = np.atleast_1d(np.asarray(tangent, dtype=float))
-    if tangent.shape != (2 * chart.n,):
-        raise ValidationError(f"tangent must have shape ({2 * chart.n},)")
-    x, y = tangent[: chart.n], tangent[chart.n :]
-    q = x.copy()
-    for i, L in enumerate(chart.periods):
-        if L is not None:
-            q[i] = x[i] - L * np.ceil(x[i] / L - 0.5)
-    return q, y.copy()
-
-
-def norm_sq(chart: FlatChart, vec: TangentComplex) -> float:
-    """Squared metric norm ``sigma_ij z^i conj(z)^j`` (real, nonnegative)."""
-    z = vec.z
-    if z.shape != (chart.n,):
-        raise ValidationError(f"tangent vector must have {chart.n} components")
-    return float(np.real(np.einsum("ij,i,j->", chart.sigma, z, np.conj(z))))
-
-
-def volume_factor(chart: FlatChart) -> float:
-    """Constant density det(sigma) relating Lebesgue to pulled-back volume."""
-    return chart.sigma_det
-
-
-def chart_to_dict(chart: FlatChart) -> dict:
-    return {
-        "n": chart.n,
-        "sigma": [float(v) for v in chart.sigma.ravel()],
-        "periods": [None if L is None else float(L) for L in chart.periods],
-    }
-
-
-def chart_from_dict(data: dict) -> FlatChart:
-    try:
-        n = int(data["n"])
-        sigma = np.asarray(data["sigma"], dtype=float).reshape(n, n)
-        periods = data["periods"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed chart description: {exc}") from exc
-    return make_chart(n, sigma, periods)
-
-
-def chart_to_json(chart: FlatChart) -> str:
-    return json.dumps(chart_to_dict(chart))
-
-
-def chart_from_json(text: str) -> FlatChart:
-    return chart_from_dict(json.loads(text))

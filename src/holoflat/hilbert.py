@@ -3,7 +3,7 @@
 Inner products by Gaussian quadrature or closed form, Gram matrices and
 their Cholesky factorization, Gram-Schmidt orthonormalization in the
 alternating index order, reproducing kernels (Gram-inverse and orthonormal
-series forms), projections, and operator kernels.
+series forms), and projections.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "HoloState",
     "bargmann_monomial_basis",
     "inner_product",
-    "inner_product_exponential",
     "gram_matrix",
     "moment_matrix",
     "orthonormalize",
@@ -34,7 +33,6 @@ __all__ = [
     "orthonormal_series_kernel",
     "project",
     "project_coeffs",
-    "operator_kernel",
     "state_norm",
 ]
 
@@ -91,41 +89,24 @@ class GramData:
 
 @dataclass(frozen=True)
 class HoloState:
-    """Element of the periodic subspace: coefficients over the normalized
-    basis functions ``e^{ikz - k^2/2}`` for ``k = -N..N``."""
+    """Element of a basis span: ``coeffs[i]`` multiplies the basis function
+    with label ``basis.labels[i]``."""
 
-    N: int
+    basis: BasisSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.N + 1,):
-            raise ValidationError(f"coeffs must have length {2 * self.N + 1}")
+        if c.shape != (self.basis.size,):
+            raise ValidationError(f"coeffs must have length {self.basis.size}")
         if not np.all(np.isfinite(c)):
             raise ValidationError("state coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
     def evaluate(self, z) -> np.ndarray | complex:
-        z = np.asarray(z, dtype=complex)
-        k = self.labels
-        vals = np.exp(1j * np.multiply.outer(z, k) - k**2 / 2.0) @ self.coeffs
-        return complex(vals) if vals.ndim == 0 else vals
-
-    def to_dict(self) -> dict:
-        return {"N": self.N, "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HoloState":
-        try:
-            N = int(data["N"])
-            coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed state description: {exc}") from exc
-        return cls(N=N, coeffs=coeffs)
+        z = np.asarray(z)
+        vals = self.basis.design_matrix(z.ravel()) @ self.coeffs
+        return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
 def bargmann_monomial_basis(max_degree: int) -> BasisSpec:
@@ -159,12 +140,6 @@ def inner_product(f, g, chart: FlatChart, rule: QuadratureRule) -> complex:
     fe, ge = _as_function(f), _as_function(g)
     z, w = tangent_nodes(chart, rule)
     return complex(np.sum(w * np.conj(fe(z)) * ge(z)))
-
-
-def inner_product_exponential(alpha: complex, beta: complex) -> complex:
-    """Closed form ``<e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta)``
-    for the normalized measure with sigma = I, n = 1."""
-    return complex(np.exp(np.conj(alpha) * beta))
 
 
 def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
@@ -263,6 +238,12 @@ class KernelRep:
     gram: GramData
     mid: np.ndarray
 
+    def __post_init__(self):
+        if self.gram.labels != self.basis.labels:
+            raise ValidationError("gram and basis label sets differ")
+        if np.shape(self.mid) != (self.basis.size,) * 2:
+            raise ValidationError(f"kernel matrix must be square of the basis size {self.basis.size}")
+
     def eval(self, z, w) -> np.ndarray | complex:
         """Kernel at ``(z, w)``; broadcasts over arrays of equal shape."""
         z = np.asarray(z, dtype=complex)
@@ -285,13 +266,11 @@ class KernelRep:
         return self.mid @ np.conj(Pw)
 
     def coherent_state(self, w: complex) -> HoloState:
-        return _coeffs_to_state(self.coherent(w), self.basis)
+        return HoloState(self.basis, self.coherent(w))
 
 
 def reproducing_kernel(gram: GramData, basis: BasisSpec) -> KernelRep:
     """Gram-inverse form of the reproducing kernel on the truncated span."""
-    if gram.labels != basis.labels:
-        raise ValidationError("gram and basis label sets differ")
     return KernelRep(basis=basis, gram=gram, mid=gram.inverse())
 
 
@@ -301,15 +280,6 @@ def orthonormal_series_kernel(
     """Series form ``sum_j beta_j(z) conj(beta_j(w))`` of the same kernel."""
     C = orthonormalize(gram, ordering)
     return KernelRep(basis=basis, gram=gram, mid=C @ np.conj(C).T)
-
-
-def operator_kernel(O: np.ndarray, gram: GramData, basis: BasisSpec) -> KernelRep:
-    """Integral kernel of the operator with matrix ``O`` in coefficient space."""
-    O = np.asarray(O, dtype=complex)
-    nb = basis.size
-    if O.shape != (nb, nb):
-        raise ValidationError(f"operator matrix must be {nb}x{nb}, got {O.shape}")
-    return KernelRep(basis=basis, gram=gram, mid=O @ gram.inverse())
 
 
 def project_coeffs(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule) -> np.ndarray:
@@ -325,22 +295,9 @@ def project_coeffs(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule)
     return kernel.mid @ (np.conj(Phi).T @ (w * fe(z)))
 
 
-def _coeffs_to_state(coeffs: np.ndarray, basis: BasisSpec) -> HoloState:
-    nb = basis.size
-    if nb % 2 != 1:
-        raise ValidationError("state layout requires a symmetric label range")
-    N = (nb - 1) // 2
-    if sorted(basis.labels) != list(range(-N, N + 1)):
-        raise ValidationError("state layout requires labels -N..N")
-    ordered = np.empty(nb, dtype=complex)
-    for i, k in enumerate(basis.labels):
-        ordered[k + N] = coeffs[i]
-    return HoloState(N=N, coeffs=ordered)
-
-
 def project(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule) -> HoloState:
-    """Orthogonal projection of ``f`` onto the truncated periodic span."""
-    return _coeffs_to_state(project_coeffs(f, kernel, chart, rule), kernel.basis)
+    """Orthogonal projection of ``f`` onto the span of ``kernel.basis``."""
+    return HoloState(kernel.basis, project_coeffs(f, kernel, chart, rule))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

@@ -74,17 +74,19 @@ def rows_csv(header: list[str], rows: list[list]) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a temporary file and rename, so readers never see a
-    partial file."""
+    partial file.  An operating-system error becomes a ValidationError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_output(payload, output: str | None, fmt: str) -> None:

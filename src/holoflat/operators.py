@@ -36,7 +36,6 @@ class OperatorMatrix:
 
     N: int
     entries: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -48,9 +47,11 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", m)
 
     def apply(self, state: HoloState) -> HoloState:
-        if state.N != self.N:
-            raise ValidationError(f"state truncation {state.N} != operator truncation {self.N}")
-        return HoloState(N=self.N, coeffs=self.entries @ state.coeffs)
+        if state.basis.size != 2 * self.N + 1:
+            raise ValidationError(
+                f"state has {state.basis.size} coefficients, operator acts on {2 * self.N + 1}"
+            )
+        return HoloState(state.basis, self.entries @ state.coeffs)
 
     def is_diagonal(self, tol: float = 0.0) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
@@ -60,7 +61,7 @@ class OperatorMatrix:
 def ladder_lower(N: int) -> OperatorMatrix:
     """Holomorphic differentiation d/dz: diagonal ``ik`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(N=N, entries=np.diag(1j * k.astype(complex)), description="lower")
+    return OperatorMatrix(N=N, entries=np.diag(1j * k.astype(complex)))
 
 
 def _multiplication_moments_closed(N: int) -> np.ndarray:
@@ -107,13 +108,13 @@ def ladder_raise(
         T = _multiplication_moments_quadrature(N, chart, rule)
     else:
         raise ValidationError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
-    return OperatorMatrix(N=N, entries=gram.solve(T), description="raise")
+    return OperatorMatrix(N=N, entries=gram.solve(T))
 
 
 def hamiltonian_free(N: int) -> OperatorMatrix:
     """Free-particle Hamiltonian ``-a^2/2``: diagonal ``k^2/2`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(N=N, entries=np.diag((k**2 / 2.0).astype(complex)), description="free")
+    return OperatorMatrix(N=N, entries=np.diag((k**2 / 2.0).astype(complex)))
 
 
 def to_orthonormal_frame(op: OperatorMatrix, C: np.ndarray) -> np.ndarray:

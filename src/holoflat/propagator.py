@@ -25,7 +25,6 @@ from .quadrature import QuadratureRule, tangent_nodes
 __all__ = [
     "PropagatorConfig",
     "step_matrix",
-    "infinitesimal_step",
     "evolve",
     "evolve_exact",
     "greens_winding",
@@ -33,20 +32,19 @@ __all__ = [
 ]
 
 DEFAULT_DIVISION_GUARD = 1e-12
-DEFAULT_EPSILON = 0.05
+DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Evolution parameters: Hamiltonian matrix, total time, step count,
-    kernel-ratio division guard, and oscillatory-sum regularization."""
+    """Evolution parameters: Hamiltonian matrix, total time, step count and
+    kernel-ratio division guard."""
 
     H: OperatorMatrix
     t: float
     n_steps: int
     division_guard: float = DEFAULT_DIVISION_GUARD
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -55,8 +53,6 @@ class PropagatorConfig:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.division_guard > 0:
             raise ValidationError("division_guard must be positive")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
 
 
 def step_matrix(
@@ -129,23 +125,6 @@ def step_matrix(
     return kernel.gram.solve(b)
 
 
-def infinitesimal_step(
-    state: HoloState,
-    kernel: KernelRep,
-    H: OperatorMatrix,
-    delta: float,
-    chart: FlatChart,
-    rule: QuadratureRule,
-    division_guard: float = DEFAULT_DIVISION_GUARD,
-) -> HoloState:
-    """One short-time step applied to a single state: ``step_matrix`` times
-    its coefficients."""
-    if state.N != H.N:
-        raise ValidationError("state and Hamiltonian truncations differ")
-    S = step_matrix(kernel, H, delta, chart, rule, division_guard)
-    return HoloState(N=state.N, coeffs=S @ state.coeffs)
-
-
 def evolve(
     state: HoloState,
     config: PropagatorConfig,
@@ -159,40 +138,34 @@ def evolve(
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
     """
-    if state.N != config.H.N:
-        raise ValidationError("state and Hamiltonian truncations differ")
+    if state.basis.size != 2 * config.H.N + 1:
+        raise ValidationError("state and Hamiltonian sizes differ")
     delta = config.t / config.n_steps
     S = step_matrix(kernel, config.H, delta, chart, rule, config.division_guard)
     c = state.coeffs
-    history = [HoloState(N=state.N, coeffs=c)]
+    history = [HoloState(state.basis, c)]
     for step in range(config.n_steps):
         c = S @ c
         if not np.all(np.isfinite(c)):
             raise QuadratureError(f"evolution diverged at step {step + 1}")
         if return_history:
-            history.append(HoloState(N=state.N, coeffs=c))
-    final = HoloState(N=state.N, coeffs=c)
+            history.append(HoloState(state.basis, c))
+    final = HoloState(state.basis, c)
     return (final, history) if return_history else final
 
 
-def evolve_exact(state: HoloState, h, t: float) -> HoloState:
-    """Spectral evolution ``c_k -> e^{-i h(k) t} c_k`` for a diagonal
-    Hamiltonian.
+def evolve_exact(state: HoloState, H: OperatorMatrix, t: float) -> HoloState:
+    """Spectral evolution ``c_k -> e^{-i H_kk t} c_k`` for a diagonal
+    Hamiltonian matrix.
 
     Each mode coefficient keeps its modulus exactly, so the evolution is
     unitary in the mode-coefficient norm (the pullback of the physical
-    circle norm).  ``h`` is a spectral function of the mode index or a
-    diagonal OperatorMatrix.
+    circle norm).
     """
-    if isinstance(h, OperatorMatrix):
-        if not h.is_diagonal():
-            raise ValidationError("Hamiltonian is not diagonal; use evolve instead")
-        diag = np.diag(h.entries)
-        phases = np.exp(-1j * diag * t)
-    else:
-        k = state.labels
-        phases = np.exp(-1j * np.array([h(int(ki)) for ki in k]) * t)
-    return HoloState(N=state.N, coeffs=phases * state.coeffs)
+    if not H.is_diagonal():
+        raise ValidationError("Hamiltonian is not diagonal; use evolve instead")
+    phases = np.exp(-1j * np.diag(H.entries) * t)
+    return HoloState(state.basis, phases * state.coeffs)
 
 
 def _check_time_converges(T: complex, what: str) -> complex:

@@ -2,30 +2,32 @@
 
 The measure is ``e^{-|z|^2} dz`` on the tangent space (``|z|^2`` taken in the
 chart metric), scaled so the constant function integrates to exactly 1.  One
-Gauss-Hermite rule per real dimension; grids are enumerated in chunks so no
-full 2n-dimensional array is ever materialized.
+Gauss-Hermite rule per real dimension; the grid of a one-dimensional chart is
+one flat array of nodes.
+
+The paper integrates each path-integral step in the tangent space and maps
+it to the manifold by the exponential map.  Here that map stays implicit:
+the nodes are tangent coordinates, and on a circle of period 2*pi every basis
+function is 2*pi-periodic in ``Re z`` (on a line the map is the identity), so
+composing it with the exponential map changes nothing (``f o exp = f``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .geometry import FlatChart, TangentComplex
+from .geometry import FlatChart
 
 __all__ = [
     "QuadratureRule",
     "hermite_rule",
     "hermite_rule_extended",
     "gaussian_rule",
-    "integrate_tangent",
-    "tangent_blocks",
     "tangent_nodes",
 ]
 
@@ -100,106 +102,45 @@ def hermite_rule_extended(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor Gauss-Hermite rule over ``dims`` real dimensions."""
+    """Tensor Gauss-Hermite rule of ``order`` nodes per real dimension over
+    ``dims`` real dimensions."""
 
     order: int
     dims: int
-    nodes: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    normalization: float
 
 
 def gaussian_rule(dims: int, order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Rule normalized so that the constant 1 integrates to exactly 1."""
+    """Rule whose weights, once normalized by ``tangent_nodes``, integrate
+    the constant 1 to exactly 1.  A bad order fails here, not at first use."""
     if dims < 2 or dims % 2 != 0:
         raise ValidationError(f"dims must be a positive even number, got {dims}")
-    x, w = hermite_rule(order)
-    return QuadratureRule(
-        order=order,
-        dims=dims,
-        nodes=tuple(x for _ in range(dims)),
-        weights=tuple(w for _ in range(dims)),
-        normalization=math.pi ** (-dims / 2),
-    )
-
-
-def tangent_blocks(
-    chart: FlatChart, rule: QuadratureRule, extended: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield chunks ``(Z, w)`` of the tensor grid.
-
-    ``Z`` has shape ``(m, n)`` with holomorphic coordinates ``z = x - i y``
-    of the grid points and ``w`` the matching normalized weights (summing to
-    1 over all chunks).  The last two tensor axes are vectorized; any
-    remaining axes are looped, keeping memory flat at dims >= 4.  With
-    ``extended=True`` the grid is produced in long-double precision for
-    cancellation-sensitive consumers.
-    """
-    n = chart.n
-    if rule.dims != 2 * n:
-        raise ValidationError(f"rule has {rule.dims} dims, chart needs {2 * n}")
-    real_t = np.longdouble if extended else np.float64
-    if extended:
-        xnode, wnode = hermite_rule_extended(rule.order)
-        nodes = tuple(xnode for _ in range(rule.dims))
-        weights = tuple(wnode for _ in range(rule.dims))
-        normalization = np.pi ** (-real_t(rule.dims) / 2)
-    else:
-        nodes, weights, normalization = rule.nodes, rule.weights, rule.normalization
-    T = chart.tangent_transform.astype(real_t)
-    U1, U2 = np.meshgrid(nodes[-2], nodes[-1], indexing="ij")
-    plane = np.column_stack([U1.ravel(), U2.ravel()])
-    wplane = np.outer(weights[-2], weights[-1]).ravel()
-    m = plane.shape[0]
-    outer_axes = rule.dims - 2
-    for idx in itertools.product(*(range(len(nodes[a])) for a in range(outer_axes))):
-        u = np.empty((m, rule.dims), dtype=real_t)
-        wout = real_t(1.0)
-        for a, i in enumerate(idx):
-            u[:, a] = nodes[a][i]
-            wout *= weights[a][i]
-        u[:, -2:] = plane
-        x = u[:, :n] @ T.T
-        y = u[:, n:] @ T.T
-        yield x - 1j * y, normalization * wout * wplane
+    hermite_rule(order)
+    return QuadratureRule(order=order, dims=dims)
 
 
 def tangent_nodes(
     chart: FlatChart, rule: QuadratureRule, extended: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Holomorphic coordinates ``z`` and weights ``w`` of the grid of a
-    one-dimensional chart; other charts are rejected before any grid is built."""
+    """Holomorphic coordinates ``z = x - i y`` and normalized weights ``w``
+    (summing to 1) of the grid of a one-dimensional chart.
+
+    Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``, so the node
+    array read backwards is its own negative.  With ``extended=True`` the grid
+    is built in long double for cancellation-sensitive consumers.  Charts
+    with ``n != 1`` are rejected before any grid is built.
+    """
     if chart.n != 1:
         raise ValidationError(
             f"the Hilbert layer supports one-dimensional charts only, got n = {chart.n}"
         )
-    # With dims = 2 there are no outer axes, so the grid is a single block.
-    [(Z, w)] = tangent_blocks(chart, rule, extended)
-    return np.ascontiguousarray(Z[:, 0]), w
-
-
-def integrate_tangent(
-    chart: FlatChart,
-    rule: QuadratureRule,
-    f: Callable,
-    *,
-    vectorized: bool = False,
-) -> complex:
-    """Integrate ``f`` against the normalized Gaussian measure.
-
-    ``f`` maps a :class:`TangentComplex` to a complex number; with
-    ``vectorized=True`` it instead receives an ``(m, n)`` array of grid
-    coordinates and must return ``m`` values.
-    """
-    total = 0.0 + 0.0j
-    for Z, w in tangent_blocks(chart, rule):
-        if vectorized:
-            vals = np.asarray(f(Z), dtype=complex).reshape(-1)
-        else:
-            vals = np.array([f(TangentComplex(z=Z[i])) for i in range(Z.shape[0])], dtype=complex)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise QuadratureError(f"integrand is not finite at node z={Z[i]} (value {vals[i]})")
-        total += np.sum(w * vals)
-    return complex(total)
+    if rule.dims != 2:
+        raise ValidationError(f"rule has {rule.dims} dims, chart needs 2")
+    if extended:
+        u, wu = hermite_rule_extended(rule.order)
+        normalization = np.pi ** (-np.longdouble(rule.dims) / 2)
+    else:
+        u, wu = hermite_rule(rule.order)
+        normalization = math.pi ** (-rule.dims / 2)
+    t = chart.tangent_transform.astype(u.dtype)[0, 0]
+    U1, U2 = np.meshgrid(u, u, indexing="ij")
+    return U1.ravel() * t - 1j * (U2.ravel() * t), normalization * np.outer(wu, wu).ravel()

@@ -113,7 +113,7 @@ def criterion_kernel_reproduction() -> CriterionResult:
     for k in range(-2, 3):
         coeffs = np.zeros(2 * _N + 1, dtype=complex)
         coeffs[k + _N] = 1.0
-        f = HoloState(N=_N, coeffs=coeffs)
+        f = HoloState(basis, coeffs)
         Pf = project(f, kernel, chart, rule)
         worst = max(worst, float(np.abs(Pf.evaluate(pts) - f.evaluate(pts)).max()))
     return _result(
@@ -164,7 +164,7 @@ def criterion_kernel_properties() -> CriterionResult:
     bound_violation = 0.0
     for _ in range(100):
         c = rng.normal(size=2 * _N + 1) + 1j * rng.normal(size=2 * _N + 1)
-        f = HoloState(N=_N, coeffs=c)
+        f = HoloState(basis, c)
         zpt = complex(_sample_points(1, rng)[0])
         lhs = abs(f.evaluate(zpt)) ** 2
         rhs = float(np.real(kernel.eval(zpt, zpt))) * state_norm(f, gram) ** 2
@@ -224,7 +224,7 @@ def criterion_theta_identity() -> CriterionResult:
 def criterion_ladder_adjointness() -> CriterionResult:
     """Raising matrix is the adjoint of the lowering matrix on the interior
     block; the quadrature pairing agrees on random states."""
-    chart, _, _, gram = _setup()
+    chart, _, basis, gram = _setup()
     rule = gaussian_rule(2, 128)
     block = adjointness_residual(gram, _N, buffer=2)
 
@@ -240,8 +240,8 @@ def criterion_ladder_adjointness() -> CriterionResult:
         interior = slice(2, 2 * _N - 1)
         cp[interior] = rng.normal(size=2 * _N - 3) + 1j * rng.normal(size=2 * _N - 3)
         cc[interior] = rng.normal(size=2 * _N - 3) + 1j * rng.normal(size=2 * _N - 3)
-        psi = HoloState(N=_N, coeffs=cp)
-        chi = HoloState(N=_N, coeffs=cc)
+        psi = HoloState(basis, cp)
+        chi = HoloState(basis, cc)
         lhs = inner_product(raise_op.apply(psi), chi, chart, rule)
         rhs = inner_product(psi, lower_op.apply(chi), chart, rule)
         scale = max(abs(lhs), abs(rhs), 1.0)
@@ -298,14 +298,14 @@ def criterion_trotter_convergence() -> CriterionResult:
     coeffs = np.zeros(2 * _N + 1, dtype=complex)
     coeffs[_N] = 1.0
     coeffs[_N + 1] = 1.0
-    phi = HoloState(N=_N, coeffs=coeffs)
-    phi = HoloState(N=_N, coeffs=phi.coeffs / state_norm(phi, gram))
+    phi = HoloState(basis, coeffs)
+    phi = HoloState(basis, phi.coeffs / state_norm(phi, gram))
     t = 0.5
     exact = evolve_exact(phi, H, t)
     errs = {}
     for n in (8, 16, 32, 64):
         approx = evolve(phi, PropagatorConfig(H=H, t=t, n_steps=n), kernel, chart, rule)
-        errs[n] = state_norm(HoloState(N=_N, coeffs=approx.coeffs - exact.coeffs), gram)
+        errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)
 
@@ -317,7 +317,7 @@ def criterion_trotter_convergence() -> CriterionResult:
     unit_dev = 0.0
     for _ in range(5):
         c = rng.normal(size=2 * _N + 1) + 1j * rng.normal(size=2 * _N + 1)
-        st = HoloState(N=_N, coeffs=c)
+        st = HoloState(basis, c)
         ev = evolve_exact(st, H, 1.7)
         n0 = float(np.linalg.norm(st.coeffs))
         unit_dev = max(unit_dev, abs(float(np.linalg.norm(ev.coeffs)) - n0) / n0)

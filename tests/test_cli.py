@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import holoflat
-from holoflat.cli import run
+from holoflat import HoloState, cylinder_basis
+from holoflat.cli import _read_state, _state_json, run
 from holoflat.io import parse_complex
 
 
@@ -179,6 +181,38 @@ class TestEvolve:
         init.write_text(json.dumps(state))
         assert run(["evolve", "--truncation", "4", "--initial", str(init)]) == 1
 
+    def test_state_json_round_trip(self, tmp_path):
+        rng = np.random.default_rng(12)
+        basis = cylinder_basis(3)
+        f = HoloState(basis, rng.normal(size=7) + 1j * rng.normal(size=7))
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(_state_json(f)))
+        assert _state_json(f)["N"] == 3
+        assert np.array_equal(_read_state(str(init), basis).coeffs, f.coeffs)
+
+    def test_malformed_initial_state(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"N": 1}))
+        assert run(["evolve", "--truncation", "1", "--initial", str(init)]) == 1
+        assert "error: malformed state description" in capsys.readouterr().err
+
+    def test_zero_initial_state(self, tmp_path, capsys):
+        # used to print a numpy RuntimeWarning, then blame non-finite coefficients
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"N": 1, "coeffs": [[0.0, 0.0]] * 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--truncation", "1", "--initial", str(init)]) == 1
+        assert "error: initial state has zero or non-finite norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", [8.7, 1.0, True, "1"])
+    def test_initial_truncation_must_be_json_integer(self, N, tmp_path, capsys):
+        # {"N": 8.7} used to be read as N = 8
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"N": N, "coeffs": [[1.0, 0.0]] * 3}))
+        assert run(["evolve", "--truncation", "1", "--initial", str(init)]) == 1
+        assert "error: initial state N must be a JSON integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_nonfinite_time_exit_1(self, t, capsys):
         assert run(["evolve", "--t", t, "--quad-order", "8"]) == 1
@@ -290,6 +324,20 @@ class TestPlumbing:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             assert run([command, "--config", str(cfg)]) == 0, config
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.csv"
+        assert run(["gram", "--truncation", "1", "--output", str(out)]) == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_output_onto_directory(self, tmp_path, capsys):
+        target = tmp_path / "dir"
+        target.mkdir()
+        assert run(["gram", "--truncation", "1", "--output", str(target)]) == 1
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dir"]  # no .tmp- file left beside it
+        assert os.listdir(target) == []
 
     def test_stdout_output(self, capsys):
         assert run(["gram", "--truncation", "1"]) == 0

@@ -1,22 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from holoflat import (
-    TangentComplex,
-    ValidationError,
-    chart_from_dict,
-    chart_from_json,
-    chart_to_dict,
-    chart_to_json,
-    complexify,
-    exp_map,
-    make_chart,
-    norm_sq,
-    volume_factor,
-)
+from holoflat import ValidationError, make_chart
 
 
 def cylinder():
@@ -36,12 +23,13 @@ class TestMakeChart:
     def test_torus(self):
         chart = make_chart(2, np.eye(2), [2 * math.pi, 2 * math.pi])
         assert chart.n == 2
-        assert chart.sigma_det == pytest.approx(1.0)
+        assert chart.periods == (2 * math.pi, 2 * math.pi)
 
-    def test_stores_inverse_and_det(self):
-        chart = make_chart(2, [[2.0, 0.0], [0.0, 3.0]], [None, None])
-        assert np.allclose(chart.sigma_inv, np.diag([0.5, 1 / 3]))
-        assert chart.sigma_det == pytest.approx(6.0)
+    def test_tangent_transform_whitens_metric(self):
+        # x = T u turns the Gaussian e^{-|u|^2} into e^{-x^T sigma x}
+        chart = make_chart(2, [[2.0, 0.3], [0.3, 1.0]], [None, None])
+        T = chart.tangent_transform
+        assert np.allclose(T.T @ chart.sigma @ T, np.eye(2), atol=1e-14)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValidationError):
@@ -58,129 +46,3 @@ class TestMakeChart:
     def test_rejects_wrong_period_count(self):
         with pytest.raises(ValidationError):
             make_chart(2, np.eye(2), [None])
-
-
-class TestComplexify:
-    def test_unit_qdot(self):
-        z = complexify(cylinder(), [1.0], [0.0])
-        assert z.z[0] == pytest.approx(1.0)
-
-    def test_unit_pdot(self):
-        z = complexify(cylinder(), [0.0], [1.0])
-        assert z.z[0] == pytest.approx(1j)
-
-    def test_scaled_metric(self):
-        chart = make_chart(1, [[4.0]], [None])
-        z = complexify(chart, [1.0], [1.0])
-        assert z.z[0] == pytest.approx(1.0 + 0.25j)
-
-    def test_connection_term(self):
-        # sigma = I, Gamma[k,m,l] = delta everywhere: term = pdot - p.sum * qdot.sum
-        chart = make_chart(1, [[1.0]], [None])
-        Gamma = np.ones((1, 1, 1))
-        z = complexify(chart, [2.0], [1.0], p=[3.0], Gamma=Gamma)
-        assert z.z[0] == pytest.approx(2.0 + 1j * (1.0 - 3.0 * 2.0))
-
-    def test_real_linearity(self):
-        chart = make_chart(2, [[2.0, 0.3], [0.3, 1.0]], [None, None])
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            q1, p1, q2, p2 = (rng.normal(size=2) for _ in range(4))
-            a, b = rng.normal(size=2)
-            lhs = complexify(chart, a * q1 + b * q2, a * p1 + b * p2).z
-            rhs = a * complexify(chart, q1, p1).z + b * complexify(chart, q2, p2).z
-            assert np.allclose(lhs, rhs, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            complexify(cylinder(), [1.0, 2.0], [0.0])
-
-
-class TestExpMap:
-    def test_mod_reduction(self):
-        q, p = exp_map(cylinder(), [3 * math.pi, 5.0])
-        assert q[0] == pytest.approx(math.pi)
-        assert p[0] == pytest.approx(5.0)
-
-    def test_identity_inside_domain(self):
-        q, p = exp_map(cylinder(), [0.3, -1.0])
-        assert q[0] == pytest.approx(0.3)
-        assert p[0] == pytest.approx(-1.0)
-
-    def test_aperiodic_passthrough(self):
-        chart = make_chart(1, [[1.0]], [None])
-        q, p = exp_map(chart, [17.2, -4.0])
-        assert q[0] == pytest.approx(17.2)
-
-    def test_periodicity(self):
-        chart = cylinder()
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            x, y = rng.normal(size=2) * 5
-            q1, _ = exp_map(chart, [x, y])
-            q2, _ = exp_map(chart, [x + 2 * math.pi, y])
-            assert q1[0] == pytest.approx(q2[0], abs=1e-12)
-
-    def test_canonical_interval(self):
-        chart = cylinder()
-        for x in np.linspace(-20, 20, 41):
-            q, _ = exp_map(chart, [x, 0.0])
-            assert -math.pi < q[0] <= math.pi + 1e-12
-
-
-class TestNormSq:
-    def test_identity_metric(self):
-        assert norm_sq(cylinder(), TangentComplex(z=[1 - 1j])) == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert norm_sq(cylinder(), TangentComplex(z=[0.0])) == 0.0
-
-    def test_scaled_metric(self):
-        chart = make_chart(1, [[4.0]], [None])
-        assert norm_sq(chart, TangentComplex(z=[1 + 1j])) == pytest.approx(8.0)
-
-    def test_definiteness(self):
-        chart = make_chart(2, [[2.0, 0.3], [0.3, 1.0]], [None, None])
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert norm_sq(chart, TangentComplex(z=z)) > 0
-
-
-class TestVolumeFactor:
-    def test_identity(self):
-        assert volume_factor(make_chart(3, np.eye(3), [None] * 3)) == pytest.approx(1.0)
-
-    def test_scalar(self):
-        assert volume_factor(make_chart(1, [[4.0]], [None])) == pytest.approx(4.0)
-
-    def test_diagonal(self):
-        assert volume_factor(make_chart(2, np.diag([2.0, 3.0]), [None, None])) == pytest.approx(6.0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        chart = make_chart(2, [[2.0, 0.3], [0.3, 1.0]], [2 * math.pi, None])
-        restored = chart_from_dict(chart_to_dict(chart))
-        assert restored.n == chart.n
-        assert np.allclose(restored.sigma, chart.sigma)
-        assert restored.periods == chart.periods
-
-    def test_json_schema(self):
-        data = json.loads(chart_to_json(cylinder()))
-        assert set(data) == {"n", "sigma", "periods"}
-        assert data["sigma"] == [1.0]
-
-    def test_json_round_trip(self):
-        chart = cylinder()
-        restored = chart_from_json(chart_to_json(chart))
-        assert restored.periods == chart.periods
-
-    def test_malformed(self):
-        with pytest.raises(ValidationError):
-            chart_from_dict({"n": 2, "sigma": [1.0], "periods": [None, None]})
-
-
-def test_tangent_complex_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        TangentComplex(z=[complex(np.nan, 0.0)])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from holoflat import (
     BasisSpec,
     FactorizationError,
     HoloState,
+    KernelRep,
     ValidationError,
     bargmann_monomial_basis,
     cylinder_basis,
@@ -14,13 +16,10 @@ from holoflat import (
     gaussian_rule,
     gram_matrix,
     inner_product,
-    inner_product_exponential,
-    integrate_tangent,
     hamiltonian_free,
     ladder_raise,
     make_chart,
     moment_matrix,
-    operator_kernel,
     orthonormal_series_kernel,
     orthonormalize,
     alternating_ordering,
@@ -29,9 +28,9 @@ from holoflat import (
     reproducing_kernel,
     state_norm,
     step_matrix,
-    tangent_blocks,
     tangent_nodes,
 )
+from holoflat import cli
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,7 @@ def setup_n4(chart, rule):
 def basis_state(N, k):
     c = np.zeros(2 * N + 1, dtype=complex)
     c[k + N] = 1.0
-    return HoloState(N=N, coeffs=c)
+    return HoloState(cylinder_basis(N), c)
 
 
 class TestInnerProduct:
@@ -88,24 +87,22 @@ class TestInnerProduct:
 
 class TestInnerProductExponential:
     def test_gram_match(self):
-        for p in range(-3, 4):
-            for q in range(-3, 4):
-                assert inner_product_exponential(1j * p, 1j * q) == pytest.approx(
-                    math.exp(p * q), rel=1e-14
-                )
+        # <e^{ipz}, e^{iqz}> = exp(pq): the raw cylinder basis carries it as its closed form
+        basis = cylinder_basis(3, normalized=False)
+        g = gram_matrix(basis)
+        for i, p in enumerate(basis.labels):
+            for j, q in enumerate(basis.labels):
+                assert g.matrix[i, j] == pytest.approx(math.exp(p * q), rel=1e-14)
 
-    def test_constants(self):
-        assert inner_product_exponential(0, 0) == pytest.approx(1.0)
+    def test_constants(self, chart, rule):
+        one = lambda z: 1.0
+        assert inner_product(one, one, chart, rule) == pytest.approx(1.0, rel=1e-14)
 
     def test_against_quadrature(self, chart, rule):
+        # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) for sigma = I, n = 1
         alpha, beta = 1.0, 1j
-        val = integrate_tangent(
-            chart,
-            rule,
-            lambda Z: np.conj(np.exp(alpha * Z[:, 0])) * np.exp(beta * Z[:, 0]),
-            vectorized=True,
-        )
-        assert val == pytest.approx(inner_product_exponential(alpha, beta), abs=1e-12)
+        val = inner_product(lambda z: np.exp(alpha * z), lambda z: np.exp(beta * z), chart, rule)
+        assert val == pytest.approx(np.exp(np.conj(alpha) * beta), abs=1e-12)
 
 
 class TestGramMatrix:
@@ -185,10 +182,9 @@ class TestOrthonormalize:
     def test_orthonormality_by_quadrature(self, chart, rule, setup_n4):
         basis, gram = setup_n4
         C = orthonormalize(gram)
-        total = np.zeros((9, 9), dtype=complex)
-        for Z, w in tangent_blocks(chart, rule):
-            B = basis.design_matrix(Z[:, 0]) @ C
-            total += np.conj(B).T @ (w[:, None] * B)
+        z, w = tangent_nodes(chart, rule)
+        B = basis.design_matrix(z) @ C
+        total = np.conj(B).T @ (w[:, None] * B)
         assert np.abs(total - np.eye(9)).max() < 1e-8
 
     def test_custom_ordering_still_orthonormal(self, setup_n4):
@@ -239,7 +235,7 @@ class TestKernel:
         rng = np.random.default_rng(6)
         for _ in range(20):
             c = rng.normal(size=9) + 1j * rng.normal(size=9)
-            f = HoloState(N=4, coeffs=c)
+            f = HoloState(basis, c)
             z = complex(rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1))
             bound = float(np.real(kernel.eval(z, z))) * state_norm(f, gram) ** 2
             assert abs(f.evaluate(z)) ** 2 <= bound * (1 + 1e-12)
@@ -263,12 +259,8 @@ class TestKernel:
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         z, u = 0.5 - 0.2j, -1.1 + 0.4j
-        total = 0.0 + 0.0j
-        for Z, w in tangent_blocks(chart, rule):
-            nodes = Z[:, 0]
-            total += np.sum(
-                w * kernel.eval_grid([z], nodes)[0] * kernel.eval_grid(nodes, [u])[:, 0]
-            )
+        nodes, w = tangent_nodes(chart, rule)
+        total = np.sum(w * kernel.eval_grid([z], nodes)[0] * kernel.eval_grid(nodes, [u])[:, 0])
         assert abs(total - kernel.eval(z, u)) < 1e-8
 
 
@@ -291,7 +283,7 @@ class TestProject:
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         rng = np.random.default_rng(8)
-        f = HoloState(N=4, coeffs=rng.normal(size=9) + 1j * rng.normal(size=9))
+        f = HoloState(basis, rng.normal(size=9) + 1j * rng.normal(size=9))
         P1 = project(f, kernel, chart, rule)
         P2 = project(P1, kernel, chart, rule)
         assert np.abs(P2.coeffs - P1.coeffs).max() < 1e-10
@@ -300,10 +292,15 @@ class TestProject:
         basis, gram = setup_n4
         C = orthonormalize(gram)
         rng = np.random.default_rng(9)
-        f = HoloState(N=4, coeffs=rng.normal(size=9) + 1j * rng.normal(size=9))
+        f = HoloState(basis, rng.normal(size=9) + 1j * rng.normal(size=9))
         # beta coefficients of f: d = C^{-1} c; Parseval: ||f||^2 = sum |d_j|^2
         d = np.linalg.solve(C, f.coeffs)
         assert np.sum(np.abs(d) ** 2) == pytest.approx(state_norm(f, gram) ** 2, rel=1e-8)
+
+
+def operator_kernel(O, gram, basis):
+    """Integral kernel of the operator with coefficient matrix ``O``."""
+    return KernelRep(basis, gram, mid=O @ gram.inverse())
 
 
 class TestOperatorKernel:
@@ -335,7 +332,7 @@ class TestOperatorKernel:
     def test_dimension_mismatch(self, setup_n4):
         basis, gram = setup_n4
         with pytest.raises(ValidationError):
-            operator_kernel(np.eye(5), gram, basis)
+            KernelRep(basis, gram, mid=np.eye(5))
 
 
 class TestDesignMatrix:
@@ -364,39 +361,44 @@ class TestOneDimensionalCharts:
 
     @pytest.fixture
     def torus(self, monkeypatch):
+        # the rule is built first; after that no Hermite rule may be looked up
         import holoflat.quadrature
+
+        rule = gaussian_rule(4, 6)
 
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built for a rejected chart")
 
-        monkeypatch.setattr(holoflat.quadrature, "tangent_blocks", no_grid)
-        return make_chart(2, [[2.0, 0.5], [0.5, 1.0]], [2 * math.pi, 2 * math.pi])
+        for name in ("hermite_rule", "hermite_rule_extended"):
+            monkeypatch.setattr(holoflat.quadrature, name, no_grid)
+        return make_chart(2, [[2.0, 0.5], [0.5, 1.0]], [2 * math.pi, 2 * math.pi]), rule
 
     def test_inner_product(self, torus):
         f = lambda z: np.exp(1j * z)
         with pytest.raises(ValidationError):
-            inner_product(f, f, torus, gaussian_rule(4, 6))
+            inner_product(f, f, *torus)
 
     def test_gram_matrix(self, torus):
         with pytest.raises(ValidationError):
-            gram_matrix(cylinder_basis(2), torus, gaussian_rule(4, 6), force_quadrature=True)
+            gram_matrix(cylinder_basis(2), *torus, force_quadrature=True)
 
     def test_project_coeffs(self, torus, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         with pytest.raises(ValidationError):
-            project_coeffs(basis_state(4, 1), kernel, torus, gaussian_rule(4, 6))
+            project_coeffs(basis_state(4, 1), kernel, *torus)
 
     def test_ladder_raise_quadrature(self, torus, setup_n4):
         _, gram = setup_n4
+        chart, rule = torus
         with pytest.raises(ValidationError):
-            ladder_raise(gram, 4, method="quadrature", chart=torus, rule=gaussian_rule(4, 6))
+            ladder_raise(gram, 4, method="quadrature", chart=chart, rule=rule)
 
     def test_step_matrix(self, torus, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         with pytest.raises(ValidationError):
-            step_matrix(kernel, hamiltonian_free(4), 0.05, torus, gaussian_rule(4, 6))
+            step_matrix(kernel, hamiltonian_free(4), 0.05, *torus)
 
 
 class TestBasisHolomorphy:
@@ -414,24 +416,29 @@ class TestBasisHolomorphy:
 
 
 class TestHoloState:
-    def test_round_trip(self):
+    # the {N, coeffs} JSON of a cylinder state is read and written by the CLI
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        f = HoloState(N=3, coeffs=rng.normal(size=7) + 1j * rng.normal(size=7))
-        g = HoloState.from_dict(f.to_dict())
-        assert g.N == 3
-        assert np.allclose(g.coeffs, f.coeffs)
+        f = HoloState(cylinder_basis(3), rng.normal(size=7) + 1j * rng.normal(size=7))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cli._state_json(f)))
+        g = cli._read_state(str(path), cylinder_basis(3))
+        assert g.basis.labels == f.basis.labels
+        assert np.array_equal(g.coeffs, f.coeffs)
+
+    def test_malformed_dict(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"N": 1}))
+        with pytest.raises(ValidationError):
+            cli._read_state(str(path), cylinder_basis(1))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
-            HoloState(N=2, coeffs=np.zeros(4))
+            HoloState(cylinder_basis(2), np.zeros(4))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            HoloState(N=0, coeffs=[complex(np.inf, 0)])
-
-    def test_malformed_dict(self):
-        with pytest.raises(ValidationError):
-            HoloState.from_dict({"N": 1})
+            HoloState(cylinder_basis(0), [complex(np.inf, 0)])
 
     def test_evaluate_scalar_and_array(self):
         f = basis_state(2, 1)

@@ -15,6 +15,7 @@ from holoflat import (
     ladder_lower,
     ladder_raise,
     orthonormalize,
+    tangent_nodes,
     to_orthonormal_frame,
 )
 
@@ -29,7 +30,7 @@ def gram():
 def basis_state(k):
     c = np.zeros(2 * N + 1, dtype=complex)
     c[k + N] = 1.0
-    return HoloState(N=N, coeffs=c)
+    return HoloState(cylinder_basis(N), c)
 
 
 class TestLadderLower:
@@ -45,7 +46,7 @@ class TestLadderLower:
 
     def test_linearity(self):
         a = ladder_lower(N)
-        f = HoloState(N=N, coeffs=basis_state(1).coeffs + basis_state(-1).coeffs)
+        f = HoloState(cylinder_basis(N), basis_state(1).coeffs + basis_state(-1).coeffs)
         out = a.apply(f)
         expected = 1j * basis_state(1).coeffs - 1j * basis_state(-1).coeffs
         assert np.abs(out.coeffs - expected).max() < 1e-15
@@ -63,14 +64,9 @@ class TestLadderRaise:
         # <phi~_l, z phi~_k> = -i l e^{-(l-k)^2/2}, checked by quadrature
         chart = cylinder_chart()
         rule = gaussian_rule(2, 96)
-        basis = cylinder_basis(N)
-        from holoflat import tangent_blocks
-
-        T = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
-        for Z, w in tangent_blocks(chart, rule):
-            z = Z[:, 0]
-            Phi = basis.design_matrix(z)
-            T += np.conj(Phi).T @ ((w * z)[:, None] * Phi)
+        z, w = tangent_nodes(chart, rule)
+        Phi = cylinder_basis(N).design_matrix(z)
+        T = np.conj(Phi).T @ ((w * z)[:, None] * Phi)
         l = np.arange(-N, N + 1)[:, None]
         k = np.arange(-N, N + 1)[None, :]
         closed = -1j * l * np.exp(-((l - k) ** 2) / 2.0)
@@ -101,7 +97,7 @@ class TestAdjointness:
             interior = slice(2, 2 * N - 1)
             cp[interior] = rng.normal(size=2 * N - 3) + 1j * rng.normal(size=2 * N - 3)
             cc[interior] = rng.normal(size=2 * N - 3) + 1j * rng.normal(size=2 * N - 3)
-            psi, chi = HoloState(N=N, coeffs=cp), HoloState(N=N, coeffs=cc)
+            psi, chi = HoloState(cylinder_basis(N), cp), HoloState(cylinder_basis(N), cc)
             lhs = inner_product(raise_op.apply(psi), chi, chart, rule)
             rhs = inner_product(psi, lower_op.apply(chi), chart, rule)
             assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
@@ -146,7 +142,7 @@ class TestOperatorMatrix:
     def test_apply_truncation_mismatch(self):
         H = hamiltonian_free(2)
         with pytest.raises(ValidationError):
-            H.apply(HoloState(N=3, coeffs=np.zeros(7)))
+            H.apply(HoloState(cylinder_basis(3), np.zeros(7)))
 
     def test_orthonormal_frame_preserves_spectrum(self, gram):
         H = hamiltonian_free(N)

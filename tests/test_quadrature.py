@@ -12,9 +12,7 @@ from holoflat import (
     ValidationError,
     gaussian_rule,
     hermite_rule,
-    integrate_tangent,
     make_chart,
-    tangent_blocks,
     tangent_nodes,
 )
 import holoflat
@@ -145,13 +143,16 @@ class TestHermiteReference:
             _hermite_rule_cached.__wrapped__(8)
 
 
+def integrate(chart, rule, f):
+    """Integral of ``f`` against the normalized Gaussian measure on the node set."""
+    z, w = tangent_nodes(chart, rule)
+    return complex(np.sum(w * f(z)))
+
+
 class TestGaussianRule:
     def test_weights_normalized(self):
-        rule = gaussian_rule(2, 24)
-        total = 0.0
-        for _, w in tangent_blocks(cylinder(), rule):
-            total += np.sum(w)
-        assert total == pytest.approx(1.0, rel=1e-12)
+        _, w = tangent_nodes(cylinder(), gaussian_rule(2, 24))
+        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_odd_dims(self):
         with pytest.raises(ValidationError):
@@ -160,18 +161,36 @@ class TestGaussianRule:
     def test_dims_mismatch(self):
         rule = gaussian_rule(4, 8)
         with pytest.raises(ValidationError):
-            next(tangent_blocks(cylinder(), rule))
+            tangent_nodes(cylinder(), rule)
 
 
 class TestTangentNodes:
-    def test_equals_concatenated_blocks(self):
+    def test_matches_tensor_grid_reference(self):
+        # node i * order + j sits at Hermite nodes (u_i, u_j): z = T (u_i - i u_j)
         chart = make_chart(1, [[2.0]], [2 * math.pi])
-        rule = gaussian_rule(2, 24)
+        for order in (23, 24):
+            for extended in (False, True):
+                u, wu = (hermite_rule_extended if extended else hermite_rule)(order)
+                t = chart.tangent_transform.astype(u.dtype)[0, 0]
+                z, w = tangent_nodes(chart, gaussian_rule(2, order), extended)
+                ref_z = [u[i] * t - 1j * (u[j] * t) for i in range(order) for j in range(order)]
+                ref_w = [wu[i] * wu[j] for i in range(order) for j in range(order)]
+                assert np.array_equal(z, ref_z)
+                assert np.allclose(w, np.array(ref_w) / np.pi, rtol=1e-15, atol=0)
+                assert np.array_equal(z[::-1], -z)  # the mirror fold of step_matrix needs this
+
+    def test_equals_concatenated_blocks(self):
+        # the flat grid is one block of `order` nodes per outer Hermite node u_i,
+        # each block running over the whole inner axis
+        chart = make_chart(1, [[2.0]], [2 * math.pi])
+        order = 24
         for extended in (False, True):
-            blocks = list(tangent_blocks(chart, rule, extended))
-            z, w = tangent_nodes(chart, rule, extended)
-            assert np.array_equal(z, np.concatenate([Z[:, 0] for Z, _ in blocks]))
-            assert np.array_equal(w, np.concatenate([wb for _, wb in blocks]))
+            u, wu = (hermite_rule_extended if extended else hermite_rule)(order)
+            t = chart.tangent_transform.astype(u.dtype)[0, 0]
+            z, w = tangent_nodes(chart, gaussian_rule(2, order), extended)
+            blocks = [(u[i] * t - 1j * (u * t), wu[i] * wu) for i in range(order)]
+            assert np.array_equal(z, np.concatenate([zb for zb, _ in blocks]))
+            assert np.allclose(w, np.concatenate([wb for _, wb in blocks]) / np.pi, rtol=1e-15, atol=0)
 
     def test_weights_sum_to_one(self):
         _, w = tangent_nodes(cylinder(), gaussian_rule(2, 24))
@@ -189,29 +208,25 @@ class TestTangentNodes:
 
 
 class TestIntegrateTangent:
+    """Integrals against the normalized Gaussian measure through the node set."""
+
     def test_constant(self):
-        rule = gaussian_rule(2, 16)
-        val = integrate_tangent(cylinder(), rule, lambda Z: np.ones(Z.shape[0]), vectorized=True)
+        val = integrate(cylinder(), gaussian_rule(2, 16), np.ones_like)
         assert val == pytest.approx(1.0, rel=1e-13)
 
     def test_basis_inner_product(self):
         # <phi_0, phi_1> = e^{0*1} = 1
-        rule = gaussian_rule(2, 64)
-        val = integrate_tangent(
-            cylinder(), rule, lambda Z: np.exp(1j * Z[:, 0]), vectorized=True
-        )
+        val = integrate(cylinder(), gaussian_rule(2, 64), lambda z: np.exp(1j * z))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_second_moment(self):
-        rule = gaussian_rule(2, 32)
-        val = integrate_tangent(
-            cylinder(), rule, lambda Z: Z[:, 0] * np.conj(Z[:, 0]), vectorized=True
-        )
+        val = integrate(cylinder(), gaussian_rule(2, 32), lambda z: z * np.conj(z))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_callback(self):
-        rule = gaussian_rule(2, 8)
-        val = integrate_tangent(cylinder(), rule, lambda v: v.z[0] * np.conj(v.z[0]))
+        # a callback of one complex node at a time, applied node by node
+        second_moment = lambda v: v * v.conjugate()
+        val = integrate(cylinder(), gaussian_rule(2, 8), np.vectorize(second_moment))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_order_doubling_stability(self):
@@ -219,8 +234,8 @@ class TestIntegrateTangent:
         vals = []
         for order in (48, 96):
             rule = gaussian_rule(2, order)
-            f = lambda Z: np.exp(1j * 4 * Z[:, 0] - 8) * np.conj(np.exp(1j * -4 * Z[:, 0] - 8))
-            vals.append(integrate_tangent(chart, rule, f, vectorized=True))
+            f = lambda z: np.exp(1j * 4 * z - 8) * np.conj(np.exp(1j * -4 * z - 8))
+            vals.append(integrate(chart, rule, f))
         assert abs(vals[0] - vals[1]) < 1e-12
 
     def test_linearity(self):
@@ -228,46 +243,22 @@ class TestIntegrateTangent:
         rule = gaussian_rule(2, 24)
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        f = lambda Z: np.exp(1j * Z[:, 0])
-        g = lambda Z: Z[:, 0] ** 2
-        lhs = integrate_tangent(chart, rule, lambda Z: a * f(Z) + b * g(Z), vectorized=True)
-        rhs = a * integrate_tangent(chart, rule, f, vectorized=True) + b * integrate_tangent(
-            chart, rule, g, vectorized=True
-        )
+        f = lambda z: np.exp(1j * z)
+        g = lambda z: z**2
+        lhs = integrate(chart, rule, lambda z: a * f(z) + b * g(z))
+        rhs = a * integrate(chart, rule, f) + b * integrate(chart, rule, g)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_conjugation(self):
         chart = cylinder()
         rule = gaussian_rule(2, 24)
-        f = lambda Z: np.exp(1j * Z[:, 0]) + 0.3j * Z[:, 0]
-        lhs = integrate_tangent(chart, rule, lambda Z: np.conj(f(Z)), vectorized=True)
-        rhs = np.conj(integrate_tangent(chart, rule, f, vectorized=True))
+        f = lambda z: np.exp(1j * z) + 0.3j * z
+        lhs = integrate(chart, rule, lambda z: np.conj(f(z)))
+        rhs = np.conj(integrate(chart, rule, f))
         assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_nonfinite_node_error(self):
-        rule = gaussian_rule(2, 8)
-        with pytest.raises(QuadratureError, match="node"):
-            integrate_tangent(
-                cylinder(), rule, lambda Z: np.where(np.real(Z[:, 0]) > 0, np.nan, 1.0),
-                vectorized=True,
-            )
-
-    def test_torus_lazy_grid(self):
-        # dims = 4 exercises the chunked outer-axis enumeration
-        chart = make_chart(2, np.eye(2), [2 * math.pi, 2 * math.pi])
-        rule = gaussian_rule(4, 12)
-        one = integrate_tangent(chart, rule, lambda Z: np.ones(Z.shape[0]), vectorized=True)
-        assert one == pytest.approx(1.0, rel=1e-12)
-        mom = integrate_tangent(
-            chart, rule, lambda Z: Z[:, 1] * np.conj(Z[:, 1]), vectorized=True
-        )
-        assert mom == pytest.approx(1.0, rel=1e-12)
 
     def test_scaled_metric_measure(self):
         # with sigma = [4], |z|^2_sigma has Gaussian second moment 1/4 per axis pair
         chart = make_chart(1, [[4.0]], [None])
-        rule = gaussian_rule(2, 32)
-        val = integrate_tangent(
-            chart, rule, lambda Z: 4.0 * Z[:, 0] * np.conj(Z[:, 0]), vectorized=True
-        )
+        val = integrate(chart, gaussian_rule(2, 32), lambda z: 4.0 * z * np.conj(z))
         assert val == pytest.approx(1.0, rel=1e-12)
