@@ -34,6 +34,7 @@ DEFAULT_N = 8
 
 _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
+_CHUNK_ELEMENTS = 1 << 19  # complex mode-sum terms per w block: 8 MB
 
 
 def cylinder_chart() -> FlatChart:
@@ -109,21 +110,25 @@ def _tail_bound(params: HeatKernelParams, im_z: float) -> float:
     return 2.0 * math.exp(M * abs(im_z) - M * M * t / 2.0) / (2 * math.pi)
 
 
-def heat_rho(params: HeatKernelParams, z: complex, x) -> np.ndarray | complex:
+def heat_rho(params: HeatKernelParams, z, x) -> np.ndarray | complex:
     """Periodic heat kernel ``(1/2pi) sum_{|k|<=M} e^{ik(x-z) - k^2 t/2}``.
 
-    ``x`` may be a real scalar or array; ``z`` may be complex, in which case
-    the mode cutoff must keep the ``e^{k Im z}`` growth below ``tail_tol``.
+    ``x`` may be a real scalar or array and ``z`` a complex scalar or array;
+    the result has shape ``z.shape + x.shape``.  For complex ``z`` the mode
+    cutoff must keep the ``e^{k |Im z|}`` growth below ``tail_tol`` at every
+    point.
     """
-    z = complex(z)
-    if _tail_bound(params, z.imag) > params.tail_tol:
+    z = np.asarray(z, dtype=complex)
+    im = float(np.abs(z.imag).max(initial=0.0))
+    if _tail_bound(params, im) > params.tail_tol:
         raise QuadratureError(
-            f"mode-sum tail {_tail_bound(params, z.imag):.3e} above tolerance "
+            f"mode-sum tail {_tail_bound(params, im):.3e} above tolerance "
             f"{params.tail_tol:.1e}; increase M beyond {params.M}"
         )
     x = np.asarray(x, dtype=float)
     k = np.arange(-params.M, params.M + 1)
-    terms = np.exp(1j * np.multiply.outer(x, k) + (-1j * z * k - k**2 * params.t / 2.0))
+    zk = z.reshape(z.shape + (1,) * (x.ndim + 1))
+    terms = np.exp(1j * np.multiply.outer(x, k) + (-1j * zk * k - k**2 * params.t / 2.0))
     vals = terms.sum(axis=-1) / (2 * math.pi)
     return complex(vals) if vals.ndim == 0 else vals
 
@@ -149,12 +154,14 @@ def _x_grid(params: HeatKernelParams) -> tuple[np.ndarray, float]:
     return -math.pi + 2 * math.pi * np.arange(nx) / nx, 2 * math.pi / nx
 
 
-def heat_kernel_formula(params: HeatKernelParams, z: complex, w: complex) -> complex:
+def heat_kernel_formula(params: HeatKernelParams, z: complex, w) -> np.ndarray | complex:
     """Heat-kernel integral form of the reproducing kernel:
     ``(1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^{x0}(x) dx``.
 
-    Returned uncalibrated; see :func:`calibrate_heat_kernel` for the single
-    scalar relating it to the Gram-inverse kernel.
+    ``w`` may be a complex scalar or array; an array gives an array of its
+    shape, element for element equal to the scalar calls.  Returned
+    uncalibrated; see :func:`calibrate_heat_kernel` for the single scalar
+    relating it to the Gram-inverse kernel.
     """
     x, dx = _x_grid(params)
     denom = heat_rho(params, params.x0, x)
@@ -163,8 +170,15 @@ def heat_kernel_formula(params: HeatKernelParams, z: complex, w: complex) -> com
         raise QuadratureError(
             f"denominator density below guard at x={x[i]:.6f} (|rho|={abs(denom[i]):.3e})"
         )
-    num = heat_rho(params, z, x) * heat_rho(params, np.conj(complex(w)), x)
-    return complex(np.sum(num / denom) * dx / (2 * math.pi))
+    rho_z = heat_rho(params, z, x)
+    w_bar = np.conj(np.asarray(w, dtype=complex))
+    flat = w_bar.ravel()
+    vals = np.empty(flat.shape, dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // (x.size * (2 * params.M + 1)))  # bounds the mode-sum terms
+    for i in range(0, flat.size, step):
+        num = rho_z * heat_rho(params, flat[i : i + step], x)
+        vals[i : i + step] = np.sum(num / denom, axis=-1) * dx / (2 * math.pi)
+    return complex(vals[0]) if w_bar.ndim == 0 else vals.reshape(w_bar.shape)
 
 
 def calibrate_heat_kernel(params: HeatKernelParams, kernel: KernelRep) -> complex:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import FactorizationError, ValidationError
 from .geometry import FlatChart
@@ -80,8 +79,10 @@ class GramData:
     labels: tuple[int, ...]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``matrix @ x = rhs`` through the Cholesky factor."""
-        return cho_solve((self.factor, True), rhs)
+        """Solve ``matrix @ x = rhs`` through the Cholesky factor: ``factor @ y = rhs``,
+        then ``factor^H @ x = y``."""
+        y = np.linalg.solve(self.factor, rhs)
+        return np.linalg.solve(np.conj(self.factor).T, y)
 
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(len(self.labels)))
@@ -219,7 +220,7 @@ def orthonormalize(gram: GramData, ordering: Sequence[int] | None = None) -> np.
         raise FactorizationError(
             "loss of positivity during elimination; lower the truncation"
         ) from exc
-    Cperm = solve_triangular(np.conj(L).T, np.eye(nb), lower=False)
+    Cperm = np.linalg.solve(np.conj(L).T, np.eye(nb))
     C = np.zeros_like(Cperm)
     C[perm, :] = Cperm
     return C

@@ -34,6 +34,7 @@ __all__ = [
 DEFAULT_DIVISION_GUARD = 1e-12
 DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
+MAX_STEP_ORDER = 256  # the node-pair sum costs O(order^4): order 256 takes about a minute
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,13 @@ def step_matrix(
     ``|K| < division_guard * |K_H|`` raises QuadratureError.  If weights and basis are
     exactly even under z -> -z, and kernel and ``H`` to 1e-14, the first ceil(M/2)
     node rows are summed and the rest folded in as their mirrors; else all M are.
+    Orders above ``MAX_STEP_ORDER`` raise QuadratureError before any work.
     """
+    if rule.order > MAX_STEP_ORDER:
+        raise QuadratureError(
+            f"quadrature order {rule.order} above the step-matrix limit {MAX_STEP_ORDER} "
+            "(the node-pair sum grows as order^4)"
+        )
     basis = kernel.basis
     if len(basis.labels) != 2 * H.N + 1:
         raise ValidationError("Hamiltonian truncation does not match the kernel basis")

@@ -196,9 +196,9 @@ def criterion_heat_kernel_formula() -> CriterionResult:
     grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
     worst = 0.0
     for zv in grid:
-        for wv in grid:
+        vals = c * heat_kernel_formula(params, zv, grid)
+        for wv, val in zip(grid, vals):
             ref = kernel.eval(zv, wv)
-            val = c * heat_kernel_formula(params, zv, wv)
             worst = max(worst, abs(val - ref) / abs(ref))
     return _result(
         "heat-kernel-formula",

@@ -218,6 +218,12 @@ class TestEvolve:
         assert run(["evolve", "--t", t, "--quad-order", "8"]) == 1
         assert "error: evolution time must be finite" in capsys.readouterr().err
 
+    def test_quad_order_above_step_limit(self, capsys):
+        # the step matrix costs O(order^4); the limit is checked before any node pair
+        assert run(["evolve", "--quad-order", "257", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step-matrix limit 256" in err
+
     def test_negative_truncation(self, capsys):
         assert run(["evolve", "--truncation", "-1", "--quad-order", "8"]) == 1
         assert "error: truncation must be nonnegative" in capsys.readouterr().err

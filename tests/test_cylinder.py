@@ -123,6 +123,21 @@ class TestHeatKernelFormula:
                 b = heat_kernel_formula(params, w, z)
                 assert a == pytest.approx(np.conj(b), abs=1e-12 * abs(a))
 
+    def test_array_w_equals_scalar_calls(self):
+        params = HeatKernelParams(M=24)
+        nodes, _ = tangent_nodes(cylinder_chart(), gaussian_rule(2, 8))
+        w = nodes.reshape(8, 8)
+        vals = heat_kernel_formula(params, -1.2 + 0.5j, w)
+        scalar = [heat_kernel_formula(params, -1.2 + 0.5j, complex(v)) for v in nodes]
+        assert vals.shape == w.shape
+        assert np.array_equal(vals.ravel(), np.array(scalar))
+        assert isinstance(scalar[0], complex)
+
+    def test_array_w_checks_every_tail(self):
+        # the default M = 12 cannot bound e^{k |Im w|} at |Im w| = 7
+        with pytest.raises(QuadratureError, match="mode-sum tail"):
+            heat_kernel_formula(HeatKernelParams(), 0.3, np.array([0.1, 2.0 + 7j, -0.4]))
+
     def test_calibration_scalar(self, kernel):
         params = HeatKernelParams()
         c = calibrate_heat_kernel(params, kernel)
@@ -138,7 +153,7 @@ class TestHeatKernelFormula:
         rule = gaussian_rule(2, 32)
         nodes, w = tangent_nodes(chart, rule)
         for z in (0.3, -1.2 + 0.5j):
-            vals = np.array([c * heat_kernel_formula(params, z, complex(wv)) for wv in nodes])
+            vals = c * heat_kernel_formula(params, z, nodes)
             total = np.sum(w * vals * np.exp(1j * nodes - 0.5))
             ref = np.exp(1j * z - 0.5)
             assert abs(total - ref) / abs(ref) < 1e-4

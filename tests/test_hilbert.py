@@ -7,6 +7,7 @@ import pytest
 from holoflat import (
     BasisSpec,
     FactorizationError,
+    GramData,
     HoloState,
     KernelRep,
     ValidationError,
@@ -146,6 +147,35 @@ class TestGramMatrix:
             gram_matrix(basis, chart, rule)
 
 
+class TestGramSolve:
+    @pytest.mark.parametrize("N", [1, 4, 8, 12])
+    @pytest.mark.parametrize("columns", [None, 5])
+    def test_solves_gram_system(self, N, columns):
+        gram = gram_matrix(cylinder_basis(N))
+        rng = np.random.default_rng(N)
+        shape = (2 * N + 1,) if columns is None else (2 * N + 1, columns)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = gram.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(gram.matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_complex_hermitian_matrix(self):
+        # the circle Gram matrices are real; this one needs the conjugate transpose
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        G = A @ np.conj(A).T + 9 * np.eye(9)
+        gram = GramData(G, np.linalg.cholesky(G), tuple(range(9)), tuple(range(9)))
+        rhs = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        assert np.linalg.norm(G @ gram.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        inv = gram.inverse()
+        assert np.abs(inv - np.conj(inv).T).max() <= 1e-12 * np.abs(inv).max()
+
+    @pytest.mark.parametrize("N", [1, 4, 8, 12])
+    def test_inverse_is_hermitian(self, N):
+        inv = gram_matrix(cylinder_basis(N)).inverse()
+        assert np.abs(inv - np.conj(inv).T).max() <= 1e-12 * np.abs(inv).max()
+
+
 class TestAlternatingOrdering:
     def test_alternating(self):
         basis = cylinder_basis(2)
@@ -191,6 +221,16 @@ class TestOrthonormalize:
         _, gram = setup_n4
         C = orthonormalize(gram, ordering=list(range(9)))
         assert np.abs(np.conj(C).T @ gram.matrix @ C - np.eye(9)).max() < 1e-10
+
+    @pytest.mark.parametrize("ordering", [None, tuple(range(9)), (8, 0, 7, 1, 6, 2, 5, 3, 4)])
+    def test_upper_triangular_in_processing_order(self, setup_n4, ordering):
+        # Gram-Schmidt: beta_j combines only the first j + 1 processed functions,
+        # so the rows of C taken in processing order form an upper-triangular matrix
+        _, gram = setup_n4
+        C = orthonormalize(gram, ordering)
+        order = list(gram.ordering if ordering is None else ordering)
+        assert np.all(np.tril(C[order], -1) == 0)
+        assert np.all(np.diag(C[order]).real > 0)
 
     def test_bad_ordering(self, setup_n4):
         _, gram = setup_n4

@@ -198,6 +198,20 @@ class TestStepMatrix:
         with pytest.raises(QuadratureError, match="below guard"):
             evolve(basis_state(0), cfg, kernel, chart, rule)
 
+    def test_order_limit(self, ctx, monkeypatch):
+        _, _, _, kernel = ctx
+        H = hamiltonian_free(N)
+
+        def no_grid(*args, **kwargs):
+            raise RuntimeError("grid built")
+
+        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        assert propagator.MAX_STEP_ORDER == 256
+        with pytest.raises(QuadratureError, match="above the step-matrix limit 256"):
+            step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, 257))
+        with pytest.raises(RuntimeError, match="grid built"):  # 256 itself is allowed
+            step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, 256))
+
     def test_memory_bounded(self, ctx):
         # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
         chart, rule, _, kernel = ctx
