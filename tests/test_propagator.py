@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflat import (
+    BasisSpec,
     HeatKernelParams,
     HoloState,
     KernelRep,
@@ -128,27 +131,35 @@ class TestInfinitesimalStep:
 
 
 def dense_step(kernel, H, delta, chart, rule):
-    # every node pair at once, no tiles and no mirror fold
+    # every node pair of the full grid: no tiles, no mirror fold and no pruning
+    # (256 node rows at a time: about 50 MB at order 48 instead of 400)
     z, w = tangent_nodes(chart, rule)
     Phi = kernel.basis.design_matrix(z)
-    K = Phi @ kernel.mid @ np.conj(Phi).T
-    KH = Phi @ H.entries @ kernel.mid @ np.conj(Phi).T
-    E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
-    return kernel.gram.solve(np.conj(Phi).T @ (w[:, None] * E * w[None, :]) @ Phi)
+    b = 0
+    for i in range(0, len(z), 256):
+        r = slice(i, i + 256)
+        K = Phi[r] @ kernel.mid @ np.conj(Phi).T
+        KH = Phi[r] @ H.entries @ kernel.mid @ np.conj(Phi).T
+        E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
+        b = b + np.conj(Phi[r]).T @ (w[r, None] * E * w[None, :]) @ Phi
+    return kernel.gram.solve(b)
 
 
-def step_case(case):
-    """Kernel and Hamiltonian at N = 8: "free" is even under z -> -z (the mirror fold
-    applies); "skew-H" adds d/dz to H and "skew-kernel" puts d/dz into the kernel, so
-    neither is even and the full pair sum must run."""
-    basis = cylinder_basis(N)
+CASES = ("free", "skew-H", "skew-kernel")
+
+
+def step_case(case, n=N):
+    """Kernel and Hamiltonian at truncation ``n``: "free" is even under z -> -z (the
+    mirror fold applies); "skew-H" adds d/dz to H and "skew-kernel" puts d/dz into the
+    kernel, so neither is even and the full pair sum must run."""
+    basis = cylinder_basis(n)
     gram = gram_matrix(basis)
     kernel = reproducing_kernel(gram, basis)
-    H = hamiltonian_free(N)
+    H = hamiltonian_free(n)
     if case == "skew-H":
-        H = OperatorMatrix(N=N, entries=H.entries + ladder_lower(N).entries)
+        H = OperatorMatrix(N=n, entries=H.entries + ladder_lower(n).entries)
     if case == "skew-kernel":
-        O = np.eye(2 * N + 1) + 0.1 * ladder_lower(N).entries
+        O = np.eye(2 * n + 1) + 0.1 * ladder_lower(n).entries
         kernel = KernelRep(basis, gram, mid=O @ gram.inverse())
     return kernel, H
 
@@ -160,12 +171,22 @@ class TestStepMatrix:
         # order 11 (M = 121) has an origin node; 40-row tiles straddle the fold row
         # ceil(M/2) at both orders (72 and 61)
         monkeypatch.setattr(propagator, "_TILE", tile)
-        for order, case in itertools.product((12, 11), ("free", "skew-H", "skew-kernel")):
+        for order, case in itertools.product((12, 11), CASES):
             chart, rule = cylinder_chart(), gaussian_rule(2, order)
             kernel, H = step_case(case)
             ref = dense_step(kernel, H, 0.05, chart, rule)
             S = step_matrix(kernel, H, 0.05, chart, rule)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
+
+    @pytest.mark.parametrize("order", [32, 48])
+    @pytest.mark.parametrize("case", CASES)
+    def test_pruned_matches_full_grid(self, case, order):
+        # 988 of 1,024 and 1,920 of 2,304 nodes are summed; dense_step sums them all
+        chart, rule = cylinder_chart(), gaussian_rule(2, order)
+        kernel, H = step_case(case)
+        ref = dense_step(kernel, H, 0.05, chart, rule)
+        S = step_matrix(kernel, H, 0.05, chart, rule)
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "case, order, pairs",
@@ -174,6 +195,10 @@ class TestStepMatrix:
             ("free", 11, 61 * 121),
             ("skew-H", 12, 144 * 144),
             ("skew-kernel", 12, 144 * 144),
+            ("free", 24, 288 * 576),  # orders up to 24 keep every node
+            ("free", 23, 265 * 529),
+            ("free", 64, 1544 * 3088),  # 3,088 of 4,096 nodes kept, and still folded
+            ("skew-H", 64, 3088 * 3088),
         ],
     )
     def test_guarded_pairs_halved_when_even(self, case, order, pairs, monkeypatch):
@@ -188,6 +213,19 @@ class TestStepMatrix:
         kernel, H = step_case(case)
         step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
         assert sum(guarded) == pairs
+
+    def test_nonfinite_scale_raises(self):
+        # e^{400 k z} overflows at the outer nodes; an infinite or NaN largest scale
+        # would drop every node and return S = 0
+        gram = gram_matrix(cylinder_basis(1))
+
+        def eval_fn(k, z):
+            with np.errstate(over="ignore"):
+                return np.exp(400.0 * k * z)
+
+        kernel = KernelRep(BasisSpec(gram.labels, eval_fn), gram, mid=gram.inverse())
+        with pytest.raises(QuadratureError, match="not finite"):
+            step_matrix(kernel, hamiltonian_free(1), 0.05, cylinder_chart(), gaussian_rule(2, 12))
 
     def test_division_guard_raises(self, ctx):
         chart, rule, _, kernel = ctx
@@ -222,6 +260,17 @@ class TestStepMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(delta=st.floats(0.0, 0.2), n=st.integers(1, 8), case=st.sampled_from(CASES))
+def test_pruned_step_matches_full_grid(delta, n, case):
+    # order 32 drops nodes at every n in 1..8 but 7
+    chart, rule = cylinder_chart(), gaussian_rule(2, 32)
+    kernel, H = step_case(case, n)
+    ref = dense_step(kernel, H, delta, chart, rule)
+    S = step_matrix(kernel, H, delta, chart, rule)
+    assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEvolve:
