@@ -224,7 +224,7 @@ def _cmd_heatkernel(args) -> int:
     kernel, grid = _kernel_grid(args)
     params = HeatKernelParams(t=args.t, M=args.modes, x0=0.0, x_quad=args.x_nodes)
     c = calibrate_heat_kernel(params, kernel)
-    values = np.array([c * heat_kernel_formula(params, zv, grid) for zv in grid])
+    values = c * heat_kernel_formula(params, grid, grid)
     _emit_grid(values, grid, args)
     return 0
 

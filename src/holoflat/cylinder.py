@@ -154,14 +154,25 @@ def _x_grid(params: HeatKernelParams) -> tuple[np.ndarray, float]:
     return -math.pi + 2 * math.pi * np.arange(nx) / nx, 2 * math.pi / nx
 
 
-def heat_kernel_formula(params: HeatKernelParams, z: complex, w) -> np.ndarray | complex:
+def _densities(params: HeatKernelParams, v: np.ndarray, x: np.ndarray, step: int) -> np.ndarray:
+    """``heat_rho`` of every point of ``v`` on ``x``, one row each, built
+    ``step`` points at a time."""
+    flat = v.ravel()
+    out = np.empty((flat.size, x.size), dtype=complex)
+    for i in range(0, flat.size, step):
+        out[i : i + step] = heat_rho(params, flat[i : i + step], x)
+    return out
+
+
+def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
     """Heat-kernel integral form of the reproducing kernel:
     ``(1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^{x0}(x) dx``.
 
-    ``w`` may be a complex scalar or array; an array gives an array of its
-    shape, element for element equal to the scalar calls.  Returned
-    uncalibrated; see :func:`calibrate_heat_kernel` for the single scalar
-    relating it to the Gram-inverse kernel.
+    ``z`` and ``w`` may be complex scalars or arrays; the result has shape
+    ``z.shape + w.shape``, element for element equal to the scalar calls.
+    The densities of the base point, of each ``z`` and of each ``conj(w)`` are
+    built once.  Returned uncalibrated; see :func:`calibrate_heat_kernel` for
+    the single scalar relating it to the Gram-inverse kernel.
     """
     x, dx = _x_grid(params)
     denom = heat_rho(params, params.x0, x)
@@ -170,15 +181,17 @@ def heat_kernel_formula(params: HeatKernelParams, z: complex, w) -> np.ndarray |
         raise QuadratureError(
             f"denominator density below guard at x={x[i]:.6f} (|rho|={abs(denom[i]):.3e})"
         )
-    rho_z = heat_rho(params, z, x)
+    z = np.asarray(z, dtype=complex)
     w_bar = np.conj(np.asarray(w, dtype=complex))
-    flat = w_bar.ravel()
-    vals = np.empty(flat.shape, dtype=complex)
     step = max(1, _CHUNK_ELEMENTS // (x.size * (2 * params.M + 1)))  # bounds the mode-sum terms
-    for i in range(0, flat.size, step):
-        num = rho_z * heat_rho(params, flat[i : i + step], x)
-        vals[i : i + step] = np.sum(num / denom, axis=-1) * dx / (2 * math.pi)
-    return complex(vals[0]) if w_bar.ndim == 0 else vals.reshape(w_bar.shape)
+    rho_z, rho_w = _densities(params, z, x, step), _densities(params, w_bar, x, step)
+    vals = np.empty((len(rho_z), len(rho_w)), dtype=complex)
+    for a, rz in enumerate(rho_z):
+        for i in range(0, len(rho_w), step):
+            num = rz * rho_w[i : i + step]
+            vals[a, i : i + step] = np.sum(num / denom, axis=-1) * dx / (2 * math.pi)
+    vals = vals.reshape(z.shape + w_bar.shape)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def calibrate_heat_kernel(params: HeatKernelParams, kernel: KernelRep) -> complex:

@@ -124,11 +124,31 @@ def bargmann_monomial_basis(max_degree: int) -> BasisSpec:
     )
 
 
-def _as_function(f):
+_last_grid_values: tuple | None = None  # (z, w, basis, Phi) of the last lookup
+
+
+def _grid_values(basis: BasisSpec, chart: FlatChart, rule: QuadratureRule):
+    """Nodes, weights and the read-only design matrix of ``basis`` on the
+    tangent grid of ``(chart, rule)``.  The last pair looked up is kept, so a
+    run of Gaussian integrals over one basis evaluates it once."""
+    global _last_grid_values
+    z, w = tangent_nodes(chart, rule)
+    last = _last_grid_values
+    if last is None or last[0] is not z or last[2] != basis:
+        Phi = basis.design_matrix(z)
+        Phi.flags.writeable = False
+        last = _last_grid_values = (z, w, basis, Phi)
+    return z, w, last[3]
+
+
+def _on_grid(f, chart: FlatChart, rule: QuadratureRule) -> np.ndarray:
+    """Values of ``f`` on the tangent grid of ``(chart, rule)``: a state as
+    ``Phi @ coeffs`` from the cached design matrix of its basis (what
+    ``HoloState.evaluate`` computes), a callable called on the nodes."""
     if isinstance(f, HoloState):
-        return f.evaluate
+        return _grid_values(f.basis, chart, rule)[2] @ f.coeffs
     if callable(f):
-        return f
+        return f(tangent_nodes(chart, rule)[0])
     raise ValidationError(f"expected HoloState or callable, got {type(f)}")
 
 
@@ -138,9 +158,9 @@ def inner_product(f, g, chart: FlatChart, rule: QuadratureRule) -> complex:
     Arguments may be states or plain callables of the scalar holomorphic
     coordinate (one-dimensional charts).
     """
-    fe, ge = _as_function(f), _as_function(g)
-    z, w = tangent_nodes(chart, rule)
-    return complex(np.sum(w * np.conj(fe(z)) * ge(z)))
+    fz, gz = _on_grid(f, chart, rule), _on_grid(g, chart, rule)
+    _, w = tangent_nodes(chart, rule)
+    return complex(np.sum(w * np.conj(fz) * gz))
 
 
 def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
@@ -290,10 +310,9 @@ def project_coeffs(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule)
     truncated span; for an operator kernel it returns the operator applied
     to that projection.
     """
-    fe = _as_function(f)
-    z, w = tangent_nodes(chart, rule)
-    Phi = kernel.basis.design_matrix(z)
-    return kernel.mid @ (np.conj(Phi).T @ (w * fe(z)))
+    fz = _on_grid(f, chart, rule)
+    _, w, Phi = _grid_values(kernel.basis, chart, rule)
+    return kernel.mid @ (np.conj(Phi).T @ (w * fz))
 
 
 def project(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule) -> HoloState:

@@ -127,7 +127,9 @@ def tangent_nodes(
     Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``, so the node
     array read backwards is its own negative.  With ``extended=True`` the grid
     is built in long double for cancellation-sensitive consumers.  Charts
-    with ``n != 1`` are rejected before any grid is built.
+    with ``n != 1`` are rejected before any grid is built.  Each grid is built
+    once per (chart scale, order, precision) and the same arrays are returned
+    to every caller, so they are read-only: copy before writing.
     """
     if chart.n != 1:
         raise ValidationError(
@@ -135,12 +137,20 @@ def tangent_nodes(
         )
     if rule.dims != 2:
         raise ValidationError(f"rule has {rule.dims} dims, chart needs 2")
+    return _tangent_grid(float(chart.tangent_transform[0, 0]), int(rule.order), bool(extended))
+
+
+@lru_cache(maxsize=8)
+def _tangent_grid(scale: float, order: int, extended: bool) -> tuple[np.ndarray, np.ndarray]:
+    # normalization pi^(-dims/2) at dims = 2
     if extended:
-        u, wu = hermite_rule_extended(rule.order)
-        normalization = np.pi ** (-np.longdouble(rule.dims) / 2)
+        u, wu = hermite_rule_extended(order)
+        normalization = np.pi ** -np.longdouble(1)
     else:
-        u, wu = hermite_rule(rule.order)
-        normalization = math.pi ** (-rule.dims / 2)
-    t = chart.tangent_transform.astype(u.dtype)[0, 0]
+        u, wu = hermite_rule(order)
+        normalization = math.pi**-1.0
+    t = u.dtype.type(scale)
     U1, U2 = np.meshgrid(u, u, indexing="ij")
-    return U1.ravel() * t - 1j * (U2.ravel() * t), normalization * np.outer(wu, wu).ravel()
+    z, w = U1.ravel() * t - 1j * (U2.ravel() * t), normalization * np.outer(wu, wu).ravel()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w

@@ -14,8 +14,9 @@ import math
 import re
 
 import numpy as np
+import pytest
 
-from holoflat import validation
+from holoflat import hilbert, quadrature, validation
 from holoflat.cylinder import (
     HeatKernelParams,
     calibrate_heat_kernel,
@@ -118,3 +119,20 @@ def test_criterion_10_trotter_convergence():
 
 def test_criterion_11_bargmann_sanity():
     _run(validation.criterion_bargmann_sanity)
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        validation.criterion_orthonormalization,
+        validation.criterion_kernel_reproduction,
+        validation.criterion_kernel_properties,
+        validation.criterion_ladder_adjointness,
+    ],
+)
+def test_cached_grids_keep_results(criterion, monkeypatch):
+    # a cold run builds every grid and basis evaluation, the warm rerun reuses them
+    quadrature._tangent_grid.cache_clear()
+    monkeypatch.setattr(hilbert, "_last_grid_values", None)
+    cold = criterion()
+    assert criterion() == cold

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holoflat import cylinder
 from holoflat import (
     HeatKernelParams,
     HoloState,
@@ -137,6 +138,40 @@ class TestHeatKernelFormula:
         # the default M = 12 cannot bound e^{k |Im w|} at |Im w| = 7
         with pytest.raises(QuadratureError, match="mode-sum tail"):
             heat_kernel_formula(HeatKernelParams(), 0.3, np.array([0.1, 2.0 + 7j, -0.4]))
+
+    @pytest.mark.parametrize(
+        "params, points, blocks",
+        [
+            (HeatKernelParams(), 5, 1),
+            (HeatKernelParams(), 16, 1),
+            # 5,000 x-nodes bound a block to 4 points, so 6 w-points take two blocks
+            (HeatKernelParams(x_quad=5000), 6, 2),
+        ],
+    )
+    def test_array_z_equals_row_calls(self, params, points, blocks):
+        step = cylinder._CHUNK_ELEMENTS // (params.x_quad * (2 * params.M + 1))
+        assert -(-points // step) == blocks
+        grid = np.linspace(-math.pi, math.pi, points, endpoint=False) + 0.1j
+        rows = np.array([heat_kernel_formula(params, z, grid) for z in grid])
+        vals = heat_kernel_formula(params, grid, grid)
+        assert vals.shape == (points, points)
+        assert np.array_equal(vals, rows)
+        assert vals[2, 3] == heat_kernel_formula(params, grid[2], grid[3])
+
+    def test_mode_sums_stay_in_blocks(self, monkeypatch):
+        params = HeatKernelParams()
+        terms = []
+        heat_rho = cylinder.heat_rho
+
+        def recording(p, z, x):
+            terms.append(np.size(z) * np.size(x) * (2 * p.M + 1))
+            return heat_rho(p, z, x)
+
+        monkeypatch.setattr(cylinder, "heat_rho", recording)
+        grid = np.linspace(-math.pi, math.pi, 200, endpoint=False)
+        heat_kernel_formula(params, grid, grid)
+        assert len(terms) == 1 + 3 + 3  # the base point, then 200 z and 200 w in blocks of 81
+        assert max(terms) <= cylinder._CHUNK_ELEMENTS
 
     def test_calibration_scalar(self, kernel):
         params = HeatKernelParams()

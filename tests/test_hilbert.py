@@ -31,7 +31,7 @@ from holoflat import (
     step_matrix,
     tangent_nodes,
 )
-from holoflat import cli
+from holoflat import cli, hilbert
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +382,43 @@ class TestDesignMatrix:
         assert Phi.dtype == np.clongdouble
         assert Phi.shape == (2, 5)
         assert cylinder_basis(2).design_matrix([0.0, 1.0]).dtype == np.complex128
+
+
+class TestGridValues:
+    """The basis values on a tangent grid are evaluated once and shared."""
+
+    def test_matches_fresh_design_matrix(self, chart, rule):
+        basis = cylinder_basis(4)
+        z, w, Phi = hilbert._grid_values(basis, chart, rule)
+        nodes, weights = tangent_nodes(chart, rule)
+        assert z is nodes and w is weights
+        assert np.array_equal(Phi, basis.design_matrix(z.copy()))
+        assert hilbert._grid_values(basis, chart, rule)[2] is Phi
+        with pytest.raises(ValueError):
+            Phi[0, 0] = 0.0
+
+    def test_bases_in_alternation(self, chart, rule):
+        a, b = cylinder_basis(3), cylinder_basis(5, normalized=False)
+        z, _ = tangent_nodes(chart, rule)
+        for _ in range(2):
+            for basis in (a, b):
+                Phi = hilbert._grid_values(basis, chart, rule)[2]
+                assert np.array_equal(Phi, basis.design_matrix(z.copy()))
+
+    @pytest.mark.parametrize("order", [32, 128])
+    def test_states_integrate_as_before(self, chart, order):
+        # the old path evaluated each state on a writable copy of the nodes
+        rule = gaussian_rule(2, order)
+        basis = cylinder_basis(8)
+        kernel = reproducing_kernel(gram_matrix(basis), basis)
+        rng = np.random.default_rng(order)
+        f, g = (HoloState(basis, rng.normal(size=17) + 1j * rng.normal(size=17)) for _ in range(2))
+        z, w = tangent_nodes(chart, rule)
+        z = z.copy()
+        old_inner = complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
+        old_project = kernel.mid @ (np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z)))
+        assert inner_product(f, g, chart, rule) == old_inner
+        assert np.array_equal(project_coeffs(f, kernel, chart, rule), old_project)
 
 
 class TestMomentMatrix:

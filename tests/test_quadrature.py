@@ -16,7 +16,7 @@ from holoflat import (
     tangent_nodes,
 )
 import holoflat
-from holoflat.quadrature import _hermite_rule_cached, hermite_rule_extended
+from holoflat.quadrature import _hermite_rule_cached, _tangent_grid, hermite_rule_extended
 
 
 def cylinder():
@@ -205,6 +205,45 @@ class TestTangentNodes:
         torus = make_chart(2, np.eye(2), [2 * math.pi, 2 * math.pi])
         with pytest.raises(ValidationError):
             tangent_nodes(torus, gaussian_rule(4, 4))
+
+
+class TestTangentNodesCache:
+    """Each grid is built once per (chart scale, order, precision) and shared."""
+
+    def test_repeated_calls_share_arrays(self):
+        for extended in (False, True):
+            z, w = tangent_nodes(cylinder(), gaussian_rule(2, 12), extended)
+            z2, w2 = tangent_nodes(cylinder(), gaussian_rule(2, 12), extended)
+            assert z2 is z and w2 is w
+
+    def test_order_precision_and_scale_get_their_own_grid(self):
+        z, w = tangent_nodes(cylinder(), gaussian_rule(2, 12))
+        z_order, _ = tangent_nodes(cylinder(), gaussian_rule(2, 13))
+        z_ext, w_ext = tangent_nodes(cylinder(), gaussian_rule(2, 12), extended=True)
+        z_scaled, w_scaled = tangent_nodes(make_chart(1, [[4.0]], [None]), gaussian_rule(2, 12))
+        assert z_order.size == 13**2
+        assert z_ext.dtype == np.clongdouble and w_ext.dtype == np.longdouble
+        assert np.array_equal(z_ext.astype(complex), z)
+        # sigma = 4 halves every tangent coordinate and keeps the weights
+        assert z_scaled is not z
+        assert np.array_equal(z_scaled, 0.5 * z)
+        assert np.array_equal(w_scaled, w)
+
+    def test_arrays_are_read_only(self):
+        for extended in (False, True):
+            z, w = tangent_nodes(cylinder(), gaussian_rule(2, 6), extended)
+            with pytest.raises(ValueError):
+                z[0] = 0.0
+            with pytest.raises(ValueError):
+                w *= 2.0
+        z, w = tangent_nodes(cylinder(), gaussian_rule(2, 6))
+        assert np.sum(w) == pytest.approx(1.0, rel=1e-14)  # the failed writes changed nothing
+
+    def test_cache_stays_bounded(self):
+        for order in range(1, 41):
+            tangent_nodes(cylinder(), gaussian_rule(2, order))
+        info = _tangent_grid.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestIntegrateTangent:
