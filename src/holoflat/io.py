@@ -74,11 +74,15 @@ def rows_csv(header: list[str], rows: list[list]) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a temporary file and rename, so readers never see a
-    partial file.  An operating-system error becomes a ValidationError."""
+    partial file.  The file gets mode ``0o666`` less the umask, as a shell
+    redirect would give it.  An operating-system error becomes a ValidationError."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0o022)  # reading the umask means setting it: restore at once
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates it 0o600
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -71,20 +71,31 @@ def step_matrix(
     where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0
     at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
     allocated once (memory O(order^2 * basis size)); a summed pair with
-    ``|K| < division_guard * |K_H|`` raises QuadratureError.  If weights and basis are
-    exactly even under z -> -z, and kernel and ``H`` to 1e-14, the first ceil(M/2)
-    node rows are summed and the rest folded in as their mirrors; else all M are.
+    ``|K| < division_guard * |K_H|`` raises QuadratureError, and so does a non-finite sum.
     Orders above ``MAX_STEP_ORDER`` raise QuadratureError before any work.
 
-    Only nodes with scale ``s_i = w_i |Phi_i|^2 > 2^-53 / M_full^2 * max_j s_j`` are
-    summed (pruned Gauss-Hermite quadrature, ``M_full = order^2``), closed under the
-    mirror so the fold still applies.  A pair ``(i, j)`` adds at most
+    Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
+    conjugation sigma: z -> -conj(z).  J applies if weights and basis are exactly even
+    under it (labels k -> -k), and kernel and ``H`` to 1e-14; sigma applies if
+    ``w[sigma] == w`` and ``Phi[sigma] == conj(Phi)`` exactly, and ``mid`` and
+    ``H @ mid`` are real to 1e-14.  The applicable reflections generate a group of 1, 2
+    or 4 elements.  Pair ``(gi, gj)`` then adds what pair ``(i, j)`` adds, with labels
+    permuted by J or conjugated with ``delta -> -delta`` by sigma, so only one node row
+    per orbit is summed, weighted |orbit| / |group|: 1, except for nodes fixed by a
+    reflection (at odd orders ½ on the axes, ¼ at the origin).  An image pair needs no
+    guard: its |K| and |K_H| are those of the pair it mirrors.  Other inputs sum all M
+    node rows.
+
+    Pruning.  Only pairs with ``s_i s_j > thr = 2^-53 / M^2 * max_k s_k^2`` are summed,
+    ``s_i = w_i |Phi_i|^2`` maximised over the orbit of ``i`` and ``M = order^2``
+    (pruned Gauss-Hermite quadrature, by pair).  A pair ``(i, j)`` adds at most
     ``s_i s_j ||mid||_2 |R_ij|`` to each entry of the pair sum before the Gram solve,
     ``R_ij`` the Pade factor below (unimodular for real arguments); so the at most
-    ``M_full^2`` dropped pairs add less than one unit round-off of the largest pair's
-    bound.  The guard runs on every summed pair and on no dropped one.  A non-finite
-    ``s_i`` raises QuadratureError.  At N = 8 orders up to 31 keep every node, and
-    order 128 keeps 8,880 of 16,384.
+    ``M^2`` dropped pairs and their images add less than one unit round-off of the
+    largest pair's bound.  Rows and columns run in decreasing ``s``, and each row tile
+    sums the column prefix that its first row needs.  A non-finite ``s_i`` raises
+    QuadratureError.  At N = 8 order 64 computes 2,075,216 pairs and order 128
+    14,774,016.
     """
     if rule.order > MAX_STEP_ORDER:
         raise QuadratureError(
@@ -101,11 +112,10 @@ def step_matrix(
         raise QuadratureError(
             f"basis values or weights not finite on the order-{rule.order} quadrature grid"
         )
-    keep = s > 2.0**-53 / s.size**2 * s.max()
-    keep |= keep[::-1]  # node M-1-i mirrors node i: round-off in s must not break the fold
-    w, Phi = w[keep], Phi[keep]
     M, nb = Phi.shape
-    # J maps label k to -k; Phi is compared column by column, so no second M x nb array
+    Hmid = H.entries @ kernel.mid
+    # J maps label k to -k, and node i to M-1-i; sigma maps node (i, j) to (order-1-i, j).
+    # Phi is compared column by column, so no second M x nb array
     J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
     mirror = (
         None not in J
@@ -113,40 +123,63 @@ def step_matrix(
         and all(np.array_equal(Phi[::-1, a], Phi[:, j]) for a, j in enumerate(J))
         and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, H.entries))
     )
-    R = (M + 1) // 2 if mirror else M  # node rows summed
-    A, B = Phi[:R] @ kernel.mid, Phi[:R] @ (H.entries @ kernel.mid)
-    PhiT_conj = np.conj(Phi).T
+    node = np.arange(M)
+    sigma = (rule.order - 1 - node // rule.order) * rule.order + node % rule.order
+    conj = (
+        np.array_equal(w[sigma], w)
+        and all(np.array_equal(Phi[sigma, a], np.conj(Phi[:, a])) for a in range(nb))
+        and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, Hmid))
+    )
+    # the images of every node under the group the applicable reflections generate
+    group = [node] + [M - 1 - node] * mirror + [sigma, M - 1 - sigma][: 1 + mirror] * conj
+    orbit = np.sort(group, axis=0)
+    weight = (1 + np.count_nonzero(np.diff(orbit, axis=0), axis=0)) / len(group)
+    s = s[orbit].max(axis=0)
+    thr = 2.0**-53 / M**2 * s.max() ** 2
+    cols = np.argsort(-s, kind="stable")
+    cols = cols[s[cols] * s[cols[0]] > thr]  # the nodes in some summed pair, decreasing s
+    rows = np.flatnonzero(orbit[0, cols] == cols)  # one per orbit, as positions in cols
+    s, w, Phi, weight = s[cols], w[cols], Phi[cols], weight[cols]
+    A, B = Phi[rows] @ kernel.mid, Phi[rows] @ Hmid
     wPhi = w[:, None] * Phi
-    wPhiH = np.conj(wPhi[:R]).T
-    wPhiH[:, R - 1] *= 0.5 if mirror and M % 2 else 1.0  # at odd M the origin is its own mirror
+    wPhiH = np.conj(wPhi[rows]).T * weight[rows]
+    PhiT_conj = np.conj(Phi).T
     K, KH, E = (np.empty(_TILE, dtype=complex) for _ in range(3))
     absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
-    b = np.zeros((nb, nb), dtype=complex)
-    for i0 in range(0, R, _TILE[0]):
-        for j0 in range(0, M, _TILE[1]):
-            rows, cols = slice(i0, i0 + _TILE[0]), slice(j0, j0 + _TILE[1])
-            t = np.s_[: min(_TILE[0], R - i0), : min(_TILE[1], M - j0)]
-            k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
-            np.matmul(A[rows], PhiT_conj[:, cols], out=k)
-            np.matmul(B[rows], PhiT_conj[:, cols], out=kh)
-            np.multiply(np.abs(kh, out=akh), division_guard, out=akh)
-            if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
-                raise QuadratureError(
-                    f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
-                    f"{division_guard:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
-                )
-            # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
-            # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
-            # O(x^3) from the exponential, and bounded where x blows up near kernel
-            # zeros (the continuum phase integral diverges; the exponential overflows).
-            kh *= 0.5j * delta
-            np.subtract(k, kh, out=e)
-            kh += k
-            e /= kh
-            e *= k
-            b += wPhiH[:, rows] @ (e @ wPhi[cols])  # step of each basis element, projected
-    if mirror:
-        b += b[np.ix_(J, J)]  # the rows not summed are mirror images of summed ones
+    b, bimg = np.zeros((nb, nb), dtype=complex), np.zeros((nb, nb), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i0 in range(0, len(rows), _TILE[0]):
+            n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
+            for j0 in range(0, n_cols, _TILE[1]):
+                r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
+                t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
+                k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
+                np.matmul(A[r], PhiT_conj[:, c], out=k)
+                np.matmul(B[r], PhiT_conj[:, c], out=kh)
+                np.multiply(np.abs(kh, out=akh), division_guard, out=akh)
+                if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
+                    raise QuadratureError(
+                        f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
+                        f"{division_guard:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
+                    )
+                # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
+                # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
+                # O(x^3) from the exponential, and bounded where x blows up near kernel
+                # zeros (the continuum phase integral diverges; the exponential overflows).
+                kh *= 0.5j * delta
+                np.subtract(k, kh, out=e)
+                kh += k
+                e /= kh
+                if conj:  # the sigma image: K over this factor is K times the one at -Delta
+                    np.divide(k, e, out=kh)
+                    bimg += wPhiH[:, r] @ (kh @ wPhi[c])
+                e *= k
+                b += wPhiH[:, r] @ (e @ wPhi[c])  # step of each basis element, projected
+        b += np.conj(bimg)
+        if mirror:
+            b += b[np.ix_(J, J)]  # the rows not summed are mirror images of summed ones
+    if not np.isfinite(b).all():
+        raise QuadratureError(f"step matrix not finite at time step delta={delta:.3e}")
     return kernel.gram.solve(b)
 
 

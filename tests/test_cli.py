@@ -218,6 +218,15 @@ class TestEvolve:
         assert run(["evolve", "--t", t, "--quad-order", "8"]) == 1
         assert "error: evolution time must be finite" in capsys.readouterr().err
 
+    def test_overflowing_step_exit_1(self, capsys):
+        # delta = 1e308 overflows the Pade factor: one error line naming delta, no
+        # floating-point warnings before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--quad-order", "8", "--t", "1e308", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: step matrix not finite at time step delta=1.000e+308"]
+
     def test_quad_order_above_step_limit(self, capsys):
         # the step matrix costs O(order^4); the limit is checked before any node pair
         assert run(["evolve", "--quad-order", "257", "--steps", "1"]) == 1

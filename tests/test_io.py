@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestAtomicWrite:
         target.write_text("old")
         atomic_write(str(target), "new")
         assert target.read_text() == "new"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_umask(self, umask, mode, tmp_path):
+        # the mode a shell redirect gives, not mkstemp's 0o600
+        old = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "out.txt"), "x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
 
     def test_no_temp_leftovers(self, tmp_path):
         atomic_write(str(tmp_path / "out.txt"), "x")

@@ -145,23 +145,34 @@ def dense_step(kernel, H, delta, chart, rule):
     return kernel.gram.solve(b)
 
 
-CASES = ("free", "skew-H", "skew-kernel")
+CASES = ("free", "skew-H", "skew-kernel", "mirror-only", "conj-only")
 
 
 def step_case(case, n=N):
-    """Kernel and Hamiltonian at truncation ``n``: "free" is even under z -> -z (the
-    mirror fold applies); "skew-H" adds d/dz to H and "skew-kernel" puts d/dz into the
-    kernel, so neither is even and the full pair sum must run."""
+    """Kernel and Hamiltonian at truncation ``n``: "free" is even under z -> -z and real,
+    so the mirror and the conjugation folds both apply; "skew-H" adds d/dz to H and
+    "skew-kernel" puts d/dz into the kernel, so neither fold applies and the full pair sum
+    must run.  "mirror-only" adds an imaginary diagonal even in k (only the mirror
+    applies), "conj-only" a real diagonal odd in k (only the conjugation applies)."""
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
     kernel = reproducing_kernel(gram, basis)
     H = hamiltonian_free(n)
+    k = np.arange(-n, n + 1)
     if case == "skew-H":
         H = OperatorMatrix(N=n, entries=H.entries + ladder_lower(n).entries)
     if case == "skew-kernel":
         O = np.eye(2 * n + 1) + 0.1 * ladder_lower(n).entries
         kernel = KernelRep(basis, gram, mid=O @ gram.inverse())
+    if case == "mirror-only":
+        H = OperatorMatrix(N=n, entries=H.entries + 0.1j * np.diag(k**2))
+    if case == "conj-only":
+        H = OperatorMatrix(N=n, entries=H.entries + 0.1 * np.diag(k))
     return kernel, H
+
+
+# the reflections each case admits: J is z -> -z, sigma is z -> -conj(z)
+FOLDS = {"free": "J sigma", "skew-H": "", "skew-kernel": "", "mirror-only": "J", "conj-only": "sigma"}
 
 
 class TestStepMatrix:
@@ -191,14 +202,14 @@ class TestStepMatrix:
     @pytest.mark.parametrize(
         "case, order, pairs",
         [
-            ("free", 12, 72 * 144),
-            ("free", 11, 61 * 121),
+            ("free", 12, 36 * 144),  # a quarter of the rows: 144 nodes in 36 orbits
+            ("free", 11, 36 * 121),  # 121 nodes in 36 orbits
             ("skew-H", 12, 144 * 144),
             ("skew-kernel", 12, 144 * 144),
-            ("free", 24, 288 * 576),  # orders up to 24 keep every node
-            ("free", 23, 265 * 529),
-            ("free", 64, 1544 * 3088),  # 3,088 of 4,096 nodes kept, and still folded
-            ("skew-H", 64, 3088 * 3088),
+            ("free", 24, 80960),  # of 144 * 576: pairs of two small nodes are dropped
+            ("free", 23, 74704),
+            ("free", 64, 2075216),  # 3,088 of 4,096 nodes in a summed pair, still folded
+            ("skew-H", 64, 7918400),
         ],
     )
     def test_guarded_pairs_halved_when_even(self, case, order, pairs, monkeypatch):
@@ -211,6 +222,39 @@ class TestStepMatrix:
 
         monkeypatch.setattr(np, "less", spy)
         kernel, H = step_case(case)
+        step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
+        assert sum(guarded) == pairs
+
+    @pytest.mark.parametrize("order", [32, 33])
+    @pytest.mark.parametrize("case", CASES)
+    def test_guarded_pairs_brute_force(self, case, order, monkeypatch):
+        # one node row per tile: the guard then sees exactly the pairs (orbit
+        # representative a, node c) with sbar_a sbar_c > thr, counted here from w and Phi
+        guarded, less = [], np.less
+
+        def spy(a, b, out):
+            guarded.append(out.size)
+            return less(a, b, out=out)
+
+        kernel, H = step_case(case)
+        z, w = tangent_nodes(cylinder_chart(), gaussian_rule(2, order))
+        Phi = kernel.basis.design_matrix(z)
+        s = w * np.sum(np.abs(Phi) ** 2, axis=1)
+        M = len(s)
+        x, y = np.divmod(np.arange(M), order)
+        images = [np.arange(M)]
+        if "J" in FOLDS[case]:
+            images.append((order - 1 - x) * order + order - 1 - y)
+        if "sigma" in FOLDS[case]:
+            images += [(order - 1 - x) * order + y] + [x * order + order - 1 - y] * ("J" in FOLDS[case])
+        images = np.array(images)
+        sbar = s[images].max(axis=0)
+        representative = images.min(axis=0) == np.arange(M)
+        thr = 2.0**-53 / M**2 * s.max() ** 2
+        pairs = np.count_nonzero(np.outer(sbar[representative], sbar) > thr)
+
+        monkeypatch.setattr(propagator, "_TILE", (1, M))
+        monkeypatch.setattr(np, "less", spy)
         step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
         assert sum(guarded) == pairs
 
