@@ -21,7 +21,6 @@ from .cylinder import (
     HeatKernelParams,
     calibrate_heat_kernel,
     cylinder_basis,
-    cylinder_chart,
     heat_kernel_formula,
 )
 from .errors import FactorizationError, QuadratureError, ValidationError
@@ -42,7 +41,7 @@ from .propagator import (
     greens_spectral,
     greens_winding,
 )
-from .quadrature import DEFAULT_ORDER, gaussian_rule
+from .quadrature import DEFAULT_ORDER, hermite_rule
 from .validation import run_criteria
 
 # Defaults shared by every subcommand (also documented in the README):
@@ -159,12 +158,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def _cmd_gram(args) -> int:
     basis = cylinder_basis(args.truncation, normalized=not args.raw)
-    if args.quadrature:
-        g = gram_matrix(
-            basis, cylinder_chart(), gaussian_rule(2, args.quad_order), force_quadrature=True
-        )
-    else:
-        g = gram_matrix(basis)
+    g = gram_matrix(basis, args.quad_order if args.quadrature else None)
     labels = list(basis.labels)
     if args.format == "json":
         payload = {"labels": labels, "matrix": complex_matrix_to_lists(g.matrix)}
@@ -337,10 +331,9 @@ def _cmd_evolve(args) -> int:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
     kernel = reproducing_kernel(gram, basis)
-    chart = cylinder_chart()
-    rule = gaussian_rule(2, args.quad_order)
+    hermite_rule(args.quad_order)  # a bad order fails here, before the step-matrix limit
     config = PropagatorConfig(H=hamiltonian_free(N), t=args.t, n_steps=args.steps)
-    _, history = evolve(state, config, kernel, chart, rule, return_history=True)
+    _, history = evolve(state, config, kernel, args.quad_order, return_history=True)
     delta = args.t / args.steps
     if args.format == "json":
         payload = {

@@ -1,10 +1,11 @@
 """Periodic reference model on the circle.
 
 The phase space is a cylinder: one periodic coordinate of period 2*pi with
-the identity metric.  The holomorphic basis e^{ikz} (and its normalized
-variant e^{ikz - k^2/2}) has closed-form Gram entries, and the reproducing
-kernel admits an independent heat-kernel integral representation that
-cross-validates the Gram-inverse construction.
+unit metric.  It is the only configuration space the package integrates on,
+so its tangent grid is fixed by the quadrature order alone.  The holomorphic
+basis e^{ikz} (and its normalized variant e^{ikz - k^2/2}) has closed-form
+Gram entries, and the reproducing kernel admits an independent heat-kernel
+integral representation that cross-validates the Gram-inverse construction.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .geometry import FlatChart, make_chart
 from .hilbert import BasisSpec, KernelRep
 
 __all__ = [
     "DEFAULT_N",
     "HeatKernelParams",
-    "cylinder_chart",
     "cylinder_basis",
     "gram_closed",
     "heat_rho",
@@ -35,11 +34,6 @@ DEFAULT_N = 8
 _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
 _CHUNK_ELEMENTS = 1 << 19  # complex mode-sum terms per w block: 8 MB
-
-
-def cylinder_chart() -> FlatChart:
-    """One periodic coordinate of period 2*pi, identity metric."""
-    return make_chart(1, [[1.0]], [2 * math.pi])
 
 
 def gram_closed(p: int, q: int, normalized: bool) -> float:

@@ -14,8 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FactorizationError, ValidationError
-from .geometry import FlatChart
-from .quadrature import QuadratureRule, tangent_nodes
+from .quadrature import tangent_nodes
 
 __all__ = [
     "BasisSpec",
@@ -127,12 +126,12 @@ def bargmann_monomial_basis(max_degree: int) -> BasisSpec:
 _last_grid_values: tuple | None = None  # (z, w, basis, Phi) of the last lookup
 
 
-def _grid_values(basis: BasisSpec, chart: FlatChart, rule: QuadratureRule):
+def _grid_values(basis: BasisSpec, order: int):
     """Nodes, weights and the read-only design matrix of ``basis`` on the
-    tangent grid of ``(chart, rule)``.  The last pair looked up is kept, so a
-    run of Gaussian integrals over one basis evaluates it once."""
+    order-``order`` tangent grid.  The last pair looked up is kept, so a run
+    of Gaussian integrals over one basis evaluates it once."""
     global _last_grid_values
-    z, w = tangent_nodes(chart, rule)
+    z, w = tangent_nodes(order)
     last = _last_grid_values
     if last is None or last[0] is not z or last[2] != basis:
         Phi = basis.design_matrix(z)
@@ -141,25 +140,25 @@ def _grid_values(basis: BasisSpec, chart: FlatChart, rule: QuadratureRule):
     return z, w, last[3]
 
 
-def _on_grid(f, chart: FlatChart, rule: QuadratureRule) -> np.ndarray:
-    """Values of ``f`` on the tangent grid of ``(chart, rule)``: a state as
+def _on_grid(f, order: int) -> np.ndarray:
+    """Values of ``f`` on the order-``order`` tangent grid: a state as
     ``Phi @ coeffs`` from the cached design matrix of its basis (what
     ``HoloState.evaluate`` computes), a callable called on the nodes."""
     if isinstance(f, HoloState):
-        return _grid_values(f.basis, chart, rule)[2] @ f.coeffs
+        return _grid_values(f.basis, order)[2] @ f.coeffs
     if callable(f):
-        return f(tangent_nodes(chart, rule)[0])
+        return f(tangent_nodes(order)[0])
     raise ValidationError(f"expected HoloState or callable, got {type(f)}")
 
 
-def inner_product(f, g, chart: FlatChart, rule: QuadratureRule) -> complex:
-    """Normalized Gaussian scalar product, conjugate-linear in ``f``.
+def inner_product(f, g, order: int) -> complex:
+    """Normalized Gaussian scalar product, conjugate-linear in ``f``, by the
+    quadrature of order ``order``.
 
-    Arguments may be states or plain callables of the scalar holomorphic
-    coordinate (one-dimensional charts).
+    Arguments may be states or plain callables of the holomorphic coordinate.
     """
-    fz, gz = _on_grid(f, chart, rule), _on_grid(g, chart, rule)
-    _, w = tangent_nodes(chart, rule)
+    fz, gz = _on_grid(f, order), _on_grid(g, order)
+    _, w = tangent_nodes(order)
     return complex(np.sum(w * np.conj(fz) * gz))
 
 
@@ -185,29 +184,23 @@ def moment_matrix(basis: BasisSpec, z, w, g=None) -> np.ndarray:
     return np.conj(Phi).T @ (wg[:, None] * Phi)
 
 
-def gram_matrix(
-    basis: BasisSpec,
-    chart: FlatChart | None = None,
-    rule: QuadratureRule | None = None,
-    *,
-    force_quadrature: bool = False,
-) -> GramData:
+def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
     """Gram matrix of the basis with Cholesky factor and processing order.
 
-    Uses ``closed_form_inner`` when available unless ``force_quadrature``;
-    otherwise integrates every pair on the tensor grid.
+    With an ``order``, integrates every pair on the tensor grid of that
+    order; otherwise uses ``closed_form_inner``.
     """
-    if basis.closed_form_inner is not None and not force_quadrature:
+    if order is not None:
+        # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
+        # summand magnitudes; extended-precision accumulation keeps the
+        # cancellation error below the closed forms' 1e-10 target.
+        G = moment_matrix(basis, *tangent_nodes(order, extended=True)).astype(complex)
+    elif basis.closed_form_inner is not None:
         G = np.array(
             [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
         )
     else:
-        if chart is None or rule is None:
-            raise ValidationError("quadrature Gram needs a chart and a rule")
-        # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
-        # summand magnitudes; extended-precision accumulation keeps the
-        # cancellation error below the closed forms' 1e-10 target.
-        G = moment_matrix(basis, *tangent_nodes(chart, rule, extended=True)).astype(complex)
+        raise ValidationError("basis has no closed-form Gram entries; give a quadrature order")
     scale = max(np.abs(G).max(), 1.0)
     if np.abs(G - np.conj(G).T).max() > _HERMITICITY_TOL * scale:
         raise FactorizationError("Gram matrix is not Hermitian to tolerance")
@@ -303,21 +296,21 @@ def orthonormal_series_kernel(
     return KernelRep(basis=basis, gram=gram, mid=C @ np.conj(C).T)
 
 
-def project_coeffs(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule) -> np.ndarray:
+def project_coeffs(f, kernel: KernelRep, order: int) -> np.ndarray:
     """Coefficients of the kernel-weighted projection of ``f``.
 
     For the reproducing kernel this is the orthogonal projection onto the
     truncated span; for an operator kernel it returns the operator applied
-    to that projection.
+    to that projection.  The integral runs on the order-``order`` grid.
     """
-    fz = _on_grid(f, chart, rule)
-    _, w, Phi = _grid_values(kernel.basis, chart, rule)
+    fz = _on_grid(f, order)
+    _, w, Phi = _grid_values(kernel.basis, order)
     return kernel.mid @ (np.conj(Phi).T @ (w * fz))
 
 
-def project(f, kernel: KernelRep, chart: FlatChart, rule: QuadratureRule) -> HoloState:
+def project(f, kernel: KernelRep, order: int) -> HoloState:
     """Orthogonal projection of ``f`` onto the span of ``kernel.basis``."""
-    return HoloState(kernel.basis, project_coeffs(f, kernel, chart, rule))
+    return HoloState(kernel.basis, project_coeffs(f, kernel, order))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

@@ -2,9 +2,9 @@
 
 The lowering operator is holomorphic differentiation (diagonal on the
 periodic basis); the raising operator is the projection of multiplication
-by the holomorphic coordinate, built from closed-form moments or from
-quadrature.  Adjointness holds on the interior of the truncation: the edge
-modes are corrupted because multiplication maps them outside the span.
+by the holomorphic coordinate, built from closed-form moments.  Adjointness
+holds on the interior of the truncation: the edge modes are corrupted
+because multiplication maps them outside the span.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import FlatChart
-from .hilbert import GramData, HoloState, moment_matrix, orthonormalize
-from .quadrature import QuadratureRule, tangent_nodes
+from .hilbert import GramData, HoloState, orthonormalize
 
 __all__ = [
     "OperatorMatrix",
@@ -76,39 +74,12 @@ def _multiplication_moments_closed(N: int) -> np.ndarray:
     return -1j * l * np.exp(-((l - k) ** 2) / 2.0)
 
 
-def _multiplication_moments_quadrature(
-    N: int, chart: FlatChart, rule: QuadratureRule
-) -> np.ndarray:
-    from .cylinder import cylinder_basis
-
-    z, w = tangent_nodes(chart, rule)
-    return moment_matrix(cylinder_basis(N), z, w, z)
-
-
-def ladder_raise(
-    gram: GramData,
-    N: int,
-    method: str = "closed",
-    chart: FlatChart | None = None,
-    rule: QuadratureRule | None = None,
-) -> OperatorMatrix:
-    """Projection of multiplication by z: ``M = G^{-1} T`` with
-    ``T[l, k] = <phi~_l, z phi~_k>``.
-
-    ``method`` selects closed-form moments or direct quadrature (the latter
-    needs a chart and a rule); the two agree entrywise to ~1e-10.
-    """
+def ladder_raise(gram: GramData, N: int) -> OperatorMatrix:
+    """Projection of multiplication by z: ``M = G^{-1} T`` with the
+    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>``."""
     if len(gram.labels) != 2 * N + 1:
         raise ValidationError(f"gram truncation {len(gram.labels)} != {2 * N + 1}")
-    if method == "closed":
-        T = _multiplication_moments_closed(N)
-    elif method == "quadrature":
-        if chart is None or rule is None:
-            raise ValidationError("quadrature moments need a chart and a rule")
-        T = _multiplication_moments_quadrature(N, chart, rule)
-    else:
-        raise ValidationError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
-    return OperatorMatrix(N=N, entries=gram.solve(T))
+    return OperatorMatrix(N=N, entries=gram.solve(_multiplication_moments_closed(N)))
 
 
 def hamiltonian_free(N: int) -> OperatorMatrix:

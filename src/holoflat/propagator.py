@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .geometry import FlatChart
 from .hilbert import HoloState, KernelRep
 from .operators import OperatorMatrix
-from .quadrature import QuadratureRule, tangent_nodes
+from .quadrature import tangent_nodes
 
 __all__ = [
     "PropagatorConfig",
@@ -60,11 +59,11 @@ def step_matrix(
     kernel: KernelRep,
     H: OperatorMatrix,
     delta: float,
-    chart: FlatChart,
-    rule: QuadratureRule,
+    order: int,
     division_guard: float = DEFAULT_DIVISION_GUARD,
 ) -> np.ndarray:
-    """Coefficient-space matrix of one short-time step of length ``delta``.
+    """Coefficient-space matrix of one short-time step of length ``delta``,
+    integrated on the order-``order`` tangent grid.
 
     Column ``k`` is the projection of the step applied to basis element ``k``.  At
     ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram matrix: the identity only
@@ -97,20 +96,20 @@ def step_matrix(
     QuadratureError.  At N = 8 order 64 computes 2,075,216 pairs and order 128
     14,774,016.
     """
-    if rule.order > MAX_STEP_ORDER:
+    if order > MAX_STEP_ORDER:
         raise QuadratureError(
-            f"quadrature order {rule.order} above the step-matrix limit {MAX_STEP_ORDER} "
+            f"quadrature order {order} above the step-matrix limit {MAX_STEP_ORDER} "
             "(the node-pair sum grows as order^4)"
         )
     basis = kernel.basis
     if len(basis.labels) != 2 * H.N + 1:
         raise ValidationError("Hamiltonian truncation does not match the kernel basis")
-    z, w = tangent_nodes(chart, rule)
+    z, w = tangent_nodes(order)
     Phi = basis.design_matrix(z)
     s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
     if not np.isfinite(s).all():
         raise QuadratureError(
-            f"basis values or weights not finite on the order-{rule.order} quadrature grid"
+            f"basis values or weights not finite on the order-{order} quadrature grid"
         )
     M, nb = Phi.shape
     Hmid = H.entries @ kernel.mid
@@ -124,7 +123,7 @@ def step_matrix(
         and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, H.entries))
     )
     node = np.arange(M)
-    sigma = (rule.order - 1 - node // rule.order) * rule.order + node % rule.order
+    sigma = (order - 1 - node // order) * order + node % order
     conj = (
         np.array_equal(w[sigma], w)
         and all(np.array_equal(Phi[sigma, a], np.conj(Phi[:, a])) for a in range(nb))
@@ -187,11 +186,11 @@ def evolve(
     state: HoloState,
     config: PropagatorConfig,
     kernel: KernelRep,
-    chart: FlatChart,
-    rule: QuadratureRule,
+    order: int,
     return_history: bool = False,
 ):
-    """Iterate the short-time step ``n_steps`` times over total time ``t``.
+    """Iterate the short-time step ``n_steps`` times over total time ``t``,
+    each step integrated on the order-``order`` tangent grid.
 
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
@@ -199,7 +198,7 @@ def evolve(
     if state.basis.size != 2 * config.H.N + 1:
         raise ValidationError("state and Hamiltonian sizes differ")
     delta = config.t / config.n_steps
-    S = step_matrix(kernel, config.H, delta, chart, rule, config.division_guard)
+    S = step_matrix(kernel, config.H, delta, order, config.division_guard)
     c = state.coeffs
     history = [HoloState(state.basis, c)]
     for step in range(config.n_steps):

@@ -1,37 +1,30 @@
 """Tensor Gauss-Hermite quadrature for the normalized Gaussian tangent measure.
 
-The measure is ``e^{-|z|^2} dz`` on the tangent space (``|z|^2`` taken in the
-chart metric), scaled so the constant function integrates to exactly 1.  One
-Gauss-Hermite rule per real dimension; the grid of a one-dimensional chart is
-one flat array of nodes.
+The measure is ``e^{-|z|^2} dz`` on the tangent plane of the circle (period
+2*pi, unit metric), scaled so the constant function integrates to exactly 1.
+One Gauss-Hermite rule of the same order on each real axis; the grid is one
+flat array of nodes, fixed by the order alone.
 
 The paper integrates each path-integral step in the tangent space and maps
 it to the manifold by the exponential map.  Here that map stays implicit:
-the nodes are tangent coordinates, and on a circle of period 2*pi every basis
-function is 2*pi-periodic in ``Re z`` (on a line the map is the identity), so
-composing it with the exponential map changes nothing (``f o exp = f``).
+the nodes are tangent coordinates, and every basis function is 2*pi-periodic
+in ``Re z``, so composing it with the exponential map changes nothing
+(``f o exp = f``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .geometry import FlatChart
 
-__all__ = [
-    "QuadratureRule",
-    "hermite_rule",
-    "hermite_rule_extended",
-    "gaussian_rule",
-    "tangent_nodes",
-]
+__all__ = ["hermite_rule", "hermite_rule_extended", "tangent_nodes"]
 
 DEFAULT_ORDER = 64
+_MAX_ORDER = 740  # hermgauss overflows float64 at its outer nodes from order 741 on
 
 
 @lru_cache(maxsize=None)
@@ -48,13 +41,15 @@ def _hermite_rule_cached(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise QuadratureError(
             f"Gauss-Hermite rules need a long double of >= 63 mantissa bits, not {nmant}"
         )
+    not_finite = QuadratureError(
+        f"Gauss-Hermite nodes of order {order} are not finite; lower the quadrature order"
+    )
+    if order > _MAX_ORDER:  # before hermgauss, whose companion matrix takes order^2 memory
+        raise not_finite
     with np.errstate(all="ignore"):
         x = np.polynomial.hermite.hermgauss(order)[0].astype(ld)
     if not np.all(np.isfinite(x)):
-        # hermgauss overflows float64 at its outer nodes from order 741 on
-        raise QuadratureError(
-            f"Gauss-Hermite nodes of order {order} are not finite; lower the quadrature order"
-        )
+        raise not_finite
     k = np.arange(1, order + 1, dtype=ld)
     a, b = np.sqrt(2 / k), np.sqrt((k - 1) / k)
 
@@ -100,57 +95,29 @@ def hermite_rule_extended(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.copy(), weights.copy()
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor Gauss-Hermite rule of ``order`` nodes per real dimension over
-    ``dims`` real dimensions."""
-
-    order: int
-    dims: int
-
-
-def gaussian_rule(dims: int, order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Rule whose weights, once normalized by ``tangent_nodes``, integrate
-    the constant 1 to exactly 1.  A bad order fails here, not at first use."""
-    if dims < 2 or dims % 2 != 0:
-        raise ValidationError(f"dims must be a positive even number, got {dims}")
-    hermite_rule(order)
-    return QuadratureRule(order=order, dims=dims)
-
-
-def tangent_nodes(
-    chart: FlatChart, rule: QuadratureRule, extended: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def tangent_nodes(order: int, extended: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Holomorphic coordinates ``z = x - i y`` and normalized weights ``w``
-    (summing to 1) of the grid of a one-dimensional chart.
+    (summing to 1) of the order-``order`` tensor grid on the tangent plane.
 
     Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``, so the node
     array read backwards is its own negative.  With ``extended=True`` the grid
-    is built in long double for cancellation-sensitive consumers.  Charts
-    with ``n != 1`` are rejected before any grid is built.  Each grid is built
-    once per (chart scale, order, precision) and the same arrays are returned
-    to every caller, so they are read-only: copy before writing.
+    is built in long double for cancellation-sensitive consumers.  Each grid
+    is built once per (order, precision) and the same arrays are returned to
+    every caller, so they are read-only: copy before writing.
     """
-    if chart.n != 1:
-        raise ValidationError(
-            f"the Hilbert layer supports one-dimensional charts only, got n = {chart.n}"
-        )
-    if rule.dims != 2:
-        raise ValidationError(f"rule has {rule.dims} dims, chart needs 2")
-    return _tangent_grid(float(chart.tangent_transform[0, 0]), int(rule.order), bool(extended))
+    return _tangent_grid(int(order), bool(extended))
 
 
 @lru_cache(maxsize=8)
-def _tangent_grid(scale: float, order: int, extended: bool) -> tuple[np.ndarray, np.ndarray]:
-    # normalization pi^(-dims/2) at dims = 2
+def _tangent_grid(order: int, extended: bool) -> tuple[np.ndarray, np.ndarray]:
+    # normalization 1/pi: the plane Gaussian e^{-|z|^2} has total mass pi
     if extended:
         u, wu = hermite_rule_extended(order)
         normalization = np.pi ** -np.longdouble(1)
     else:
         u, wu = hermite_rule(order)
         normalization = math.pi**-1.0
-    t = u.dtype.type(scale)
     U1, U2 = np.meshgrid(u, u, indexing="ij")
-    z, w = U1.ravel() * t - 1j * (U2.ravel() * t), normalization * np.outer(wu, wu).ravel()
+    z, w = U1.ravel() - 1j * U2.ravel(), normalization * np.outer(wu, wu).ravel()
     z.flags.writeable = w.flags.writeable = False
     return z, w

@@ -17,7 +17,6 @@ from .cylinder import (
     HeatKernelParams,
     calibrate_heat_kernel,
     cylinder_basis,
-    cylinder_chart,
     gram_closed,
     heat_kernel_formula,
     heat_rho,
@@ -35,7 +34,7 @@ from .hilbert import (
 )
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import PropagatorConfig, evolve, evolve_exact, greens_spectral, greens_winding
-from .quadrature import gaussian_rule, tangent_nodes
+from .quadrature import tangent_nodes
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
 
@@ -54,12 +53,9 @@ def _result(name: str, passed: bool, detail: str) -> CriterionResult:
     return CriterionResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _setup(N: int = _N, order: int = 64):
-    chart = cylinder_chart()
-    rule = gaussian_rule(2, order)
-    basis = cylinder_basis(N)
-    gram = gram_matrix(basis)
-    return chart, rule, basis, gram
+def _setup():
+    basis = cylinder_basis(_N)
+    return basis, gram_matrix(basis)
 
 
 def _sample_points(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,11 +66,10 @@ def _sample_points(count: int, rng: np.random.Generator) -> np.ndarray:
 
 def criterion_gram_closed_forms() -> CriterionResult:
     """Quadrature Gram entries match e^{pq} and e^{-(p-q)^2/2} for |p|,|q| <= 4."""
-    chart, rule, _, _ = _setup(order=64)
     worst = 0.0
     for normalized in (False, True):
         basis = cylinder_basis(4, normalized=normalized)
-        g = gram_matrix(basis, chart, rule, force_quadrature=True)
+        g = gram_matrix(basis, 64)
         for i, p in enumerate(basis.labels):
             for j, q in enumerate(basis.labels):
                 exact = gram_closed(p, q, normalized)
@@ -87,12 +82,11 @@ def criterion_gram_closed_forms() -> CriterionResult:
 def criterion_orthonormalization() -> CriterionResult:
     """Ordered Gram-Schmidt at N=8 gives an orthonormal system, checked both
     through the Gram algebra and through independent quadrature."""
-    chart, _, basis, gram = _setup()
-    rule = gaussian_rule(2, 128)
+    basis, gram = _setup()
     C = orthonormalize(gram)
     eye = np.eye(2 * _N + 1)
     alg = np.abs(np.conj(C).T @ gram.matrix @ C - eye).max()
-    gq = gram_matrix(basis, chart, rule, force_quadrature=True)
+    gq = gram_matrix(basis, 128)
     quad = np.abs(np.conj(C).T @ gq.matrix @ C - eye).max()
     worst = max(alg, quad)
     return _result(
@@ -104,8 +98,7 @@ def criterion_orthonormalization() -> CriterionResult:
 
 def criterion_kernel_reproduction() -> CriterionResult:
     """Projection is the identity on basis states, pointwise at sample points."""
-    chart, _, basis, gram = _setup()
-    rule = gaussian_rule(2, 128)
+    basis, gram = _setup()
     kernel = reproducing_kernel(gram, basis)
     rng = np.random.default_rng(_SEED)
     pts = _sample_points(20, rng)
@@ -114,17 +107,17 @@ def criterion_kernel_reproduction() -> CriterionResult:
         coeffs = np.zeros(2 * _N + 1, dtype=complex)
         coeffs[k + _N] = 1.0
         f = HoloState(basis, coeffs)
-        Pf = project(f, kernel, chart, rule)
+        Pf = project(f, kernel, 128)
         worst = max(worst, float(np.abs(Pf.evaluate(pts) - f.evaluate(pts)).max()))
     return _result(
         "kernel-reproduction", worst <= 1e-6, f"max |Pf(z) - f(z)| {worst:.3e} (tol 1e-6)"
     )
 
 
-def criterion_kernel_equivalence() -> CriterionResult:
+def criterion_kernel_construction_equivalence() -> CriterionResult:
     """Gram-inverse and orthonormal-series kernels agree, independent of the
     orthonormalization order."""
-    _, _, basis, gram = _setup()
+    basis, gram = _setup()
     rng = np.random.default_rng(_SEED + 1)
     z = _sample_points(12, rng)
     w = _sample_points(12, rng)
@@ -147,8 +140,7 @@ def criterion_kernel_equivalence() -> CriterionResult:
 def criterion_kernel_properties() -> CriterionResult:
     """Hermitian symmetry, composition rule, and the pointwise evaluation
     bound with equality at coherent states."""
-    chart, _, basis, gram = _setup()
-    rule = gaussian_rule(2, 128)
+    basis, gram = _setup()
     kernel = reproducing_kernel(gram, basis)
     rng = np.random.default_rng(_SEED + 2)
     z = _sample_points(8, rng)
@@ -156,7 +148,7 @@ def criterion_kernel_properties() -> CriterionResult:
     herm = float(np.abs(kernel.eval_grid(w, z) - np.conj(kernel.eval_grid(z, w)).T).max())
 
     comp = 0.0
-    nodes, wt = tangent_nodes(chart, rule)
+    nodes, wt = tangent_nodes(128)
     for zi, ui in zip(z[:5], w[:5]):
         total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])
         comp = max(comp, abs(total - kernel.eval(zi, ui)))
@@ -189,7 +181,7 @@ def criterion_kernel_properties() -> CriterionResult:
 def criterion_heat_kernel_formula() -> CriterionResult:
     """Calibrated heat-kernel integral formula matches the Gram-inverse
     kernel on a real grid (limited by the N=8 truncation)."""
-    _, _, basis, gram = _setup()
+    basis, gram = _setup()
     kernel = reproducing_kernel(gram, basis)
     params = HeatKernelParams(t=1.0, M=12, x0=0.0, x_quad=256)
     c = calibrate_heat_kernel(params, kernel)
@@ -224,8 +216,7 @@ def criterion_theta_identity() -> CriterionResult:
 def criterion_ladder_adjointness() -> CriterionResult:
     """Raising matrix is the adjoint of the lowering matrix on the interior
     block; the quadrature pairing agrees on random states."""
-    chart, _, basis, gram = _setup()
-    rule = gaussian_rule(2, 128)
+    basis, gram = _setup()
     block = adjointness_residual(gram, _N, buffer=2)
 
     raise_op = ladder_raise(gram, _N)
@@ -242,8 +233,8 @@ def criterion_ladder_adjointness() -> CriterionResult:
         cc[interior] = rng.normal(size=2 * _N - 3) + 1j * rng.normal(size=2 * _N - 3)
         psi = HoloState(basis, cp)
         chi = HoloState(basis, cc)
-        lhs = inner_product(raise_op.apply(psi), chi, chart, rule)
-        rhs = inner_product(psi, lower_op.apply(chi), chart, rule)
+        lhs = inner_product(raise_op.apply(psi), chi, 128)
+        rhs = inner_product(psi, lower_op.apply(chi), 128)
         scale = max(abs(lhs), abs(rhs), 1.0)
         pair_dev = max(pair_dev, abs(lhs - rhs) / scale)
 
@@ -292,7 +283,7 @@ def criterion_greens_equivalence() -> CriterionResult:
 def criterion_trotter_convergence() -> CriterionResult:
     """Iterated short-time steps converge at first order to the spectral
     evolution; the spectral evolution is exactly unitary."""
-    chart, rule, basis, gram = _setup(order=64)
+    basis, gram = _setup()
     kernel = reproducing_kernel(gram, basis)
     H = hamiltonian_free(_N)
     coeffs = np.zeros(2 * _N + 1, dtype=complex)
@@ -304,7 +295,7 @@ def criterion_trotter_convergence() -> CriterionResult:
     exact = evolve_exact(phi, H, t)
     errs = {}
     for n in (8, 16, 32, 64):
-        approx = evolve(phi, PropagatorConfig(H=H, t=t, n_steps=n), kernel, chart, rule)
+        approx = evolve(phi, PropagatorConfig(H=H, t=t, n_steps=n), kernel, 64)
         errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)
@@ -366,7 +357,7 @@ CRITERIA = (
     criterion_gram_closed_forms,
     criterion_orthonormalization,
     criterion_kernel_reproduction,
-    criterion_kernel_equivalence,
+    criterion_kernel_construction_equivalence,
     criterion_kernel_properties,
     criterion_heat_kernel_formula,
     criterion_theta_identity,

@@ -29,7 +29,13 @@ from holoflat.hilbert import gram_matrix, reproducing_kernel
 def _run(fn):
     r = fn()
     print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    _assert_selectable(fn, r)
     assert r.passed, f"{r.name}: {r.detail}"
+
+
+def _assert_selectable(fn, r):
+    # `validate --only NAME` matches NAME against the function name
+    assert fn.__name__ == "criterion_" + r.name.replace("-", "_")
 
 
 def test_criterion_01_gram_closed_forms():
@@ -45,7 +51,7 @@ def test_criterion_03_kernel_reproduction():
 
 
 def test_criterion_04_kernel_construction_equivalence():
-    _run(validation.criterion_kernel_equivalence)
+    _run(validation.criterion_kernel_construction_equivalence)
 
 
 def test_criterion_05_kernel_properties():
@@ -87,6 +93,7 @@ def test_criterion_06_heat_kernel_formula():
     formula_dev = _max_rel(formula, ref)
 
     r = validation.criterion_heat_kernel_formula()
+    _assert_selectable(validation.criterion_heat_kernel_formula, r)
     reported = float(re.search(r"max relative deviation (\S+) ", r.detail).group(1))
     c_trunc = complex(k8.eval(0.0, 0.0)) / complex(k24.eval(0.0, 0.0))
     truncation = _max_rel(c_trunc * ref, k8.eval(Z, W))

@@ -54,6 +54,10 @@ class TestGram:
         assert run(["gram", "--quadrature", "--quad-order", "741", "--truncation", "1"]) == 1
         assert "error: Gauss-Hermite nodes of order 741 are not finite" in capsys.readouterr().err
 
+    def test_quad_order_zero(self, capsys):
+        assert run(["gram", "--quadrature", "--quad-order", "0"]) == 1
+        assert capsys.readouterr().err == "error: quadrature order must be >= 1, got 0\n"
+
     def test_normalized_flag_removed(self):
         # the normalized basis is the only default; there is no flag to ask for it
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +237,17 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "step-matrix limit 256" in err
 
+    def test_quad_order_without_finite_nodes(self, capsys):
+        # the Hermite rule is refused by name before the step-matrix limit
+        assert run(["evolve", "--quad-order", "741", "--steps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: Gauss-Hermite nodes of order 741 are not finite; lower the quadrature order\n"
+        )
+
+    def test_quad_order_zero(self, capsys):
+        assert run(["evolve", "--quad-order", "0", "--steps", "1"]) == 1
+        assert capsys.readouterr().err == "error: quadrature order must be >= 1, got 0\n"
+
     def test_negative_truncation(self, capsys):
         assert run(["evolve", "--truncation", "-1", "--quad-order", "8"]) == 1
         assert "error: truncation must be nonnegative" in capsys.readouterr().err
@@ -254,6 +269,12 @@ class TestValidate:
 
     def test_no_match(self, capsys):
         assert run(["validate", "--only", "nonexistent"]) == 1
+
+    def test_only_by_printed_name(self, capsys):
+        assert run(["validate", "--only", "kernel-construction-equivalence"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("PASS kernel-construction-equivalence: ")
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(holoflat.__file__)))

@@ -11,7 +11,6 @@ from holoflat import (
     ValidationError,
     calibrate_heat_kernel,
     cylinder_basis,
-    cylinder_chart,
     gram_closed,
     gram_matrix,
     heat_kernel_formula,
@@ -19,7 +18,6 @@ from holoflat import (
     heat_rho_winding,
     reproducing_kernel,
     tangent_nodes,
-    gaussian_rule,
 )
 
 
@@ -61,10 +59,8 @@ class TestCylinderBasis:
 
     def test_norm_of_raw_basis(self):
         # ||phi_k||^2 = e^{k^2}, so ||phi_k|| = e^{k^2/2}
-        chart = cylinder_chart()
-        rule = gaussian_rule(2, 64)
         basis = cylinder_basis(4, normalized=False)
-        g = gram_matrix(basis, chart, rule, force_quadrature=True)
+        g = gram_matrix(basis, 64)
         for i, k in enumerate(basis.labels):
             norm = math.sqrt(float(np.real(g.matrix[i, i])))
             assert norm == pytest.approx(math.exp(k**2 / 2), rel=1e-10)
@@ -126,7 +122,7 @@ class TestHeatKernelFormula:
 
     def test_array_w_equals_scalar_calls(self):
         params = HeatKernelParams(M=24)
-        nodes, _ = tangent_nodes(cylinder_chart(), gaussian_rule(2, 8))
+        nodes, _ = tangent_nodes(8)
         w = nodes.reshape(8, 8)
         vals = heat_kernel_formula(params, -1.2 + 0.5j, w)
         scalar = [heat_kernel_formula(params, -1.2 + 0.5j, complex(v)) for v in nodes]
@@ -184,9 +180,7 @@ class TestHeatKernelFormula:
         # ~7, so the mode cutoff must be raised to keep the tail bounded
         params = HeatKernelParams(M=24)
         c = calibrate_heat_kernel(params, kernel)
-        chart = cylinder_chart()
-        rule = gaussian_rule(2, 32)
-        nodes, w = tangent_nodes(chart, rule)
+        nodes, w = tangent_nodes(32)
         for z in (0.3, -1.2 + 0.5j):
             vals = c * heat_kernel_formula(params, z, nodes)
             total = np.sum(w * vals * np.exp(1j * nodes - 0.5))

@@ -13,13 +13,8 @@ from holoflat import (
     ValidationError,
     bargmann_monomial_basis,
     cylinder_basis,
-    cylinder_chart,
-    gaussian_rule,
     gram_matrix,
     inner_product,
-    hamiltonian_free,
-    ladder_raise,
-    make_chart,
     moment_matrix,
     orthonormal_series_kernel,
     orthonormalize,
@@ -28,24 +23,16 @@ from holoflat import (
     project_coeffs,
     reproducing_kernel,
     state_norm,
-    step_matrix,
     tangent_nodes,
 )
 from holoflat import cli, hilbert
 
 
-@pytest.fixture(scope="module")
-def chart():
-    return cylinder_chart()
+ORDER = 64
 
 
 @pytest.fixture(scope="module")
-def rule():
-    return gaussian_rule(2, 64)
-
-
-@pytest.fixture(scope="module")
-def setup_n4(chart, rule):
+def setup_n4():
     basis = cylinder_basis(4)
     gram = gram_matrix(basis)
     return basis, gram
@@ -58,32 +45,32 @@ def basis_state(N, k):
 
 
 class TestInnerProduct:
-    def test_raw_phi1_phi1(self, chart, rule):
+    def test_raw_phi1_phi1(self):
         f = lambda z: np.exp(1j * z)
-        assert inner_product(f, f, chart, rule) == pytest.approx(math.e, rel=1e-10)
+        assert inner_product(f, f, ORDER) == pytest.approx(math.e, rel=1e-10)
 
-    def test_raw_phi0_phi0(self, chart, rule):
+    def test_raw_phi0_phi0(self):
         one = lambda z: np.ones_like(z)
-        assert inner_product(one, one, chart, rule) == pytest.approx(1.0, rel=1e-12)
+        assert inner_product(one, one, ORDER) == pytest.approx(1.0, rel=1e-12)
 
-    def test_normalized_cross(self, chart, rule):
+    def test_normalized_cross(self):
         f = lambda z: np.exp(1j * z - 0.5)
         g = lambda z: np.exp(2j * z - 2.0)
-        assert inner_product(f, g, chart, rule) == pytest.approx(
+        assert inner_product(f, g, ORDER) == pytest.approx(
             math.exp(-0.5), rel=1e-10
         )
 
-    def test_conjugate_linear_first_slot(self, chart, rule):
+    def test_conjugate_linear_first_slot(self):
         f = lambda z: np.exp(1j * z)
         g = lambda z: z**2
         a = 0.7 - 0.2j
-        lhs = inner_product(lambda z: a * f(z), g, chart, rule)
-        rhs = np.conj(a) * inner_product(f, g, chart, rule)
+        lhs = inner_product(lambda z: a * f(z), g, ORDER)
+        rhs = np.conj(a) * inner_product(f, g, ORDER)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_accepts_states(self, chart, rule):
+    def test_accepts_states(self):
         f = basis_state(2, 1)
-        assert inner_product(f, f, chart, rule) == pytest.approx(1.0, rel=1e-10)
+        assert inner_product(f, f, ORDER) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestInnerProductExponential:
@@ -95,14 +82,14 @@ class TestInnerProductExponential:
             for j, q in enumerate(basis.labels):
                 assert g.matrix[i, j] == pytest.approx(math.exp(p * q), rel=1e-14)
 
-    def test_constants(self, chart, rule):
+    def test_constants(self):
         one = lambda z: 1.0
-        assert inner_product(one, one, chart, rule) == pytest.approx(1.0, rel=1e-14)
+        assert inner_product(one, one, ORDER) == pytest.approx(1.0, rel=1e-14)
 
-    def test_against_quadrature(self, chart, rule):
-        # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) for sigma = I, n = 1
+    def test_against_quadrature(self):
+        # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) under the unit Gaussian measure
         alpha, beta = 1.0, 1j
-        val = inner_product(lambda z: np.exp(alpha * z), lambda z: np.exp(beta * z), chart, rule)
+        val = inner_product(lambda z: np.exp(alpha * z), lambda z: np.exp(beta * z), ORDER)
         assert val == pytest.approx(np.exp(np.conj(alpha) * beta), abs=1e-12)
 
 
@@ -129,22 +116,27 @@ class TestGramMatrix:
         recon = gram.factor @ np.conj(gram.factor).T
         assert np.abs(recon - gram.matrix).max() < 1e-10 * np.abs(gram.matrix).max()
 
-    def test_quadrature_matches_closed_form(self, chart, rule):
+    def test_quadrature_matches_closed_form(self):
         basis = cylinder_basis(3)
-        gq = gram_matrix(basis, chart, rule, force_quadrature=True)
+        gq = gram_matrix(basis, ORDER)
         gc = gram_matrix(basis)
         rel = np.abs(gq.matrix - gc.matrix) / np.abs(gc.matrix)
         assert rel.max() < 1e-10
 
-    def test_quadrature_needs_chart(self):
+    def test_order_selects_quadrature(self):
+        # an order integrates even where a closed form exists; order 4 cannot resolve N = 3
+        basis = cylinder_basis(3)
+        assert np.abs(gram_matrix(basis, 4).matrix - gram_matrix(basis).matrix).max() > 0.1
+
+    def test_quadrature_needs_order(self):
         basis = BasisSpec(labels=(0, 1), eval_fn=lambda k, z: z**k)
         with pytest.raises(ValidationError):
             gram_matrix(basis)
 
-    def test_dependent_basis_fails(self, chart, rule):
+    def test_dependent_basis_fails(self):
         basis = BasisSpec(labels=(0, 1), eval_fn=lambda k, z: np.ones_like(z))
         with pytest.raises(FactorizationError, match="dependent"):
-            gram_matrix(basis, chart, rule)
+            gram_matrix(basis, ORDER)
 
 
 class TestGramSolve:
@@ -209,10 +201,10 @@ class TestOrthonormalize:
         C = orthonormalize(gram)
         assert np.abs(np.conj(C).T @ gram.matrix @ C - np.eye(9)).max() < 1e-10
 
-    def test_orthonormality_by_quadrature(self, chart, rule, setup_n4):
+    def test_orthonormality_by_quadrature(self, setup_n4):
         basis, gram = setup_n4
         C = orthonormalize(gram)
-        z, w = tangent_nodes(chart, rule)
+        z, w = tangent_nodes(ORDER)
         B = basis.design_matrix(z) @ C
         total = np.conj(B).T @ (w[:, None] * B)
         assert np.abs(total - np.eye(9)).max() < 1e-8
@@ -239,7 +231,7 @@ class TestOrthonormalize:
 
 
 class TestKernel:
-    def test_single_element_kernel_constant(self, chart, rule):
+    def test_single_element_kernel_constant(self):
         basis = cylinder_basis(0)
         kernel = reproducing_kernel(gram_matrix(basis), basis)
         for z in (0.2, -1.0 + 0.5j, 2.0):
@@ -285,50 +277,49 @@ class TestKernel:
         rhs = float(np.real(kernel.eval(z, z))) * state_norm(zeta, gram) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_coherent_state_evaluates(self, chart, rule, setup_n4):
+    def test_coherent_state_evaluates(self, setup_n4):
         # <zeta_w, f> = f(w) for span members
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         w = 0.8 + 0.3j
         zeta = kernel.coherent_state(w)
         f = basis_state(4, 2)
-        val = inner_product(zeta, f, chart, rule)
+        val = inner_product(zeta, f, ORDER)
         assert val == pytest.approx(f.evaluate(w), rel=1e-10)
 
-    def test_composition_rule(self, chart, rule, setup_n4):
+    def test_composition_rule(self, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         z, u = 0.5 - 0.2j, -1.1 + 0.4j
-        nodes, w = tangent_nodes(chart, rule)
+        nodes, w = tangent_nodes(ORDER)
         total = np.sum(w * kernel.eval_grid([z], nodes)[0] * kernel.eval_grid(nodes, [u])[:, 0])
         assert abs(total - kernel.eval(z, u)) < 1e-8
 
 
 class TestProject:
-    def test_identity_on_basis_state(self, chart, rule, setup_n4):
+    def test_identity_on_basis_state(self, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         f = basis_state(4, 2)
-        Pf = project(f, kernel, chart, rule)
+        Pf = project(f, kernel, ORDER)
         assert np.abs(Pf.coeffs - f.coeffs).max() < 1e-10
 
-    def test_antiholomorphic_projects_to_zero(self, rule):
-        chart = make_chart(1, [[1.0]], [None])
+    def test_antiholomorphic_projects_to_zero(self):
         basis = bargmann_monomial_basis(6)
         kernel = reproducing_kernel(gram_matrix(basis), basis)
-        coeffs = project_coeffs(lambda z: np.conj(z), kernel, chart, rule)
+        coeffs = project_coeffs(lambda z: np.conj(z), kernel, ORDER)
         assert np.abs(coeffs).max() < 1e-12
 
-    def test_idempotent(self, chart, rule, setup_n4):
+    def test_idempotent(self, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram, basis)
         rng = np.random.default_rng(8)
         f = HoloState(basis, rng.normal(size=9) + 1j * rng.normal(size=9))
-        P1 = project(f, kernel, chart, rule)
-        P2 = project(P1, kernel, chart, rule)
+        P1 = project(f, kernel, ORDER)
+        P2 = project(P1, kernel, ORDER)
         assert np.abs(P2.coeffs - P1.coeffs).max() < 1e-10
 
-    def test_parseval(self, chart, rule, setup_n4):
+    def test_parseval(self, setup_n4):
         basis, gram = setup_n4
         C = orthonormalize(gram)
         rng = np.random.default_rng(9)
@@ -351,22 +342,22 @@ class TestOperatorKernel:
         z = np.array([0.3, -0.7 + 0.2j, 1.9])
         assert np.abs(k1.eval_grid(z, z) - k2.eval_grid(z, z)).max() < 1e-13
 
-    def test_diagonal_action(self, chart, rule, setup_n4):
+    def test_diagonal_action(self, setup_n4):
         basis, gram = setup_n4
         k = np.arange(-4, 5)
         O = np.diag((k**2 / 2.0).astype(complex))
         KO = operator_kernel(O, gram, basis)
         f = basis_state(4, 1)
-        coeffs = project_coeffs(f, KO, chart, rule)
+        coeffs = project_coeffs(f, KO, ORDER)
         expected = 0.5 * f.coeffs
         assert np.abs(coeffs - expected).max() < 1e-8
 
-    def test_lowering_action(self, chart, rule, setup_n4):
+    def test_lowering_action(self, setup_n4):
         basis, gram = setup_n4
         k = np.arange(-4, 5)
         KO = operator_kernel(np.diag(1j * k.astype(complex)), gram, basis)
         f = basis_state(4, 2)
-        coeffs = project_coeffs(f, KO, chart, rule)
+        coeffs = project_coeffs(f, KO, ORDER)
         assert np.abs(coeffs - 2j * f.coeffs).max() < 1e-8
 
     def test_dimension_mismatch(self, setup_n4):
@@ -387,95 +378,49 @@ class TestDesignMatrix:
 class TestGridValues:
     """The basis values on a tangent grid are evaluated once and shared."""
 
-    def test_matches_fresh_design_matrix(self, chart, rule):
+    def test_matches_fresh_design_matrix(self):
         basis = cylinder_basis(4)
-        z, w, Phi = hilbert._grid_values(basis, chart, rule)
-        nodes, weights = tangent_nodes(chart, rule)
+        z, w, Phi = hilbert._grid_values(basis, ORDER)
+        nodes, weights = tangent_nodes(ORDER)
         assert z is nodes and w is weights
         assert np.array_equal(Phi, basis.design_matrix(z.copy()))
-        assert hilbert._grid_values(basis, chart, rule)[2] is Phi
+        assert hilbert._grid_values(basis, ORDER)[2] is Phi
         with pytest.raises(ValueError):
             Phi[0, 0] = 0.0
 
-    def test_bases_in_alternation(self, chart, rule):
+    def test_bases_in_alternation(self):
         a, b = cylinder_basis(3), cylinder_basis(5, normalized=False)
-        z, _ = tangent_nodes(chart, rule)
+        z, _ = tangent_nodes(ORDER)
         for _ in range(2):
             for basis in (a, b):
-                Phi = hilbert._grid_values(basis, chart, rule)[2]
+                Phi = hilbert._grid_values(basis, ORDER)[2]
                 assert np.array_equal(Phi, basis.design_matrix(z.copy()))
 
     @pytest.mark.parametrize("order", [32, 128])
-    def test_states_integrate_as_before(self, chart, order):
+    def test_states_integrate_as_before(self, order):
         # the old path evaluated each state on a writable copy of the nodes
-        rule = gaussian_rule(2, order)
         basis = cylinder_basis(8)
         kernel = reproducing_kernel(gram_matrix(basis), basis)
         rng = np.random.default_rng(order)
         f, g = (HoloState(basis, rng.normal(size=17) + 1j * rng.normal(size=17)) for _ in range(2))
-        z, w = tangent_nodes(chart, rule)
+        z, w = tangent_nodes(order)
         z = z.copy()
         old_inner = complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
         old_project = kernel.mid @ (np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z)))
-        assert inner_product(f, g, chart, rule) == old_inner
-        assert np.array_equal(project_coeffs(f, kernel, chart, rule), old_project)
+        assert inner_product(f, g, order) == old_inner
+        assert np.array_equal(project_coeffs(f, kernel, order), old_project)
 
 
 class TestMomentMatrix:
-    def test_gram_and_multiplication_moments(self, chart, rule):
+    def test_gram_and_multiplication_moments(self):
         basis = cylinder_basis(2)
-        z, w = tangent_nodes(chart, rule)
+        z, w = tangent_nodes(ORDER)
         G = moment_matrix(basis, z, w)
         assert np.abs(G - gram_matrix(basis).matrix).max() < 1e-10
         T = moment_matrix(basis, z, w, z)
         l = np.array(basis.labels)[:, None]
         k = np.array(basis.labels)[None, :]
         assert np.abs(T - (-1j * l * np.exp(-((l - k) ** 2) / 2.0))).max() < 1e-10
-
-
-class TestOneDimensionalCharts:
-    """The Hilbert layer rejects charts with n != 1 before building a grid."""
-
-    @pytest.fixture
-    def torus(self, monkeypatch):
-        # the rule is built first; after that no Hermite rule may be looked up
-        import holoflat.quadrature
-
-        rule = gaussian_rule(4, 6)
-
-        def no_grid(*args, **kwargs):
-            raise AssertionError("grid built for a rejected chart")
-
-        for name in ("hermite_rule", "hermite_rule_extended"):
-            monkeypatch.setattr(holoflat.quadrature, name, no_grid)
-        return make_chart(2, [[2.0, 0.5], [0.5, 1.0]], [2 * math.pi, 2 * math.pi]), rule
-
-    def test_inner_product(self, torus):
-        f = lambda z: np.exp(1j * z)
-        with pytest.raises(ValidationError):
-            inner_product(f, f, *torus)
-
-    def test_gram_matrix(self, torus):
-        with pytest.raises(ValidationError):
-            gram_matrix(cylinder_basis(2), *torus, force_quadrature=True)
-
-    def test_project_coeffs(self, torus, setup_n4):
-        basis, gram = setup_n4
-        kernel = reproducing_kernel(gram, basis)
-        with pytest.raises(ValidationError):
-            project_coeffs(basis_state(4, 1), kernel, *torus)
-
-    def test_ladder_raise_quadrature(self, torus, setup_n4):
-        _, gram = setup_n4
-        chart, rule = torus
-        with pytest.raises(ValidationError):
-            ladder_raise(gram, 4, method="quadrature", chart=chart, rule=rule)
-
-    def test_step_matrix(self, torus, setup_n4):
-        basis, gram = setup_n4
-        kernel = reproducing_kernel(gram, basis)
-        with pytest.raises(ValidationError):
-            step_matrix(kernel, hamiltonian_free(4), 0.05, *torus)
 
 
 class TestBasisHolomorphy:

@@ -7,13 +7,12 @@ from holoflat import (
     ValidationError,
     adjointness_residual,
     cylinder_basis,
-    cylinder_chart,
-    gaussian_rule,
     gram_matrix,
     hamiltonian_free,
     inner_product,
     ladder_lower,
     ladder_raise,
+    moment_matrix,
     orthonormalize,
     tangent_nodes,
     to_orthonormal_frame,
@@ -54,27 +53,20 @@ class TestLadderLower:
 
 class TestLadderRaise:
     def test_closed_vs_quadrature(self, gram):
-        chart = cylinder_chart()
-        rule = gaussian_rule(2, 96)
-        mc = ladder_raise(gram, N, method="closed")
-        mq = ladder_raise(gram, N, method="quadrature", chart=chart, rule=rule)
-        assert np.abs(mc.entries - mq.entries).max() < 1e-10
+        # M = G^-1 T from the closed-form moments against T by quadrature
+        z, w = tangent_nodes(96)
+        mq = gram.solve(moment_matrix(cylinder_basis(N), z, w, z))
+        assert np.abs(ladder_raise(gram, N).entries - mq).max() < 1e-10
 
     def test_multiplication_moments(self, gram):
         # <phi~_l, z phi~_k> = -i l e^{-(l-k)^2/2}, checked by quadrature
-        chart = cylinder_chart()
-        rule = gaussian_rule(2, 96)
-        z, w = tangent_nodes(chart, rule)
+        z, w = tangent_nodes(96)
         Phi = cylinder_basis(N).design_matrix(z)
         T = np.conj(Phi).T @ ((w * z)[:, None] * Phi)
         l = np.arange(-N, N + 1)[:, None]
         k = np.arange(-N, N + 1)[None, :]
         closed = -1j * l * np.exp(-((l - k) ** 2) / 2.0)
         assert np.abs(T - closed).max() < 1e-10
-
-    def test_unknown_method(self, gram):
-        with pytest.raises(ValidationError):
-            ladder_raise(gram, N, method="magic")
 
     def test_truncation_mismatch(self, gram):
         with pytest.raises(ValidationError):
@@ -86,8 +78,6 @@ class TestAdjointness:
         assert adjointness_residual(gram, N, buffer=2) < 1e-8
 
     def test_quadrature_pairing(self, gram):
-        chart = cylinder_chart()
-        rule = gaussian_rule(2, 96)
         raise_op = ladder_raise(gram, N)
         lower_op = ladder_lower(N)
         rng = np.random.default_rng(17)
@@ -98,8 +88,8 @@ class TestAdjointness:
             cp[interior] = rng.normal(size=2 * N - 3) + 1j * rng.normal(size=2 * N - 3)
             cc[interior] = rng.normal(size=2 * N - 3) + 1j * rng.normal(size=2 * N - 3)
             psi, chi = HoloState(cylinder_basis(N), cp), HoloState(cylinder_basis(N), cc)
-            lhs = inner_product(raise_op.apply(psi), chi, chart, rule)
-            rhs = inner_product(psi, lower_op.apply(chi), chart, rule)
+            lhs = inner_product(raise_op.apply(psi), chi, 96)
+            rhs = inner_product(psi, lower_op.apply(chi), 96)
             assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
 
     def test_buffer_too_large(self, gram):

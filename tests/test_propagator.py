@@ -19,10 +19,8 @@ from holoflat import (
     QuadratureError,
     ValidationError,
     cylinder_basis,
-    cylinder_chart,
     evolve,
     evolve_exact,
-    gaussian_rule,
     gram_matrix,
     greens_spectral,
     greens_winding,
@@ -38,16 +36,15 @@ from holoflat import propagator
 from holoflat.quadrature import tangent_nodes
 
 N = 8
+ORDER = 64
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    chart = cylinder_chart()
-    rule = gaussian_rule(2, 64)
     basis = cylinder_basis(N)
     gram = gram_matrix(basis)
     kernel = reproducing_kernel(gram, basis)
-    return chart, rule, gram, kernel
+    return gram, kernel
 
 
 def basis_state(k):
@@ -62,8 +59,8 @@ DELTAS = (0.1, 0.05, 0.025, 0.0125)
 @pytest.fixture(scope="module")
 def steps(ctx):
     """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64."""
-    chart, rule, _, kernel = ctx
-    return {d: step_matrix(kernel, hamiltonian_free(N), d, chart, rule) for d in DELTAS}
+    _, kernel = ctx
+    return {d: step_matrix(kernel, hamiltonian_free(N), d, ORDER) for d in DELTAS}
 
 
 def column_norms(M, gram):
@@ -75,9 +72,8 @@ def column_norms(M, gram):
 def zero_step(n, order):
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
-    chart, rule = cylinder_chart(), gaussian_rule(2, order)
-    S0 = step_matrix(reproducing_kernel(gram, basis), hamiltonian_free(n), 0.0, chart, rule)
-    return S0, gram, basis, chart, rule
+    S0 = step_matrix(reproducing_kernel(gram, basis), hamiltonian_free(n), 0.0, order)
+    return S0, gram, basis
 
 
 class TestInfinitesimalStep:
@@ -87,8 +83,8 @@ class TestInfinitesimalStep:
     def test_zero_delta_is_quadrature_gram_squared(self, n, order):
         # S(0) = (G^-1 G_q)^2, G_q the grid's own Gram matrix: exact even where the
         # rule does not resolve the basis (N = 12 at order 64)
-        S0, gram, basis, chart, rule = zero_step(n, order)
-        A = gram.solve(moment_matrix(basis, *tangent_nodes(chart, rule)))
+        S0, gram, basis = zero_step(n, order)
+        A = gram.solve(moment_matrix(basis, *tangent_nodes(order)))
         assert np.abs(S0 - A @ A).max() < 1e-12
 
     def test_zero_delta_is_identity(self):
@@ -100,7 +96,7 @@ class TestInfinitesimalStep:
         # (S(delta) - I)/delta -> -iH column by column: the residual halves with delta
         # once delta * H_kk <= 1.  Before that, higher orders in delta k^2 / 2 dominate
         # (mode 8 gives ratios 1.36 and 1.68 from delta = 0.1, identically at order 128).
-        _, _, gram, _ = ctx
+        gram, _ = ctx
         H = hamiltonian_free(N).entries
         res = {d: column_norms((steps[d] - np.eye(2 * N + 1)) / d + 1j * H, gram) for d in DELTAS}
         h = np.real(np.diag(H))
@@ -113,7 +109,7 @@ class TestInfinitesimalStep:
         assert covered.all()
 
     def test_norm_drift_second_order(self, ctx, steps):
-        _, _, gram, _ = ctx
+        gram, _ = ctx
         norms = column_norms(np.eye(2 * N + 1), gram)
         drift = {d: np.abs(column_norms(steps[d], gram) - norms) for d in DELTAS}
         for d in DELTAS:
@@ -124,16 +120,16 @@ class TestInfinitesimalStep:
 
     def test_matches_step_matrix_column(self, ctx, steps):
         # one evolution step from e_1 is the e_1 column of S(delta)
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         config = PropagatorConfig(H=hamiltonian_free(N), t=0.05, n_steps=1)
-        out = evolve(basis_state(1), config, kernel, chart, rule)
+        out = evolve(basis_state(1), config, kernel, ORDER)
         assert np.abs(steps[0.05][:, N + 1] - out.coeffs).max() < 1e-12
 
 
-def dense_step(kernel, H, delta, chart, rule):
+def dense_step(kernel, H, delta, order):
     # every node pair of the full grid: no tiles, no mirror fold and no pruning
     # (256 node rows at a time: about 50 MB at order 48 instead of 400)
-    z, w = tangent_nodes(chart, rule)
+    z, w = tangent_nodes(order)
     Phi = kernel.basis.design_matrix(z)
     b = 0
     for i in range(0, len(z), 256):
@@ -183,20 +179,18 @@ class TestStepMatrix:
         # ceil(M/2) at both orders (72 and 61)
         monkeypatch.setattr(propagator, "_TILE", tile)
         for order, case in itertools.product((12, 11), CASES):
-            chart, rule = cylinder_chart(), gaussian_rule(2, order)
             kernel, H = step_case(case)
-            ref = dense_step(kernel, H, 0.05, chart, rule)
-            S = step_matrix(kernel, H, 0.05, chart, rule)
+            ref = dense_step(kernel, H, 0.05, order)
+            S = step_matrix(kernel, H, 0.05, order)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
 
     @pytest.mark.parametrize("order", [32, 48])
     @pytest.mark.parametrize("case", CASES)
     def test_pruned_matches_full_grid(self, case, order):
         # 988 of 1,024 and 1,920 of 2,304 nodes are summed; dense_step sums them all
-        chart, rule = cylinder_chart(), gaussian_rule(2, order)
         kernel, H = step_case(case)
-        ref = dense_step(kernel, H, 0.05, chart, rule)
-        S = step_matrix(kernel, H, 0.05, chart, rule)
+        ref = dense_step(kernel, H, 0.05, order)
+        S = step_matrix(kernel, H, 0.05, order)
         assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
@@ -222,7 +216,7 @@ class TestStepMatrix:
 
         monkeypatch.setattr(np, "less", spy)
         kernel, H = step_case(case)
-        step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
+        step_matrix(kernel, H, 0.05, order)
         assert sum(guarded) == pairs
 
     @pytest.mark.parametrize("order", [32, 33])
@@ -237,7 +231,7 @@ class TestStepMatrix:
             return less(a, b, out=out)
 
         kernel, H = step_case(case)
-        z, w = tangent_nodes(cylinder_chart(), gaussian_rule(2, order))
+        z, w = tangent_nodes(order)
         Phi = kernel.basis.design_matrix(z)
         s = w * np.sum(np.abs(Phi) ** 2, axis=1)
         M = len(s)
@@ -255,7 +249,7 @@ class TestStepMatrix:
 
         monkeypatch.setattr(propagator, "_TILE", (1, M))
         monkeypatch.setattr(np, "less", spy)
-        step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, order))
+        step_matrix(kernel, H, 0.05, order)
         assert sum(guarded) == pairs
 
     def test_nonfinite_scale_raises(self):
@@ -269,19 +263,19 @@ class TestStepMatrix:
 
         kernel = KernelRep(BasisSpec(gram.labels, eval_fn), gram, mid=gram.inverse())
         with pytest.raises(QuadratureError, match="not finite"):
-            step_matrix(kernel, hamiltonian_free(1), 0.05, cylinder_chart(), gaussian_rule(2, 12))
+            step_matrix(kernel, hamiltonian_free(1), 0.05, 12)
 
     def test_division_guard_raises(self, ctx):
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         H = hamiltonian_free(N)
         with pytest.raises(QuadratureError, match="below guard"):
-            step_matrix(kernel, H, 0.05, chart, rule, division_guard=1e3)
+            step_matrix(kernel, H, 0.05, ORDER, division_guard=1e3)
         cfg = PropagatorConfig(H=H, t=0.5, n_steps=4, division_guard=1e3)
         with pytest.raises(QuadratureError, match="below guard"):
-            evolve(basis_state(0), cfg, kernel, chart, rule)
+            evolve(basis_state(0), cfg, kernel, ORDER)
 
     def test_order_limit(self, ctx, monkeypatch):
-        _, _, _, kernel = ctx
+        _, kernel = ctx
         H = hamiltonian_free(N)
 
         def no_grid(*args, **kwargs):
@@ -290,16 +284,16 @@ class TestStepMatrix:
         monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
         assert propagator.MAX_STEP_ORDER == 256
         with pytest.raises(QuadratureError, match="above the step-matrix limit 256"):
-            step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, 257))
+            step_matrix(kernel, H, 0.05, 257)
         with pytest.raises(RuntimeError, match="grid built"):  # 256 itself is allowed
-            step_matrix(kernel, H, 0.05, cylinder_chart(), gaussian_rule(2, 256))
+            step_matrix(kernel, H, 0.05, 256)
 
     def test_memory_bounded(self, ctx):
         # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         tracemalloc.start()
         try:
-            step_matrix(kernel, hamiltonian_free(N), 0.05, chart, rule)
+            step_matrix(kernel, hamiltonian_free(N), 0.05, ORDER)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -310,31 +304,30 @@ class TestStepMatrix:
 @given(delta=st.floats(0.0, 0.2), n=st.integers(1, 8), case=st.sampled_from(CASES))
 def test_pruned_step_matches_full_grid(delta, n, case):
     # order 32 drops nodes at every n in 1..8 but 7
-    chart, rule = cylinder_chart(), gaussian_rule(2, 32)
     kernel, H = step_case(case, n)
-    ref = dense_step(kernel, H, delta, chart, rule)
-    S = step_matrix(kernel, H, delta, chart, rule)
+    ref = dense_step(kernel, H, delta, 32)
+    S = step_matrix(kernel, H, delta, 32)
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEvolve:
     def test_zero_time_identity(self, ctx):
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         phi = basis_state(2)
         cfg = PropagatorConfig(H=hamiltonian_free(N), t=0.0, n_steps=4)
-        out = evolve(phi, cfg, kernel, chart, rule)
+        out = evolve(phi, cfg, kernel, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_zero_hamiltonian_identity(self, ctx):
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         H = OperatorMatrix(N=N, entries=np.zeros((2 * N + 1, 2 * N + 1), dtype=complex))
         phi = basis_state(1)
         cfg = PropagatorConfig(H=H, t=2.0, n_steps=4)
-        out = evolve(phi, cfg, kernel, chart, rule)
+        out = evolve(phi, cfg, kernel, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_first_order_convergence(self, ctx):
-        chart, rule, gram, kernel = ctx
+        gram, kernel = ctx
         H = hamiltonian_free(N)
         c = basis_state(0).coeffs + basis_state(1).coeffs
         phi = HoloState(cylinder_basis(N), c)
@@ -342,14 +335,14 @@ class TestEvolve:
         exact = evolve_exact(phi, H, 0.5)
         errs = []
         for n in (16, 32):
-            out = evolve(phi, PropagatorConfig(H=H, t=0.5, n_steps=n), kernel, chart, rule)
+            out = evolve(phi, PropagatorConfig(H=H, t=0.5, n_steps=n), kernel, ORDER)
             errs.append(state_norm(HoloState(phi.basis, out.coeffs - exact.coeffs), gram))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
     def test_history(self, ctx):
-        chart, rule, _, kernel = ctx
+        _, kernel = ctx
         cfg = PropagatorConfig(H=hamiltonian_free(N), t=0.2, n_steps=3)
-        _, history = evolve(basis_state(0), cfg, kernel, chart, rule, return_history=True)
+        _, history = evolve(basis_state(0), cfg, kernel, ORDER, return_history=True)
         assert len(history) == 4
 
     def test_config_validation(self):
@@ -380,7 +373,7 @@ class TestEvolveExact:
         assert np.abs(np.abs(out.coeffs) - np.abs(phi.coeffs)).max() < 1e-14
 
     def test_rejects_non_diagonal(self, ctx):
-        _, _, gram, _ = ctx
+        gram, _ = ctx
         from holoflat import ladder_raise
 
         with pytest.raises(ValidationError, match="use evolve"):

@@ -13,9 +13,7 @@ from holoflat import (
     HoloState,
     bargmann_monomial_basis,
     cylinder_basis,
-    gaussian_rule,
     gram_matrix,
-    make_chart,
     reproducing_kernel,
 )
 from holoflat.cli import run
@@ -74,16 +72,10 @@ def test_gram_truncation_flag_beats_config(flag, config):
 
 
 @SETTINGS
-@given(
-    N=st.integers(1, 8),
-    sigma=st.floats(0.25, 4.0),
-    order=st.sampled_from([16, 24, 32]),
-    data=st.data(),
-)
-def test_quadrature_gram_factors_and_solves(N, sigma, order, data):
+@given(N=st.integers(1, 8), order=st.sampled_from([16, 24, 32]), data=st.data())
+def test_quadrature_gram_factors_and_solves(N, order, data):
     # gram_matrix raises FactorizationError when the Cholesky factorization fails
-    chart = make_chart(1, [[sigma]], [2 * math.pi])
-    gram = gram_matrix(cylinder_basis(N), chart, gaussian_rule(2, order), force_quadrature=True)
+    gram = gram_matrix(cylinder_basis(N), order)
     rhs = np.array(data.draw(st.lists(coefficient, min_size=2 * N + 1, max_size=2 * N + 1)))
     x = gram.solve(rhs)
     residual = np.linalg.norm(gram.matrix @ x - rhs)
