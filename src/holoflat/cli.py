@@ -193,7 +193,7 @@ def _kernel_grid(args):
         raise ValidationError(f"--grid-points must be >= 1, got {args.grid_points}")
     basis = cylinder_basis(args.truncation)
     gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     grid = np.linspace(-math.pi, math.pi, args.grid_points, endpoint=False)
     return kernel, grid
 
@@ -216,7 +216,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_heatkernel(args) -> int:
     kernel, grid = _kernel_grid(args)
-    params = HeatKernelParams(t=args.t, M=args.modes, x0=0.0, x_quad=args.x_nodes)
+    params = HeatKernelParams(t=args.t, M=args.modes, x_quad=args.x_nodes)
     c = calibrate_heat_kernel(params, kernel)
     values = c * heat_kernel_formula(params, grid, grid)
     _emit_grid(values, grid, args)
@@ -228,8 +228,8 @@ def _cmd_ladder(args) -> int:
     basis = cylinder_basis(N)
     gram = gram_matrix(basis)
     lower = ladder_lower(N)
-    raised = ladder_raise(gram, N)
-    residual = adjointness_residual(gram, N)
+    raised = ladder_raise(gram)
+    residual = adjointness_residual(gram)
     labels = list(basis.labels)
     if args.format == "json":
         payload = {
@@ -330,7 +330,7 @@ def _cmd_evolve(args) -> int:
     if not 0 < norm < math.inf:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     hermite_rule(args.quad_order)  # a bad order fails here, before the step-matrix limit
     config = PropagatorConfig(H=hamiltonian_free(N), t=args.t, n_steps=args.steps)
     _, history = evolve(state, config, kernel, args.quad_order, return_history=True)
@@ -371,12 +371,10 @@ def _cmd_validate(args) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ]
         write_output(payload, args.output, "json")
-        if args.output is not None:
-            sys.stdout.write(text)
     else:
         write_output(text, args.output, "csv")
-        if args.output is not None:
-            sys.stdout.write(text)
+    if args.output is not None:
+        sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 1
 
 

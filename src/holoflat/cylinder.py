@@ -33,6 +33,8 @@ DEFAULT_N = 8
 
 _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
+_TAIL_TOL = 1e-8  # largest accepted mode-sum tail of heat_rho
+_WINDINGS = 20  # heat_rho_winding sums the windings |n| <= _WINDINGS
 _CHUNK_ELEMENTS = 1 << 19  # complex mode-sum terms per w block: 8 MB
 
 
@@ -78,17 +80,13 @@ def cylinder_basis(N: int, normalized: bool = True) -> BasisSpec:
 class HeatKernelParams:
     """Parameters of the periodic heat kernel and its integral formula.
 
-    ``t`` is the diffusion time, ``M`` the mode cutoff of the k-sum, ``x0``
-    the base point of the denominator density, ``x_quad`` the number of
-    uniform quadrature nodes on [-pi, pi), and ``tail_tol`` the acceptable
-    mode-sum truncation tail.
+    ``t`` is the diffusion time, ``M`` the mode cutoff of the k-sum and
+    ``x_quad`` the number of uniform quadrature nodes on [-pi, pi).
     """
 
     t: float = 1.0
     M: int = 12
-    x0: float = 0.0
     x_quad: int = 256
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.t < math.inf:
@@ -109,15 +107,15 @@ def heat_rho(params: HeatKernelParams, z, x) -> np.ndarray | complex:
 
     ``x`` may be a real scalar or array and ``z`` a complex scalar or array;
     the result has shape ``z.shape + x.shape``.  For complex ``z`` the mode
-    cutoff must keep the ``e^{k |Im z|}`` growth below ``tail_tol`` at every
+    cutoff must keep the ``e^{k |Im z|}`` growth below ``_TAIL_TOL`` at every
     point.
     """
     z = np.asarray(z, dtype=complex)
     im = float(np.abs(z.imag).max(initial=0.0))
-    if _tail_bound(params, im) > params.tail_tol:
+    if _tail_bound(params, im) > _TAIL_TOL:
         raise QuadratureError(
             f"mode-sum tail {_tail_bound(params, im):.3e} above tolerance "
-            f"{params.tail_tol:.1e}; increase M beyond {params.M}"
+            f"{_TAIL_TOL:.1e}; increase M beyond {params.M}"
         )
     x = np.asarray(x, dtype=float)
     k = np.arange(-params.M, params.M + 1)
@@ -127,15 +125,16 @@ def heat_rho(params: HeatKernelParams, z, x) -> np.ndarray | complex:
     return complex(vals) if vals.ndim == 0 else vals
 
 
-def heat_rho_winding(t: float, x, n_max: int = 20) -> np.ndarray | float:
-    """Gaussian winding form ``sum_n (2 pi t)^{-1/2} e^{-(x+2 pi n)^2/(2t)}``.
+def heat_rho_winding(t: float, x) -> np.ndarray | float:
+    """Gaussian winding form ``sum_n (2 pi t)^{-1/2} e^{-(x+2 pi n)^2/(2t)}``
+    over ``|n| <= 20``.
 
     Independent of the mode sum; the two agree by Poisson summation.
     """
     if not 0 < t < math.inf:
         raise ValidationError(f"diffusion time must be finite and positive, got {t}")
     x = np.asarray(x, dtype=float)
-    n = np.arange(-n_max, n_max + 1)
+    n = np.arange(-_WINDINGS, _WINDINGS + 1)
     shifts = np.add.outer(x, 2 * math.pi * n)
     vals = np.exp(-(shifts**2) / (2 * t)).sum(axis=-1) / math.sqrt(2 * math.pi * t)
     return float(vals) if vals.ndim == 0 else vals
@@ -160,16 +159,16 @@ def _densities(params: HeatKernelParams, v: np.ndarray, x: np.ndarray, step: int
 
 def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
     """Heat-kernel integral form of the reproducing kernel:
-    ``(1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^{x0}(x) dx``.
+    ``(1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^0(x) dx``.
 
     ``z`` and ``w`` may be complex scalars or arrays; the result has shape
     ``z.shape + w.shape``, element for element equal to the scalar calls.
-    The densities of the base point, of each ``z`` and of each ``conj(w)`` are
-    built once.  Returned uncalibrated; see :func:`calibrate_heat_kernel` for
+    The densities of the base point 0, of each ``z`` and of each ``conj(w)``
+    are built once.  Returned uncalibrated; see :func:`calibrate_heat_kernel` for
     the single scalar relating it to the Gram-inverse kernel.
     """
     x, dx = _x_grid(params)
-    denom = heat_rho(params, params.x0, x)
+    denom = heat_rho(params, 0.0, x)
     if np.min(np.abs(denom)) < _DIVISION_GUARD:
         i = int(np.argmin(np.abs(denom)))
         raise QuadratureError(

@@ -8,7 +8,7 @@ series forms), and projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,12 +70,11 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class GramData:
-    """Gram matrix of a basis with its Cholesky factor and processing order."""
+    """Gram matrix of a basis with its Cholesky factor."""
 
+    basis: BasisSpec
     matrix: np.ndarray
     factor: np.ndarray  # lower-triangular, matrix = factor @ factor^H
-    ordering: tuple[int, ...]  # positions into labels, orthonormalization order
-    labels: tuple[int, ...]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``matrix @ x = rhs`` through the Cholesky factor: ``factor @ y = rhs``,
@@ -84,7 +83,7 @@ class GramData:
         return np.linalg.solve(np.conj(self.factor).T, y)
 
     def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(len(self.labels)))
+        return self.solve(np.eye(self.basis.size))
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def moment_matrix(basis: BasisSpec, z, w, g=None) -> np.ndarray:
 
 
 def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
-    """Gram matrix of the basis with Cholesky factor and processing order.
+    """Gram matrix of the basis with its Cholesky factor.
 
     With an ``order``, integrates every pair on the tensor grid of that
     order; otherwise uses ``closed_form_inner``.
@@ -211,19 +210,21 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
         raise FactorizationError(
             "basis numerically dependent at this truncation/precision"
         ) from exc
-    return GramData(matrix=G, factor=factor, ordering=alternating_ordering(basis.labels), labels=basis.labels)
+    return GramData(basis=basis, matrix=G, factor=factor)
 
 
 def orthonormalize(gram: GramData, ordering: Sequence[int] | None = None) -> np.ndarray:
     """Gram-Schmidt coefficients ``C`` with ``beta_j = sum_k C[k, j] phi_k``.
 
-    Processing follows ``gram.ordering`` (columns come out in that order),
-    equivalent to classical Gram-Schmidt and realized as a permuted Cholesky
-    solve.  Satisfies ``C^H @ gram.matrix @ C = I``.
+    Processing follows ``ordering``, by default the alternating order of the
+    basis labels (columns come out in that order), equivalent to classical
+    Gram-Schmidt and realized as a permuted Cholesky solve.  Satisfies
+    ``C^H @ gram.matrix @ C = I``.
     """
-    order = tuple(ordering) if ordering is not None else gram.ordering
-    perm = np.asarray(order, dtype=int)
-    nb = len(gram.labels)
+    if ordering is None:
+        ordering = alternating_ordering(gram.basis.labels)
+    perm = np.asarray(ordering, dtype=int)
+    nb = gram.basis.size
     if sorted(perm.tolist()) != list(range(nb)):
         raise ValidationError("ordering must be a permutation of basis positions")
     Gp = gram.matrix[np.ix_(perm, perm)]
@@ -246,15 +247,13 @@ class KernelRep:
     ``mid = G^{-1}`` (obtained by Cholesky solves, not explicit inversion)
     gives the reproducing kernel; ``mid = O @ G^{-1}`` the integral kernel
     of the operator ``O``; ``mid = C @ C^H`` the orthonormal series form.
+    The basis is the one of ``gram``.
     """
 
-    basis: BasisSpec
     gram: GramData
     mid: np.ndarray
 
     def __post_init__(self):
-        if self.gram.labels != self.basis.labels:
-            raise ValidationError("gram and basis label sets differ")
         if np.shape(self.mid) != (self.basis.size,) * 2:
             raise ValidationError(f"kernel matrix must be square of the basis size {self.basis.size}")
 
@@ -273,27 +272,25 @@ class KernelRep:
         Pw = self.basis.design_matrix(w)
         return (Pz @ self.mid) @ np.conj(Pw).T
 
-    def coherent(self, w: complex) -> np.ndarray:
-        """Coefficients of the coherent-state section at ``w``:
-        ``K(., conj(w))`` expanded over the basis."""
-        Pw = self.basis.design_matrix(np.atleast_1d(w))[0]
-        return self.mid @ np.conj(Pw)
-
     def coherent_state(self, w: complex) -> HoloState:
-        return HoloState(self.basis, self.coherent(w))
+        """Coherent-state section at ``w``: ``K(., conj(w))`` expanded over the basis."""
+        Pw = self.basis.design_matrix(np.atleast_1d(w))[0]
+        return HoloState(self.basis, self.mid @ np.conj(Pw))
+
+    @property
+    def basis(self) -> BasisSpec:
+        return self.gram.basis
 
 
-def reproducing_kernel(gram: GramData, basis: BasisSpec) -> KernelRep:
+def reproducing_kernel(gram: GramData) -> KernelRep:
     """Gram-inverse form of the reproducing kernel on the truncated span."""
-    return KernelRep(basis=basis, gram=gram, mid=gram.inverse())
+    return KernelRep(gram=gram, mid=gram.inverse())
 
 
-def orthonormal_series_kernel(
-    gram: GramData, basis: BasisSpec, ordering: Sequence[int] | None = None
-) -> KernelRep:
+def orthonormal_series_kernel(gram: GramData, ordering: Sequence[int] | None = None) -> KernelRep:
     """Series form ``sum_j beta_j(z) conj(beta_j(w))`` of the same kernel."""
     C = orthonormalize(gram, ordering)
-    return KernelRep(basis=basis, gram=gram, mid=C @ np.conj(C).T)
+    return KernelRep(gram=gram, mid=C @ np.conj(C).T)
 
 
 def project_coeffs(f, kernel: KernelRep, order: int) -> np.ndarray:

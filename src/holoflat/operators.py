@@ -25,67 +25,62 @@ __all__ = [
     "adjointness_residual",
 ]
 
-ADJOINT_BUFFER = 2
+ADJOINT_BUFFER = 2  # edge modes dropped on each side of the adjointness block
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Matrix acting on normalized-basis coefficients ``k = -N..N``."""
+    """Square matrix acting on basis coefficients."""
 
-    N: int
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        dim = 2 * self.N + 1
-        if m.shape != (dim, dim):
-            raise ValidationError(f"operator must be {dim}x{dim}, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValidationError(f"operator must be a nonempty square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("operator entries must be finite")
         object.__setattr__(self, "entries", m)
 
     def apply(self, state: HoloState) -> HoloState:
-        if state.basis.size != 2 * self.N + 1:
+        if state.basis.size != len(self.entries):
             raise ValidationError(
-                f"state has {state.basis.size} coefficients, operator acts on {2 * self.N + 1}"
+                f"state has {state.basis.size} coefficients, operator acts on {len(self.entries)}"
             )
         return HoloState(state.basis, self.entries @ state.coeffs)
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.abs(off).max() <= tol)
+    def is_diagonal(self) -> bool:
+        return not np.any(self.entries - np.diag(np.diag(self.entries)))
 
 
 def ladder_lower(N: int) -> OperatorMatrix:
     """Holomorphic differentiation d/dz: diagonal ``ik`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(N=N, entries=np.diag(1j * k.astype(complex)))
+    return OperatorMatrix(np.diag(1j * k.astype(complex)))
 
 
-def _multiplication_moments_closed(N: int) -> np.ndarray:
+def _multiplication_moments_closed(labels) -> np.ndarray:
     """T[l, k] = <phi~_l, z phi~_k> = -i l e^{-(l-k)^2/2}.
 
     Obtained by differentiating the exponential closed form
     <e^{alpha z}, e^{beta z}> = e^{conj(alpha) beta} with respect to beta at
     alpha = il, beta = ik (the extra z down-shifts the exponent).
     """
-    l = np.arange(-N, N + 1)[:, None]
-    k = np.arange(-N, N + 1)[None, :]
-    return -1j * l * np.exp(-((l - k) ** 2) / 2.0)
+    l = np.array(labels)[:, None]
+    return -1j * l * np.exp(-((l - l.T) ** 2) / 2.0)
 
 
-def ladder_raise(gram: GramData, N: int) -> OperatorMatrix:
+def ladder_raise(gram: GramData) -> OperatorMatrix:
     """Projection of multiplication by z: ``M = G^{-1} T`` with the
-    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>``."""
-    if len(gram.labels) != 2 * N + 1:
-        raise ValidationError(f"gram truncation {len(gram.labels)} != {2 * N + 1}")
-    return OperatorMatrix(N=N, entries=gram.solve(_multiplication_moments_closed(N)))
+    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>`` over the labels of
+    ``gram.basis``."""
+    return OperatorMatrix(gram.solve(_multiplication_moments_closed(gram.basis.labels)))
 
 
 def hamiltonian_free(N: int) -> OperatorMatrix:
     """Free-particle Hamiltonian ``-a^2/2``: diagonal ``k^2/2`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(N=N, entries=np.diag((k**2 / 2.0).astype(complex)))
+    return OperatorMatrix(np.diag((k**2 / 2.0).astype(complex)))
 
 
 def to_orthonormal_frame(op: OperatorMatrix, C: np.ndarray) -> np.ndarray:
@@ -93,19 +88,21 @@ def to_orthonormal_frame(op: OperatorMatrix, C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(C, op.entries @ C)
 
 
-def adjointness_residual(gram: GramData, N: int, buffer: int = ADJOINT_BUFFER) -> float:
+def adjointness_residual(gram: GramData) -> float:
     """Max deviation of the raising matrix from the conjugate transpose of
     the lowering matrix, in the orthonormal frame, after discarding the
-    ``2 * buffer`` trailing (edge-mode) rows and columns.
+    ``2 * ADJOINT_BUFFER`` trailing (edge-mode) rows and columns.
 
     Multiplication by z maps the outermost modes outside the truncated span,
-    so exact adjointness only holds on this interior block.
+    so exact adjointness only holds on this interior block, which needs a
+    truncation ``N >= ADJOINT_BUFFER``.
     """
+    N = gram.basis.size // 2
+    if N < ADJOINT_BUFFER:
+        raise ValidationError(f"adjointness needs truncation N >= {ADJOINT_BUFFER}, got N={N}")
     C = orthonormalize(gram)
-    R = to_orthonormal_frame(ladder_raise(gram, N), C)
+    R = to_orthonormal_frame(ladder_raise(gram), C)
     L = to_orthonormal_frame(ladder_lower(N), C)
-    m = 2 * N + 1 - 2 * buffer
-    if m < 1:
-        raise ValidationError(f"buffer {buffer} leaves no interior block at N={N}")
+    m = gram.basis.size - 2 * ADJOINT_BUFFER
     D = R[:m, :m] - np.conj(L[:m, :m]).T
     return float(np.abs(D).max())

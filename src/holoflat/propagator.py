@@ -30,38 +30,29 @@ __all__ = [
     "greens_spectral",
 ]
 
-DEFAULT_DIVISION_GUARD = 1e-12
+DIVISION_GUARD = 1e-12  # a summed node pair needs |K| >= DIVISION_GUARD * |K_H|
 DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
+_TAIL_TOL = 1e-8  # largest accepted mode-sum tail of greens_spectral
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Evolution parameters: Hamiltonian matrix, total time, step count and
-    kernel-ratio division guard."""
+    """Evolution parameters: Hamiltonian matrix, total time and step count."""
 
     H: OperatorMatrix
     t: float
     n_steps: int
-    division_guard: float = DEFAULT_DIVISION_GUARD
 
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValidationError(f"evolution time must be finite, got {self.t}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.division_guard > 0:
-            raise ValidationError("division_guard must be positive")
 
 
-def step_matrix(
-    kernel: KernelRep,
-    H: OperatorMatrix,
-    delta: float,
-    order: int,
-    division_guard: float = DEFAULT_DIVISION_GUARD,
-) -> np.ndarray:
+def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) -> np.ndarray:
     """Coefficient-space matrix of one short-time step of length ``delta``,
     integrated on the order-``order`` tangent grid.
 
@@ -70,7 +61,7 @@ def step_matrix(
     where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0
     at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
     allocated once (memory O(order^2 * basis size)); a summed pair with
-    ``|K| < division_guard * |K_H|`` raises QuadratureError, and so does a non-finite sum.
+    ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError, and so does a non-finite sum.
     Orders above ``MAX_STEP_ORDER`` raise QuadratureError before any work.
 
     Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
@@ -102,7 +93,7 @@ def step_matrix(
             "(the node-pair sum grows as order^4)"
         )
     basis = kernel.basis
-    if len(basis.labels) != 2 * H.N + 1:
+    if len(H.entries) != basis.size:
         raise ValidationError("Hamiltonian truncation does not match the kernel basis")
     z, w = tangent_nodes(order)
     Phi = basis.design_matrix(z)
@@ -155,11 +146,11 @@ def step_matrix(
                 k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
                 np.matmul(A[r], PhiT_conj[:, c], out=k)
                 np.matmul(B[r], PhiT_conj[:, c], out=kh)
-                np.multiply(np.abs(kh, out=akh), division_guard, out=akh)
+                np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
                 if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
                     raise QuadratureError(
                         f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
-                        f"{division_guard:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
+                        f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
                     )
                 # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
                 # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
@@ -195,10 +186,10 @@ def evolve(
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
     """
-    if state.basis.size != 2 * config.H.N + 1:
+    if state.basis.size != len(config.H.entries):
         raise ValidationError("state and Hamiltonian sizes differ")
     delta = config.t / config.n_steps
-    S = step_matrix(kernel, config.H, delta, order, config.division_guard)
+    S = step_matrix(kernel, config.H, delta, order)
     c = state.coeffs
     history = [HoloState(state.basis, c)]
     for step in range(config.n_steps):
@@ -255,9 +246,7 @@ def greens_winding(theta: float, theta0: float, T: complex, n_max: int) -> compl
     return complex(pref * np.sum(np.exp(1j * (d + 2 * math.pi * n) ** 2 / (2 * T))))
 
 
-def greens_spectral(
-    theta: float, theta0: float, T: complex, M: int, tail_tol: float = 1e-8
-) -> complex:
+def greens_spectral(theta: float, theta0: float, T: complex, M: int) -> complex:
     """Free-particle Green function on the circle as a mode sum:
     ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
 
@@ -267,9 +256,9 @@ def greens_spectral(
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     tail = 2.0 * math.exp((M + 1) ** 2 * T.imag / 2.0) / (2 * math.pi)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise ValidationError(
-            f"mode-sum tail {tail:.3e} above tolerance {tail_tol:.1e}; "
+            f"mode-sum tail {tail:.3e} above tolerance {_TAIL_TOL:.1e}; "
             "increase M or the regularization epsilon"
         )
     k = np.arange(-M, M + 1)

@@ -99,7 +99,7 @@ def criterion_orthonormalization() -> CriterionResult:
 def criterion_kernel_reproduction() -> CriterionResult:
     """Projection is the identity on basis states, pointwise at sample points."""
     basis, gram = _setup()
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     rng = np.random.default_rng(_SEED)
     pts = _sample_points(20, rng)
     worst = 0.0
@@ -117,15 +117,15 @@ def criterion_kernel_reproduction() -> CriterionResult:
 def criterion_kernel_construction_equivalence() -> CriterionResult:
     """Gram-inverse and orthonormal-series kernels agree, independent of the
     orthonormalization order."""
-    basis, gram = _setup()
+    _, gram = _setup()
     rng = np.random.default_rng(_SEED + 1)
     z = _sample_points(12, rng)
     w = _sample_points(12, rng)
-    k_inv = reproducing_kernel(gram, basis)
-    k_series = orthonormal_series_kernel(gram, basis)
+    k_inv = reproducing_kernel(gram)
+    k_series = orthonormal_series_kernel(gram)
     shuffled = list(range(2 * _N + 1))
     rng.shuffle(shuffled)
-    k_perm = orthonormal_series_kernel(gram, basis, ordering=shuffled)
+    k_perm = orthonormal_series_kernel(gram, ordering=shuffled)
     base = k_inv.eval_grid(z, w)
     d1 = np.abs(k_series.eval_grid(z, w) - base).max()
     d2 = np.abs(k_perm.eval_grid(z, w) - base).max()
@@ -141,7 +141,7 @@ def criterion_kernel_properties() -> CriterionResult:
     """Hermitian symmetry, composition rule, and the pointwise evaluation
     bound with equality at coherent states."""
     basis, gram = _setup()
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     rng = np.random.default_rng(_SEED + 2)
     z = _sample_points(8, rng)
     w = _sample_points(8, rng)
@@ -181,9 +181,9 @@ def criterion_kernel_properties() -> CriterionResult:
 def criterion_heat_kernel_formula() -> CriterionResult:
     """Calibrated heat-kernel integral formula matches the Gram-inverse
     kernel on a real grid (limited by the N=8 truncation)."""
-    basis, gram = _setup()
-    kernel = reproducing_kernel(gram, basis)
-    params = HeatKernelParams(t=1.0, M=12, x0=0.0, x_quad=256)
+    _, gram = _setup()
+    kernel = reproducing_kernel(gram)
+    params = HeatKernelParams(t=1.0, M=12, x_quad=256)
     c = calibrate_heat_kernel(params, kernel)
     grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
     worst = 0.0
@@ -206,7 +206,7 @@ def criterion_theta_identity() -> CriterionResult:
     for t in (0.5, 1.0, 2.0):
         params = HeatKernelParams(t=t, M=24)
         mode = np.real(heat_rho(params, 0.0, xs))
-        winding = heat_rho_winding(t, xs, n_max=20)
+        winding = heat_rho_winding(t, xs)
         worst = max(worst, float(np.abs(mode - winding).max()))
     return _result(
         "theta-identity", worst <= 1e-12, f"max abs difference {worst:.3e} (tol 1e-12)"
@@ -217,9 +217,9 @@ def criterion_ladder_adjointness() -> CriterionResult:
     """Raising matrix is the adjoint of the lowering matrix on the interior
     block; the quadrature pairing agrees on random states."""
     basis, gram = _setup()
-    block = adjointness_residual(gram, _N, buffer=2)
+    block = adjointness_residual(gram)
 
-    raise_op = ladder_raise(gram, _N)
+    raise_op = ladder_raise(gram)
     lower_op = ladder_lower(_N)
     rng = np.random.default_rng(_SEED + 3)
     # Interior-supported states: edge modes of the truncation are corrupted
@@ -284,7 +284,7 @@ def criterion_trotter_convergence() -> CriterionResult:
     """Iterated short-time steps converge at first order to the spectral
     evolution; the spectral evolution is exactly unitary."""
     basis, gram = _setup()
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     H = hamiltonian_free(_N)
     coeffs = np.zeros(2 * _N + 1, dtype=complex)
     coeffs[_N] = 1.0
@@ -329,7 +329,7 @@ def criterion_bargmann_sanity() -> CriterionResult:
 
     basis = bargmann_monomial_basis(12)
     gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     rng = np.random.default_rng(_SEED + 5)
     r = rng.uniform(0, 1.5, 30)
     ang = rng.uniform(0, 2 * math.pi, 30)

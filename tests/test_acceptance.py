@@ -60,7 +60,7 @@ def test_criterion_05_kernel_properties():
 
 def _gram_inverse_kernel(N):
     basis = cylinder_basis(N)
-    return reproducing_kernel(gram_matrix(basis), basis)
+    return reproducing_kernel(gram_matrix(basis))
 
 
 def _max_rel(vals, ref):
@@ -71,7 +71,7 @@ def test_criterion_06_heat_kernel_formula():
     # The heat-kernel formula represents the untruncated kernel K_inf, while
     # criterion 6 compares it with the Gram-inverse kernel of the N = 8 span
     # at 1e-4, below that truncation's own error.  This test separates the
-    # two at the criterion's parameters (t = 1, M = 12, x0 = 0, 256 nodes,
+    # two at the criterion's parameters (t = 1, M = 12, base point 0, 256 nodes,
     # the 5x5 real grid, calibration at (0, 0)) and its 1e-4 tolerance:
     #   (a) K_24 stands in for K_inf: |K_24 - K_28| <= 1e-8 (measured 1.1e-10);
     #   (b) the calibrated formula matches K_24 to <= 1e-4 (measured 1.1e-10;
@@ -80,7 +80,7 @@ def test_criterion_06_heat_kernel_formula():
     #       metric with K_24 in place of the formula, i.e. it is all N = 8
     #       truncation (N = 10 gives 1.3e-4, N = 12 gives 1.8e-5).
     # The criterion itself still fails at N = 8; `holoflat validate` reports it.
-    params = HeatKernelParams(t=1.0, M=12, x0=0.0, x_quad=256)
+    params = HeatKernelParams(t=1.0, M=12, x_quad=256)
     grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
     Z, W = np.meshgrid(grid, grid, indexing="ij")
     k8, k24, k28 = (_gram_inverse_kernel(N) for N in (8, 24, 28))

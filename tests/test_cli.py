@@ -20,6 +20,24 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# --format json outputs of small runs, recorded before the basis became the only
+# carrier of the truncation; refactors must reproduce them
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_reference.json")) as fh:
+    CLI_REFERENCE = json.load(fh)
+
+
+def json_leaves(payload, path=""):
+    """Every scalar of a JSON payload with its path, in document order."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield from json_leaves(value, f"{path}.{key}")
+    elif isinstance(payload, list):
+        for i, value in enumerate(payload):
+            yield from json_leaves(value, f"{path}[{i}]")
+    else:
+        yield path, payload
+
+
 class TestGram:
     def test_csv_center_entry(self, tmp_path, capsys):
         out = tmp_path / "gram.csv"
@@ -103,6 +121,14 @@ class TestKernelCommands:
         data = json.loads(out.read_text())
         assert data["adjointness_residual"] < 1e-8
         assert data["lower"][0][0] == [0.0, -3.0]  # ik at k = -3
+
+    @pytest.mark.parametrize("N", ["0", "1"])
+    def test_ladder_truncation_below_two(self, N, tmp_path, capsys):
+        # the adjointness block drops two edge modes on each side
+        out = tmp_path / "l.csv"
+        assert run(["ladder", "--truncation", N, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: adjointness needs truncation N >= 2, got N={N}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["kernel", "heatkernel"])
     @pytest.mark.parametrize("points", ["0", "-1"])
@@ -379,3 +405,20 @@ class TestPlumbing:
         assert run(["gram", "--truncation", "1"]) == 0
         out = capsys.readouterr().out
         assert "1.0,0.0" in out
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REFERENCE))
+def test_json_output_matches_reference(command, tmp_path):
+    # numbers within 1e-12 of the largest recorded magnitude; everything else exact
+    out = tmp_path / "out.json"
+    assert run(command.split() + ["--format", "json", "--output", str(out)]) == 0
+    got = list(json_leaves(json.loads(out.read_text())))
+    want = list(json_leaves(CLI_REFERENCE[command]))
+    assert [p for p, _ in got] == [p for p, _ in want]
+    scale = max(abs(v) for _, v in want if type(v) is float)
+    for (path, a), (_, b) in zip(got, want):
+        assert type(a) is type(b), path
+        if type(b) is float:
+            assert abs(a - b) <= 1e-12 * scale, path
+        else:
+            assert a == b, path

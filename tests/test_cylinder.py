@@ -107,7 +107,7 @@ class TestHeatRho:
 @pytest.fixture(scope="module")
 def kernel():
     basis = cylinder_basis(8)
-    return reproducing_kernel(gram_matrix(basis), basis)
+    return reproducing_kernel(gram_matrix(basis))
 
 
 class TestHeatKernelFormula:

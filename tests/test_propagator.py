@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from holoflat import (
     BasisSpec,
+    GramData,
     HeatKernelParams,
     HoloState,
     KernelRep,
@@ -43,7 +44,7 @@ ORDER = 64
 def ctx():
     basis = cylinder_basis(N)
     gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     return gram, kernel
 
 
@@ -72,7 +73,7 @@ def column_norms(M, gram):
 def zero_step(n, order):
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
-    S0 = step_matrix(reproducing_kernel(gram, basis), hamiltonian_free(n), 0.0, order)
+    S0 = step_matrix(reproducing_kernel(gram), hamiltonian_free(n), 0.0, order)
     return S0, gram, basis
 
 
@@ -152,18 +153,18 @@ def step_case(case, n=N):
     applies), "conj-only" a real diagonal odd in k (only the conjugation applies)."""
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     H = hamiltonian_free(n)
     k = np.arange(-n, n + 1)
     if case == "skew-H":
-        H = OperatorMatrix(N=n, entries=H.entries + ladder_lower(n).entries)
+        H = OperatorMatrix(H.entries + ladder_lower(n).entries)
     if case == "skew-kernel":
         O = np.eye(2 * n + 1) + 0.1 * ladder_lower(n).entries
-        kernel = KernelRep(basis, gram, mid=O @ gram.inverse())
+        kernel = KernelRep(gram, mid=O @ gram.inverse())
     if case == "mirror-only":
-        H = OperatorMatrix(N=n, entries=H.entries + 0.1j * np.diag(k**2))
+        H = OperatorMatrix(H.entries + 0.1j * np.diag(k**2))
     if case == "conj-only":
-        H = OperatorMatrix(N=n, entries=H.entries + 0.1 * np.diag(k))
+        H = OperatorMatrix(H.entries + 0.1 * np.diag(k))
     return kernel, H
 
 
@@ -261,16 +262,18 @@ class TestStepMatrix:
             with np.errstate(over="ignore"):
                 return np.exp(400.0 * k * z)
 
-        kernel = KernelRep(BasisSpec(gram.labels, eval_fn), gram, mid=gram.inverse())
+        overflowing = GramData(BasisSpec(gram.basis.labels, eval_fn), gram.matrix, gram.factor)
+        kernel = KernelRep(overflowing, mid=gram.inverse())
         with pytest.raises(QuadratureError, match="not finite"):
             step_matrix(kernel, hamiltonian_free(1), 0.05, 12)
 
-    def test_division_guard_raises(self, ctx):
+    def test_division_guard_raises(self, ctx, monkeypatch):
         _, kernel = ctx
         H = hamiltonian_free(N)
+        monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
         with pytest.raises(QuadratureError, match="below guard"):
-            step_matrix(kernel, H, 0.05, ORDER, division_guard=1e3)
-        cfg = PropagatorConfig(H=H, t=0.5, n_steps=4, division_guard=1e3)
+            step_matrix(kernel, H, 0.05, ORDER)
+        cfg = PropagatorConfig(H=H, t=0.5, n_steps=4)
         with pytest.raises(QuadratureError, match="below guard"):
             evolve(basis_state(0), cfg, kernel, ORDER)
 
@@ -320,7 +323,7 @@ class TestEvolve:
 
     def test_zero_hamiltonian_identity(self, ctx):
         _, kernel = ctx
-        H = OperatorMatrix(N=N, entries=np.zeros((2 * N + 1, 2 * N + 1), dtype=complex))
+        H = OperatorMatrix(np.zeros((2 * N + 1, 2 * N + 1), dtype=complex))
         phi = basis_state(1)
         cfg = PropagatorConfig(H=H, t=2.0, n_steps=4)
         out = evolve(phi, cfg, kernel, ORDER)
@@ -377,7 +380,7 @@ class TestEvolveExact:
         from holoflat import ladder_raise
 
         with pytest.raises(ValidationError, match="use evolve"):
-            evolve_exact(basis_state(0), ladder_raise(gram, N), 1.0)
+            evolve_exact(basis_state(0), ladder_raise(gram), 1.0)
 
 
 class TestGreensWinding:

@@ -33,7 +33,7 @@ strip_point = st.builds(
 def test_kernel_hermitian_and_reproducing(N, z, w, data):
     basis = cylinder_basis(N)
     gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram, basis)
+    kernel = reproducing_kernel(gram)
     scale = math.sqrt(abs(kernel.eval(z, z)) * abs(kernel.eval(w, w)))
     assert abs(kernel.eval(w, z) - np.conj(kernel.eval(z, w))) <= 1e-12 * scale
     # <K(., w), f> = f(w) for every f in the span
