@@ -35,7 +35,6 @@ from .cylinder import (
     heat_rho_winding,
 )
 from .operators import (
-    OperatorMatrix,
     adjointness_residual,
     hamiltonian_free,
     ladder_lower,
@@ -43,7 +42,6 @@ from .operators import (
     to_orthonormal_frame,
 )
 from .propagator import (
-    PropagatorConfig,
     evolve,
     evolve_exact,
     greens_spectral,
@@ -83,13 +81,11 @@ __all__ = [
     "heat_rho_winding",
     "heat_kernel_formula",
     "calibrate_heat_kernel",
-    "OperatorMatrix",
     "ladder_lower",
     "ladder_raise",
     "hamiltonian_free",
     "to_orthonormal_frame",
     "adjointness_residual",
-    "PropagatorConfig",
     "step_matrix",
     "evolve",
     "evolve_exact",

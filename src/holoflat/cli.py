@@ -36,7 +36,6 @@ from .io import complex_matrix_to_lists, matrix_csv, rows_csv, write_output
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import (
     DEFAULT_EPSILON,
-    PropagatorConfig,
     evolve,
     greens_spectral,
     greens_winding,
@@ -226,22 +225,21 @@ def _cmd_heatkernel(args) -> int:
 def _cmd_ladder(args) -> int:
     N = args.truncation
     basis = cylinder_basis(N)
-    gram = gram_matrix(basis)
     lower = ladder_lower(N)
-    raised = ladder_raise(gram)
-    residual = adjointness_residual(gram)
+    raised = ladder_raise(N)
+    residual = adjointness_residual(N)
     labels = list(basis.labels)
     if args.format == "json":
         payload = {
             "labels": labels,
-            "lower": complex_matrix_to_lists(lower.entries),
-            "raise": complex_matrix_to_lists(raised.entries),
+            "lower": complex_matrix_to_lists(lower),
+            "raise": complex_matrix_to_lists(raised),
             "adjointness_residual": residual,
         }
         write_output(payload, args.output, "json")
     else:
-        text = "lower\n" + matrix_csv(lower.entries, labels, labels)
-        text += "raise\n" + matrix_csv(raised.entries, labels, labels)
+        text = "lower\n" + matrix_csv(lower, labels, labels)
+        text += "raise\n" + matrix_csv(raised, labels, labels)
         text += f"adjointness_residual,{residual!r}\n"
         write_output(text, args.output, "csv")
     return 0
@@ -330,10 +328,9 @@ def _cmd_evolve(args) -> int:
     if not 0 < norm < math.inf:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
-    kernel = reproducing_kernel(gram)
     hermite_rule(args.quad_order)  # a bad order fails here, before the step-matrix limit
-    config = PropagatorConfig(H=hamiltonian_free(N), t=args.t, n_steps=args.steps)
-    _, history = evolve(state, config, kernel, args.quad_order, return_history=True)
+    H = hamiltonian_free(N)
+    _, history = evolve(state, H, args.t, args.steps, gram, args.quad_order, return_history=True)
     delta = args.t / args.steps
     if args.format == "json":
         payload = {

@@ -46,17 +46,14 @@ def complex_matrix_to_lists(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def matrix_csv(m: np.ndarray, row_labels=None, col_labels=None) -> str:
-    """CSV text of a complex matrix with quoted "re,im" cells."""
+def matrix_csv(m: np.ndarray, row_labels, col_labels) -> str:
+    """CSV text of a labelled complex matrix with quoted "re,im" cells."""
     m = np.asarray(m, dtype=complex)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if col_labels is not None:
-        head = [""] if row_labels is not None else []
-        writer.writerow(head + [str(c) for c in col_labels])
-    for i, row in enumerate(m):
-        cells = [str(row_labels[i])] if row_labels is not None else []
-        writer.writerow(cells + [format_complex(v) for v in row])
+    writer.writerow([""] + [str(c) for c in col_labels])
+    for label, row in zip(row_labels, m, strict=True):
+        writer.writerow([str(label)] + [format_complex(v) for v in row])
     return buf.getvalue()
 
 

@@ -1,4 +1,4 @@
-"""Ladder operators and Hamiltonians as matrices on truncated coefficients.
+"""Ladder operators and Hamiltonians as complex matrices on ``cylinder_basis(N)``.
 
 The lowering operator is holomorphic differentiation (diagonal on the
 periodic basis); the raising operator is the projection of multiplication
@@ -9,15 +9,13 @@ because multiplication maps them outside the span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .cylinder import cylinder_basis
 from .errors import ValidationError
-from .hilbert import GramData, HoloState, orthonormalize
+from .hilbert import gram_matrix, orthonormalize
 
 __all__ = [
-    "OperatorMatrix",
     "ladder_lower",
     "ladder_raise",
     "hamiltonian_free",
@@ -28,35 +26,10 @@ __all__ = [
 ADJOINT_BUFFER = 2  # edge modes dropped on each side of the adjointness block
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Square matrix acting on basis coefficients."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValidationError(f"operator must be a nonempty square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("operator entries must be finite")
-        object.__setattr__(self, "entries", m)
-
-    def apply(self, state: HoloState) -> HoloState:
-        if state.basis.size != len(self.entries):
-            raise ValidationError(
-                f"state has {state.basis.size} coefficients, operator acts on {len(self.entries)}"
-            )
-        return HoloState(state.basis, self.entries @ state.coeffs)
-
-    def is_diagonal(self) -> bool:
-        return not np.any(self.entries - np.diag(np.diag(self.entries)))
-
-
-def ladder_lower(N: int) -> OperatorMatrix:
+def ladder_lower(N: int) -> np.ndarray:
     """Holomorphic differentiation d/dz: diagonal ``ik`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(np.diag(1j * k.astype(complex)))
+    return np.diag(1j * k.astype(complex))
 
 
 def _multiplication_moments_closed(labels) -> np.ndarray:
@@ -70,39 +43,38 @@ def _multiplication_moments_closed(labels) -> np.ndarray:
     return -1j * l * np.exp(-((l - l.T) ** 2) / 2.0)
 
 
-def ladder_raise(gram: GramData) -> OperatorMatrix:
+def ladder_raise(N: int) -> np.ndarray:
     """Projection of multiplication by z: ``M = G^{-1} T`` with the
-    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>`` over the labels of
-    ``gram.basis``."""
-    return OperatorMatrix(gram.solve(_multiplication_moments_closed(gram.basis.labels)))
+    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>`` of ``cylinder_basis(N)``."""
+    gram = gram_matrix(cylinder_basis(N))
+    return gram.solve(_multiplication_moments_closed(gram.basis.labels))
 
 
-def hamiltonian_free(N: int) -> OperatorMatrix:
+def hamiltonian_free(N: int) -> np.ndarray:
     """Free-particle Hamiltonian ``-a^2/2``: diagonal ``k^2/2`` on mode ``k``."""
     k = np.arange(-N, N + 1)
-    return OperatorMatrix(np.diag((k**2 / 2.0).astype(complex)))
+    return np.diag((k**2 / 2.0).astype(complex))
 
 
-def to_orthonormal_frame(op: OperatorMatrix, C: np.ndarray) -> np.ndarray:
+def to_orthonormal_frame(op: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Matrix of the operator in the orthonormal frame ``beta_j = sum_k C[k,j] phi~_k``."""
-    return np.linalg.solve(C, op.entries @ C)
+    return np.linalg.solve(C, op @ C)
 
 
-def adjointness_residual(gram: GramData) -> float:
-    """Max deviation of the raising matrix from the conjugate transpose of
-    the lowering matrix, in the orthonormal frame, after discarding the
-    ``2 * ADJOINT_BUFFER`` trailing (edge-mode) rows and columns.
+def adjointness_residual(N: int) -> float:
+    """Max deviation of the raising matrix from the conjugate transpose of the
+    lowering matrix, in the orthonormal frame of ``cylinder_basis(N)``, after
+    discarding the ``2 * ADJOINT_BUFFER`` trailing (edge-mode) rows and columns.
 
     Multiplication by z maps the outermost modes outside the truncated span,
     so exact adjointness only holds on this interior block, which needs a
     truncation ``N >= ADJOINT_BUFFER``.
     """
-    N = gram.basis.size // 2
     if N < ADJOINT_BUFFER:
         raise ValidationError(f"adjointness needs truncation N >= {ADJOINT_BUFFER}, got N={N}")
-    C = orthonormalize(gram)
-    R = to_orthonormal_frame(ladder_raise(gram), C)
+    C = orthonormalize(gram_matrix(cylinder_basis(N)))
+    R = to_orthonormal_frame(ladder_raise(N), C)
     L = to_orthonormal_frame(ladder_lower(N), C)
-    m = gram.basis.size - 2 * ADJOINT_BUFFER
+    m = 2 * N + 1 - 2 * ADJOINT_BUFFER
     D = R[:m, :m] - np.conj(L[:m, :m]).T
     return float(np.abs(D).max())

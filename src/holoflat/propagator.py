@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .hilbert import HoloState, KernelRep
-from .operators import OperatorMatrix
+from .hilbert import GramData, HoloState
 from .quadrature import tangent_nodes
 
 __all__ = [
-    "PropagatorConfig",
     "step_matrix",
     "evolve",
     "evolve_exact",
@@ -37,36 +34,23 @@ MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
 _TAIL_TOL = 1e-8  # largest accepted mode-sum tail of greens_spectral
 
 
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Evolution parameters: Hamiltonian matrix, total time and step count."""
+def step_matrix(gram: GramData, H: np.ndarray, delta: float, order: int) -> np.ndarray:
+    """Coefficient-space matrix of one short-time step of length ``delta`` under the
+    Hamiltonian matrix ``H``, integrated on the order-``order`` tangent grid.
 
-    H: OperatorMatrix
-    t: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValidationError(f"evolution time must be finite, got {self.t}")
-        if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-
-
-def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) -> np.ndarray:
-    """Coefficient-space matrix of one short-time step of length ``delta``,
-    integrated on the order-``order`` tangent grid.
-
-    Column ``k`` is the projection of the step applied to basis element ``k``.  At
-    ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram matrix: the identity only
-    where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0
-    at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
+    The kernel ``K`` has ``mid = G^-1``, G the matrix of ``gram``, and ``K_H`` has
+    ``H @ mid``.  Column ``k`` is the projection of the step applied to basis element
+    ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram matrix: the
+    identity only where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at
+    N = 8 and 1.0 at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
     allocated once (memory O(order^2 * basis size)); a summed pair with
     ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError, and so does a non-finite sum.
-    Orders above ``MAX_STEP_ORDER`` raise QuadratureError before any work.
+    Orders above ``MAX_STEP_ORDER`` raise QuadratureError, and an ``H`` that is not a
+    finite square matrix of the basis size ValidationError, before any grid is built.
 
     Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
     conjugation sigma: z -> -conj(z).  J applies if weights and basis are exactly even
-    under it (labels k -> -k), and kernel and ``H`` to 1e-14; sigma applies if
+    under it (labels k -> -k), and ``mid`` and ``H`` to 1e-14; sigma applies if
     ``w[sigma] == w`` and ``Phi[sigma] == conj(Phi)`` exactly, and ``mid`` and
     ``H @ mid`` are real to 1e-14.  The applicable reflections generate a group of 1, 2
     or 4 elements.  Pair ``(gi, gj)`` then adds what pair ``(i, j)`` adds, with labels
@@ -92,9 +76,12 @@ def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) 
             f"quadrature order {order} above the step-matrix limit {MAX_STEP_ORDER} "
             "(the node-pair sum grows as order^4)"
         )
-    basis = kernel.basis
-    if len(H.entries) != basis.size:
-        raise ValidationError("Hamiltonian truncation does not match the kernel basis")
+    basis = gram.basis
+    H = np.asarray(H, dtype=complex)
+    if H.shape != (basis.size,) * 2:
+        raise ValidationError(f"Hamiltonian shape {H.shape} is not ({basis.size}, {basis.size})")
+    if not np.isfinite(H).all():
+        raise ValidationError("Hamiltonian entries must be finite")
     z, w = tangent_nodes(order)
     Phi = basis.design_matrix(z)
     s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
@@ -103,7 +90,8 @@ def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) 
             f"basis values or weights not finite on the order-{order} quadrature grid"
         )
     M, nb = Phi.shape
-    Hmid = H.entries @ kernel.mid
+    mid = gram.inverse()
+    Hmid = H @ mid
     # J maps label k to -k, and node i to M-1-i; sigma maps node (i, j) to (order-1-i, j).
     # Phi is compared column by column, so no second M x nb array
     J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
@@ -111,14 +99,14 @@ def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) 
         None not in J
         and np.array_equal(w[::-1], w)
         and all(np.array_equal(Phi[::-1, a], Phi[:, j]) for a, j in enumerate(J))
-        and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, H.entries))
+        and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (mid, H))
     )
     node = np.arange(M)
     sigma = (order - 1 - node // order) * order + node % order
     conj = (
         np.array_equal(w[sigma], w)
         and all(np.array_equal(Phi[sigma, a], np.conj(Phi[:, a])) for a in range(nb))
-        and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (kernel.mid, Hmid))
+        and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (mid, Hmid))
     )
     # the images of every node under the group the applicable reflections generate
     group = [node] + [M - 1 - node] * mirror + [sigma, M - 1 - sigma][: 1 + mirror] * conj
@@ -130,7 +118,7 @@ def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) 
     cols = cols[s[cols] * s[cols[0]] > thr]  # the nodes in some summed pair, decreasing s
     rows = np.flatnonzero(orbit[0, cols] == cols)  # one per orbit, as positions in cols
     s, w, Phi, weight = s[cols], w[cols], Phi[cols], weight[cols]
-    A, B = Phi[rows] @ kernel.mid, Phi[rows] @ Hmid
+    A, B = Phi[rows] @ mid, Phi[rows] @ Hmid
     wPhi = w[:, None] * Phi
     wPhiH = np.conj(wPhi[rows]).T * weight[rows]
     PhiT_conj = np.conj(Phi).T
@@ -170,29 +158,35 @@ def step_matrix(kernel: KernelRep, H: OperatorMatrix, delta: float, order: int) 
             b += b[np.ix_(J, J)]  # the rows not summed are mirror images of summed ones
     if not np.isfinite(b).all():
         raise QuadratureError(f"step matrix not finite at time step delta={delta:.3e}")
-    return kernel.gram.solve(b)
+    return gram.solve(b)
 
 
 def evolve(
     state: HoloState,
-    config: PropagatorConfig,
-    kernel: KernelRep,
+    H: np.ndarray,
+    t: float,
+    n_steps: int,
+    gram: GramData,
     order: int,
     return_history: bool = False,
 ):
-    """Iterate the short-time step ``n_steps`` times over total time ``t``,
-    each step integrated on the order-``order`` tangent grid.
+    """Iterate the short-time step of ``H`` ``n_steps`` times over total time ``t``,
+    each step integrated on the order-``order`` tangent grid with the Gram data ``gram``.
 
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
     """
-    if state.basis.size != len(config.H.entries):
+    if not math.isfinite(t):
+        raise ValidationError(f"evolution time must be finite, got {t}")
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if state.basis.size != len(H):
         raise ValidationError("state and Hamiltonian sizes differ")
-    delta = config.t / config.n_steps
-    S = step_matrix(kernel, config.H, delta, order)
+    delta = t / n_steps
+    S = step_matrix(gram, H, delta, order)
     c = state.coeffs
     history = [HoloState(state.basis, c)]
-    for step in range(config.n_steps):
+    for step in range(n_steps):
         c = S @ c
         if not np.all(np.isfinite(c)):
             raise QuadratureError(f"evolution diverged at step {step + 1}")
@@ -202,7 +196,7 @@ def evolve(
     return (final, history) if return_history else final
 
 
-def evolve_exact(state: HoloState, H: OperatorMatrix, t: float) -> HoloState:
+def evolve_exact(state: HoloState, H: np.ndarray, t: float) -> HoloState:
     """Spectral evolution ``c_k -> e^{-i H_kk t} c_k`` for a diagonal
     Hamiltonian matrix.
 
@@ -210,9 +204,9 @@ def evolve_exact(state: HoloState, H: OperatorMatrix, t: float) -> HoloState:
     unitary in the mode-coefficient norm (the pullback of the physical
     circle norm).
     """
-    if not H.is_diagonal():
+    if np.any(H - np.diag(np.diag(H))):
         raise ValidationError("Hamiltonian is not diagonal; use evolve instead")
-    phases = np.exp(-1j * np.diag(H.entries) * t)
+    phases = np.exp(-1j * np.diag(H) * t)
     return HoloState(state.basis, phases * state.coeffs)
 
 

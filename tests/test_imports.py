@@ -1,5 +1,7 @@
-"""The CLI loads only numpy and the standard library."""
+"""The package exports what it lists, and the CLI loads only numpy and the
+standard library."""
 
+import importlib
 import json
 import os
 import re
@@ -29,6 +31,23 @@ codes = [run(argv + ["--output", out]) for argv in commands]
 after = {m.partition(".")[0] for m in sys.modules}
 print(json.dumps({"codes": codes, "loaded": sorted(after - before)}))
 """
+
+
+MODULES = ("quadrature", "hilbert", "cylinder", "operators", "propagator", "validation", "io")
+
+
+@pytest.mark.parametrize("name", ("holoflat",) + tuple(f"holoflat.{m}" for m in MODULES))
+def test_all_names_resolve(name):
+    # a name left in __all__ after its object is deleted breaks star-imports
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, missing
+
+
+def test_star_import():
+    namespace = {}
+    exec("from holoflat import *", namespace)
+    assert set(importlib.import_module("holoflat").__all__) <= set(namespace)
 
 
 def _declared_distributions() -> set[str]:

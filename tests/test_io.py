@@ -39,12 +39,6 @@ class TestMatrixCsv:
         assert rows[0] == ["", "c"]
         assert parse_complex(rows[1][1]) == 1 + 2j
 
-    def test_no_labels(self):
-        text = matrix_csv(np.eye(2))
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert parse_complex(rows[0][0]) == 1.0
-
 
 class TestRowsCsv:
     def test_mixed_types(self):

@@ -14,9 +14,6 @@ from holoflat import (
     GramData,
     HeatKernelParams,
     HoloState,
-    KernelRep,
-    OperatorMatrix,
-    PropagatorConfig,
     QuadratureError,
     ValidationError,
     cylinder_basis,
@@ -29,7 +26,6 @@ from holoflat import (
     heat_rho,
     ladder_lower,
     moment_matrix,
-    reproducing_kernel,
     state_norm,
     step_matrix,
 )
@@ -41,11 +37,8 @@ ORDER = 64
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    basis = cylinder_basis(N)
-    gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram)
-    return gram, kernel
+def gram():
+    return gram_matrix(cylinder_basis(N))
 
 
 def basis_state(k):
@@ -58,10 +51,9 @@ DELTAS = (0.1, 0.05, 0.025, 0.0125)
 
 
 @pytest.fixture(scope="module")
-def steps(ctx):
+def steps(gram):
     """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64."""
-    _, kernel = ctx
-    return {d: step_matrix(kernel, hamiltonian_free(N), d, ORDER) for d in DELTAS}
+    return {d: step_matrix(gram, hamiltonian_free(N), d, ORDER) for d in DELTAS}
 
 
 def column_norms(M, gram):
@@ -73,7 +65,7 @@ def column_norms(M, gram):
 def zero_step(n, order):
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
-    S0 = step_matrix(reproducing_kernel(gram), hamiltonian_free(n), 0.0, order)
+    S0 = step_matrix(gram, hamiltonian_free(n), 0.0, order)
     return S0, gram, basis
 
 
@@ -93,12 +85,11 @@ class TestInfinitesimalStep:
         S0 = zero_step(4, 64)[0]
         assert np.abs(S0 - np.eye(9)).max() < 1e-12
 
-    def test_first_order_consistency(self, ctx, steps):
+    def test_first_order_consistency(self, gram, steps):
         # (S(delta) - I)/delta -> -iH column by column: the residual halves with delta
         # once delta * H_kk <= 1.  Before that, higher orders in delta k^2 / 2 dominate
         # (mode 8 gives ratios 1.36 and 1.68 from delta = 0.1, identically at order 128).
-        gram, _ = ctx
-        H = hamiltonian_free(N).entries
+        H = hamiltonian_free(N)
         res = {d: column_norms((steps[d] - np.eye(2 * N + 1)) / d + 1j * H, gram) for d in DELTAS}
         h = np.real(np.diag(H))
         covered = np.zeros(2 * N + 1, dtype=bool)
@@ -109,8 +100,7 @@ class TestInfinitesimalStep:
             covered |= asymptotic
         assert covered.all()
 
-    def test_norm_drift_second_order(self, ctx, steps):
-        gram, _ = ctx
+    def test_norm_drift_second_order(self, gram, steps):
         norms = column_norms(np.eye(2 * N + 1), gram)
         drift = {d: np.abs(column_norms(steps[d], gram) - norms) for d in DELTAS}
         for d in DELTAS:
@@ -119,57 +109,61 @@ class TestInfinitesimalStep:
         for d1, d2 in zip(DELTAS[:2], DELTAS[1:3]):
             assert drift[d1][e1] / drift[d2][e1] > 3.0  # and the e_1 drift scales as delta^2
 
-    def test_matches_step_matrix_column(self, ctx, steps):
+    def test_matches_step_matrix_column(self, gram, steps):
         # one evolution step from e_1 is the e_1 column of S(delta)
-        _, kernel = ctx
-        config = PropagatorConfig(H=hamiltonian_free(N), t=0.05, n_steps=1)
-        out = evolve(basis_state(1), config, kernel, ORDER)
+        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, gram, ORDER)
         assert np.abs(steps[0.05][:, N + 1] - out.coeffs).max() < 1e-12
 
 
-def dense_step(kernel, H, delta, order):
+def dense_step(gram, H, delta, order):
     # every node pair of the full grid: no tiles, no mirror fold and no pruning
     # (256 node rows at a time: about 50 MB at order 48 instead of 400)
     z, w = tangent_nodes(order)
-    Phi = kernel.basis.design_matrix(z)
+    Phi = gram.basis.design_matrix(z)
+    mid = gram.inverse()
     b = 0
     for i in range(0, len(z), 256):
         r = slice(i, i + 256)
-        K = Phi[r] @ kernel.mid @ np.conj(Phi).T
-        KH = Phi[r] @ H.entries @ kernel.mid @ np.conj(Phi).T
+        K = Phi[r] @ mid @ np.conj(Phi).T
+        KH = Phi[r] @ H @ mid @ np.conj(Phi).T
         E = K * (1 - 0.5j * delta * KH / K) / (1 + 0.5j * delta * KH / K)
         b = b + np.conj(Phi[r]).T @ (w[r, None] * E * w[None, :]) @ Phi
-    return kernel.gram.solve(b)
+    return gram.solve(b)
 
 
-CASES = ("free", "skew-H", "skew-kernel", "mirror-only", "conj-only")
+CASES = ("free", "skew-H", "skew-gram", "mirror-only", "conj-only")
 
 
 def step_case(case, n=N):
-    """Kernel and Hamiltonian at truncation ``n``: "free" is even under z -> -z and real,
-    so the mirror and the conjugation folds both apply; "skew-H" adds d/dz to H and
-    "skew-kernel" puts d/dz into the kernel, so neither fold applies and the full pair sum
-    must run.  "mirror-only" adds an imaginary diagonal even in k (only the mirror
-    applies), "conj-only" a real diagonal odd in k (only the conjugation applies)."""
-    basis = cylinder_basis(n)
-    gram = gram_matrix(basis)
-    kernel = reproducing_kernel(gram)
+    """Gram data and Hamiltonian at truncation ``n``: "free" is even under z -> -z and
+    real, so the mirror and the conjugation folds both apply; "skew-H" adds d/dz to H and
+    "skew-gram" adds +0.1i at labels (0, 1) of G and -0.1i at (1, 0), so neither fold
+    applies and the full pair sum must run.  "mirror-only" adds an imaginary diagonal
+    even in k (only the mirror applies), "conj-only" a real diagonal odd in k (only the
+    conjugation applies)."""
+    gram = gram_matrix(cylinder_basis(n))
     H = hamiltonian_free(n)
     k = np.arange(-n, n + 1)
     if case == "skew-H":
-        H = OperatorMatrix(H.entries + ladder_lower(n).entries)
-    if case == "skew-kernel":
-        O = np.eye(2 * n + 1) + 0.1 * ladder_lower(n).entries
-        kernel = KernelRep(gram, mid=O @ gram.inverse())
+        H = H + ladder_lower(n)
+    if case == "skew-gram":
+        G = gram.matrix.copy()
+        G[n, n + 1] += 0.1j
+        G[n + 1, n] -= 0.1j
+        gram = GramData(gram.basis, G, np.linalg.cholesky(G))
     if case == "mirror-only":
-        H = OperatorMatrix(H.entries + 0.1j * np.diag(k**2))
+        H = H + 0.1j * np.diag(k**2)
     if case == "conj-only":
-        H = OperatorMatrix(H.entries + 0.1 * np.diag(k))
-    return kernel, H
+        H = H + 0.1 * np.diag(k)
+    return gram, H
 
 
 # the reflections each case admits: J is z -> -z, sigma is z -> -conj(z)
-FOLDS = {"free": "J sigma", "skew-H": "", "skew-kernel": "", "mirror-only": "J", "conj-only": "sigma"}
+FOLDS = {"free": "J sigma", "skew-H": "", "skew-gram": "", "mirror-only": "J", "conj-only": "sigma"}
+
+
+def no_grid(*args, **kwargs):
+    raise RuntimeError("grid built")
 
 
 class TestStepMatrix:
@@ -180,18 +174,18 @@ class TestStepMatrix:
         # ceil(M/2) at both orders (72 and 61)
         monkeypatch.setattr(propagator, "_TILE", tile)
         for order, case in itertools.product((12, 11), CASES):
-            kernel, H = step_case(case)
-            ref = dense_step(kernel, H, 0.05, order)
-            S = step_matrix(kernel, H, 0.05, order)
+            gram, H = step_case(case)
+            ref = dense_step(gram, H, 0.05, order)
+            S = step_matrix(gram, H, 0.05, order)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
 
     @pytest.mark.parametrize("order", [32, 48])
     @pytest.mark.parametrize("case", CASES)
     def test_pruned_matches_full_grid(self, case, order):
         # 988 of 1,024 and 1,920 of 2,304 nodes are summed; dense_step sums them all
-        kernel, H = step_case(case)
-        ref = dense_step(kernel, H, 0.05, order)
-        S = step_matrix(kernel, H, 0.05, order)
+        gram, H = step_case(case)
+        ref = dense_step(gram, H, 0.05, order)
+        S = step_matrix(gram, H, 0.05, order)
         assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
@@ -200,7 +194,7 @@ class TestStepMatrix:
             ("free", 12, 36 * 144),  # a quarter of the rows: 144 nodes in 36 orbits
             ("free", 11, 36 * 121),  # 121 nodes in 36 orbits
             ("skew-H", 12, 144 * 144),
-            ("skew-kernel", 12, 144 * 144),
+            ("skew-gram", 12, 144 * 144),
             ("free", 24, 80960),  # of 144 * 576: pairs of two small nodes are dropped
             ("free", 23, 74704),
             ("free", 64, 2075216),  # 3,088 of 4,096 nodes in a summed pair, still folded
@@ -216,8 +210,8 @@ class TestStepMatrix:
             return less(a, b, out=out)
 
         monkeypatch.setattr(np, "less", spy)
-        kernel, H = step_case(case)
-        step_matrix(kernel, H, 0.05, order)
+        gram, H = step_case(case)
+        step_matrix(gram, H, 0.05, order)
         assert sum(guarded) == pairs
 
     @pytest.mark.parametrize("order", [32, 33])
@@ -231,9 +225,9 @@ class TestStepMatrix:
             guarded.append(out.size)
             return less(a, b, out=out)
 
-        kernel, H = step_case(case)
+        gram, H = step_case(case)
         z, w = tangent_nodes(order)
-        Phi = kernel.basis.design_matrix(z)
+        Phi = gram.basis.design_matrix(z)
         s = w * np.sum(np.abs(Phi) ** 2, axis=1)
         M = len(s)
         x, y = np.divmod(np.arange(M), order)
@@ -250,7 +244,7 @@ class TestStepMatrix:
 
         monkeypatch.setattr(propagator, "_TILE", (1, M))
         monkeypatch.setattr(np, "less", spy)
-        step_matrix(kernel, H, 0.05, order)
+        step_matrix(gram, H, 0.05, order)
         assert sum(guarded) == pairs
 
     def test_nonfinite_scale_raises(self):
@@ -263,40 +257,46 @@ class TestStepMatrix:
                 return np.exp(400.0 * k * z)
 
         overflowing = GramData(BasisSpec(gram.basis.labels, eval_fn), gram.matrix, gram.factor)
-        kernel = KernelRep(overflowing, mid=gram.inverse())
         with pytest.raises(QuadratureError, match="not finite"):
-            step_matrix(kernel, hamiltonian_free(1), 0.05, 12)
+            step_matrix(overflowing, hamiltonian_free(1), 0.05, 12)
 
-    def test_division_guard_raises(self, ctx, monkeypatch):
-        _, kernel = ctx
+    def test_division_guard_raises(self, gram, monkeypatch):
         H = hamiltonian_free(N)
         monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
         with pytest.raises(QuadratureError, match="below guard"):
-            step_matrix(kernel, H, 0.05, ORDER)
-        cfg = PropagatorConfig(H=H, t=0.5, n_steps=4)
+            step_matrix(gram, H, 0.05, ORDER)
         with pytest.raises(QuadratureError, match="below guard"):
-            evolve(basis_state(0), cfg, kernel, ORDER)
+            evolve(basis_state(0), H, 0.5, 4, gram, ORDER)
 
-    def test_order_limit(self, ctx, monkeypatch):
-        _, kernel = ctx
+    def test_order_limit(self, gram, monkeypatch):
         H = hamiltonian_free(N)
-
-        def no_grid(*args, **kwargs):
-            raise RuntimeError("grid built")
-
         monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
         assert propagator.MAX_STEP_ORDER == 256
         with pytest.raises(QuadratureError, match="above the step-matrix limit 256"):
-            step_matrix(kernel, H, 0.05, 257)
+            step_matrix(gram, H, 0.05, 257)
         with pytest.raises(RuntimeError, match="grid built"):  # 256 itself is allowed
-            step_matrix(kernel, H, 0.05, 256)
+            step_matrix(gram, H, 0.05, 256)
 
-    def test_memory_bounded(self, ctx):
+    @pytest.mark.parametrize(
+        "H, message",
+        [
+            (np.ones((2 * N + 1, 5)), r"shape \(17, 5\) is not \(17, 17\)"),
+            (np.eye(2 * N - 1), r"shape \(15, 15\) is not \(17, 17\)"),
+            (np.diag([np.nan] + [0.0] * 2 * N), "entries must be finite"),
+        ],
+        ids=["not-square", "wrong-size", "nan-entry"],
+    )
+    def test_rejects_bad_hamiltonian(self, gram, H, message, monkeypatch):
+        # refused before the grid, not after the O(order^4) pair sum
+        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        with pytest.raises(ValidationError, match=message):
+            step_matrix(gram, H, 0.05, ORDER)
+
+    def test_memory_bounded(self, gram):
         # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
-        _, kernel = ctx
         tracemalloc.start()
         try:
-            step_matrix(kernel, hamiltonian_free(N), 0.05, ORDER)
+            step_matrix(gram, hamiltonian_free(N), 0.05, ORDER)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,30 +307,25 @@ class TestStepMatrix:
 @given(delta=st.floats(0.0, 0.2), n=st.integers(1, 8), case=st.sampled_from(CASES))
 def test_pruned_step_matches_full_grid(delta, n, case):
     # order 32 drops nodes at every n in 1..8 but 7
-    kernel, H = step_case(case, n)
-    ref = dense_step(kernel, H, delta, 32)
-    S = step_matrix(kernel, H, delta, 32)
+    gram, H = step_case(case, n)
+    ref = dense_step(gram, H, delta, 32)
+    S = step_matrix(gram, H, delta, 32)
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEvolve:
-    def test_zero_time_identity(self, ctx):
-        _, kernel = ctx
+    def test_zero_time_identity(self, gram):
         phi = basis_state(2)
-        cfg = PropagatorConfig(H=hamiltonian_free(N), t=0.0, n_steps=4)
-        out = evolve(phi, cfg, kernel, ORDER)
+        out = evolve(phi, hamiltonian_free(N), 0.0, 4, gram, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
-    def test_zero_hamiltonian_identity(self, ctx):
-        _, kernel = ctx
-        H = OperatorMatrix(np.zeros((2 * N + 1, 2 * N + 1), dtype=complex))
+    def test_zero_hamiltonian_identity(self, gram):
+        H = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
         phi = basis_state(1)
-        cfg = PropagatorConfig(H=H, t=2.0, n_steps=4)
-        out = evolve(phi, cfg, kernel, ORDER)
+        out = evolve(phi, H, 2.0, 4, gram, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
-    def test_first_order_convergence(self, ctx):
-        gram, kernel = ctx
+    def test_first_order_convergence(self, gram):
         H = hamiltonian_free(N)
         c = basis_state(0).coeffs + basis_state(1).coeffs
         phi = HoloState(cylinder_basis(N), c)
@@ -338,24 +333,29 @@ class TestEvolve:
         exact = evolve_exact(phi, H, 0.5)
         errs = []
         for n in (16, 32):
-            out = evolve(phi, PropagatorConfig(H=H, t=0.5, n_steps=n), kernel, ORDER)
+            out = evolve(phi, H, 0.5, n, gram, ORDER)
             errs.append(state_norm(HoloState(phi.basis, out.coeffs - exact.coeffs), gram))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
-    def test_history(self, ctx):
-        _, kernel = ctx
-        cfg = PropagatorConfig(H=hamiltonian_free(N), t=0.2, n_steps=3)
-        _, history = evolve(basis_state(0), cfg, kernel, ORDER, return_history=True)
+    def test_history(self, gram):
+        H = hamiltonian_free(N)
+        _, history = evolve(basis_state(0), H, 0.2, 3, gram, ORDER, return_history=True)
         assert len(history) == 4
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            PropagatorConfig(H=hamiltonian_free(N), t=1.0, n_steps=0)
+    def test_config_validation(self, gram):
+        with pytest.raises(ValidationError, match="n_steps must be >= 1, got 0"):
+            evolve(basis_state(0), hamiltonian_free(N), 1.0, 0, gram, ORDER)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_time(self, t):
-        with pytest.raises(ValidationError, match="finite"):
-            PropagatorConfig(H=hamiltonian_free(N), t=t, n_steps=4)
+    def test_rejects_nonfinite_time(self, t, gram):
+        # checked before n_steps, so a non-finite time with no steps names the time
+        with pytest.raises(ValidationError, match="evolution time must be finite"):
+            evolve(basis_state(0), hamiltonian_free(N), t, 0, gram, ORDER)
+
+    def test_rejects_state_size_mismatch(self, gram):
+        state = HoloState(cylinder_basis(N - 1), np.ones(2 * N - 1))
+        with pytest.raises(ValidationError, match="state and Hamiltonian sizes differ"):
+            evolve(state, hamiltonian_free(N), 0.5, 4, gram, ORDER)
 
 
 class TestEvolveExact:
@@ -375,12 +375,11 @@ class TestEvolveExact:
         out = evolve_exact(phi, hamiltonian_free(N), 1.3)
         assert np.abs(np.abs(out.coeffs) - np.abs(phi.coeffs)).max() < 1e-14
 
-    def test_rejects_non_diagonal(self, ctx):
-        gram, _ = ctx
+    def test_rejects_non_diagonal(self):
         from holoflat import ladder_raise
 
         with pytest.raises(ValidationError, match="use evolve"):
-            evolve_exact(basis_state(0), ladder_raise(gram), 1.0)
+            evolve_exact(basis_state(0), ladder_raise(N), 1.0)
 
 
 class TestGreensWinding:
