@@ -64,16 +64,26 @@ def cylinder_basis(N: int, normalized: bool = True) -> BasisSpec:
         )
     labels = tuple(range(-N, N + 1))
     if normalized:
-        return BasisSpec(
-            labels=labels,
-            eval_fn=lambda k, z: np.exp(1j * k * z - k**2 / 2.0),
-            closed_form_inner=lambda p, q: complex(gram_closed(p, q, True)),
-        )
-    return BasisSpec(
-        labels=labels,
-        eval_fn=lambda k, z: np.exp(1j * k * z),
-        closed_form_inner=lambda p, q: complex(gram_closed(p, q, False)),
-    )
+        return BasisSpec(labels, _normalized_mode, _normalized_inner)
+    return BasisSpec(labels, _raw_mode, _raw_inner)
+
+
+# Module-level, not per-call closures, so equal arguments give equal (and
+# equally hashed) bases.
+def _normalized_mode(k, z):
+    return np.exp(1j * k * z - k**2 / 2.0)
+
+
+def _normalized_inner(p, q):
+    return complex(gram_closed(p, q, True))
+
+
+def _raw_mode(k, z):
+    return np.exp(1j * k * z)
+
+
+def _raw_inner(p, q):
+    return complex(gram_closed(p, q, False))
 
 
 @dataclass(frozen=True)

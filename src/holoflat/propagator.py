@@ -182,6 +182,8 @@ def evolve(
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if state.basis.size != len(H):
         raise ValidationError("state and Hamiltonian sizes differ")
+    if state.basis != gram.basis:
+        raise ValidationError("state basis differs from the basis of the Gram data")
     delta = t / n_steps
     S = step_matrix(gram, H, delta, order)
     c = state.coeffs

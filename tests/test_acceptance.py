@@ -137,9 +137,71 @@ def test_criterion_11_bargmann_sanity():
         validation.criterion_ladder_adjointness,
     ],
 )
-def test_cached_grids_keep_results(criterion, monkeypatch):
+def test_cached_grids_keep_results(criterion):
     # a cold run builds every grid and basis evaluation, the warm rerun reuses them
     quadrature._tangent_grid.cache_clear()
-    monkeypatch.setattr(hilbert, "_last_grid_values", None)
+    hilbert._grid_values.cache_clear()
     cold = criterion()
     assert criterion() == cold
+
+
+def _bargmann_points():
+    # criterion 11's 34 points
+    rng = np.random.default_rng(validation._SEED + 5)
+    r = rng.uniform(0, 1.5, 30)
+    ang = rng.uniform(0, 2 * math.pi, 30)
+    return np.concatenate([r * np.exp(1j * ang), [1.5, -1.5, 1.5j, 1.0 + 1.0j]])
+
+
+@pytest.mark.parametrize(
+    "basis, points",
+    [
+        (cylinder_basis(8), np.linspace(-math.pi, math.pi, 5, endpoint=False)),  # criterion 6
+        (hilbert.bargmann_monomial_basis(12), _bargmann_points()),  # criterion 11
+    ],
+    ids=["heat-kernel-grid", "bargmann-points"],
+)
+def test_kernel_eval_on_arrays_equals_scalar_calls(basis, points):
+    kernel = reproducing_kernel(gram_matrix(basis))
+    Z, W = np.meshgrid(points, points, indexing="ij")
+    scalar = np.array([[kernel.eval(z, w) for w in points] for z in points])
+    assert np.array_equal(kernel.eval(Z, W), scalar)
+
+
+def test_array_criteria_match_point_loops():
+    # criteria 5 (composition), 6 and 11 evaluate each point set in one call;
+    # the per-point loops they replaced must give the same figures
+    kernel = _gram_inverse_kernel(8)
+    rng = np.random.default_rng(validation._SEED + 2)
+    z, w = validation._sample_points(8, rng), validation._sample_points(8, rng)
+    nodes, wt = quadrature.tangent_nodes(128)
+    comp = 0.0
+    for zi, ui in zip(z[:5], w[:5]):
+        total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])
+        comp = max(comp, abs(total - kernel.eval(zi, ui)))
+    assert f"composition {comp:.3e} " in validation.criterion_kernel_properties().detail
+
+    params = HeatKernelParams(t=1.0, M=12, x_quad=256)
+    c = calibrate_heat_kernel(params, kernel)
+    grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
+    worst = 0.0
+    for zv in grid:
+        vals = c * heat_kernel_formula(params, zv, grid)
+        for wv, val in zip(grid, vals):
+            ref = kernel.eval(zv, wv)
+            worst = max(worst, abs(val - ref) / abs(ref))
+    assert f"deviation {worst:.3e} " in validation.criterion_heat_kernel_formula().detail
+
+    kernel = reproducing_kernel(gram_matrix(hilbert.bargmann_monomial_basis(12)))
+    pts = _bargmann_points()
+    m = np.arange(13)
+    fact = np.array([math.factorial(int(i)) for i in m], dtype=float)
+    worst_series = worst_exp = 0.0
+    for zv in pts:
+        for wv in pts:
+            u = zv * np.conj(wv)
+            val = kernel.eval(zv, wv)
+            worst_series = max(worst_series, abs(val - np.sum(u**m / fact)))
+            worst_exp = max(worst_exp, abs(val - np.exp(u)))
+    detail = validation.criterion_bargmann_sanity().detail
+    assert f"series {worst_series:.3e} " in detail and f"exponential {worst_exp:.3e} " in detail

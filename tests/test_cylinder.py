@@ -37,6 +37,17 @@ class TestGramClosed:
 
 
 class TestCylinderBasis:
+    def test_equal_arguments_give_equal_bases(self):
+        for normalized in (True, False):
+            a, b = cylinder_basis(3, normalized), cylinder_basis(3, normalized)
+            assert a == b and hash(a) == hash(b)
+        assert cylinder_basis(3) != cylinder_basis(4)
+
+    def test_raw_and_normalized_bases_differ(self):
+        raw, normalized = cylinder_basis(3, normalized=False), cylinder_basis(3)
+        assert raw.labels == normalized.labels
+        assert raw != normalized
+
     def test_raw_truncation_guard(self):
         with pytest.raises(ValidationError):
             cylinder_basis(7, normalized=False)

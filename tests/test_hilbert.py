@@ -388,6 +388,14 @@ class TestGridValues:
         with pytest.raises(ValueError):
             Phi[0, 0] = 0.0
 
+    def test_equal_bases_share_values(self):
+        # separate calls build equal bases, so the second lookup is a cache hit
+        hilbert._grid_values.cache_clear()
+        Phi = hilbert._grid_values(cylinder_basis(4), ORDER)[2]
+        assert hilbert._grid_values(cylinder_basis(4), ORDER)[2] is Phi
+        assert hilbert._grid_values.cache_info().hits == 1
+        assert bargmann_monomial_basis(5) == bargmann_monomial_basis(5)
+
     def test_bases_in_alternation(self):
         a, b = cylinder_basis(3), cylinder_basis(5, normalized=False)
         z, _ = tangent_nodes(ORDER)

@@ -357,6 +357,20 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="state and Hamiltonian sizes differ"):
             evolve(state, hamiltonian_free(N), 0.5, 4, gram, ORDER)
 
+    def test_rejects_state_on_other_basis(self):
+        # same size, other basis: stepping it with the normalized basis's matrix is meaningless
+        state = HoloState(cylinder_basis(3, normalized=False), np.eye(7)[3])
+        gram = gram_matrix(cylinder_basis(3))
+        with pytest.raises(ValidationError, match="state basis differs"):
+            evolve(state, hamiltonian_free(3), 0.1, 2, gram, 32)
+
+    def test_accepts_state_on_equal_basis(self, gram):
+        # a state built on its own cylinder_basis(N) call, as basis_state does
+        state = basis_state(1)
+        assert state.basis is not gram.basis
+        out = evolve(state, hamiltonian_free(N), 0.1, 2, gram, ORDER)
+        assert out.basis == gram.basis
+
 
 class TestEvolveExact:
     def test_zero_time(self):
