@@ -32,7 +32,7 @@ from .hilbert import (
     reproducing_kernel,
     state_norm,
 )
-from .io import complex_matrix_to_lists, matrix_csv, rows_csv, write_output
+from .io import matrix_csv, rows_csv, write_output
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import (
     DEFAULT_EPSILON,
@@ -48,6 +48,18 @@ from .validation import run_criteria
 #   256 periodic x-nodes, regularization epsilon = 0.05.
 DEFAULT_MODES = 12
 DEFAULT_X_QUAD = 256
+
+# The largest value of each size flag, checked with its lower bound of 1
+# before any work.  Measured at the cap with the other flags at their
+# defaults, 2-vCPU VM (JSON is about 75 bytes per matrix entry):
+SIZE_LIMITS = {
+    # kernel/heatkernel: a dense G x G complex grid; at 1024, 5.2-8.5 s and
+    # 370-415 MB peak RSS, writing 46 MB of CSV or 79 MB of JSON
+    "grid_points": 1024,
+    # greens: one row of 2 * windings + 1 terms per point; at 65,536, 1.5 s and
+    # 94 MB peak RSS (CSV) or 2.7 s and 205 MB, writing 17 MB of JSON
+    "points": 65536,
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -155,12 +167,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    for dest, limit in SIZE_LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not 1 <= value <= limit:
+            bound = ">= 1" if value < 1 else f"<= {limit}"
+            raise ValidationError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
+
+
 def _cmd_gram(args) -> int:
     basis = cylinder_basis(args.truncation, normalized=not args.raw)
     g = gram_matrix(basis, args.quad_order if args.quadrature else None)
     labels = list(basis.labels)
     if args.format == "json":
-        payload = {"labels": labels, "matrix": complex_matrix_to_lists(g.matrix)}
+        payload = {"labels": labels, "matrix": g.matrix}
         write_output(payload, args.output, "json")
     else:
         write_output(matrix_csv(g.matrix, labels, labels), args.output, "csv")
@@ -176,7 +196,7 @@ def _cmd_orthonormalize(args) -> int:
     if args.format == "json":
         payload = {
             "labels": labels,
-            "coefficients": complex_matrix_to_lists(C),
+            "coefficients": C,
             "orthonormality_residual": residual,
         }
         write_output(payload, args.output, "json")
@@ -188,8 +208,6 @@ def _cmd_orthonormalize(args) -> int:
 
 
 def _kernel_grid(args):
-    if args.grid_points < 1:
-        raise ValidationError(f"--grid-points must be >= 1, got {args.grid_points}")
     basis = cylinder_basis(args.truncation)
     gram = gram_matrix(basis)
     kernel = reproducing_kernel(gram)
@@ -200,7 +218,7 @@ def _kernel_grid(args):
 def _emit_grid(values: np.ndarray, grid: np.ndarray, args) -> None:
     labels = [f"{v:.12g}" for v in grid]
     if args.format == "json":
-        payload = {"grid": [float(v) for v in grid], "values": complex_matrix_to_lists(values)}
+        payload = {"grid": [float(v) for v in grid], "values": values}
         write_output(payload, args.output, "json")
     else:
         write_output(matrix_csv(values, labels, labels), args.output, "csv")
@@ -232,8 +250,8 @@ def _cmd_ladder(args) -> int:
     if args.format == "json":
         payload = {
             "labels": labels,
-            "lower": complex_matrix_to_lists(lower),
-            "raise": complex_matrix_to_lists(raised),
+            "lower": lower,
+            "raise": raised,
             "adjointness_residual": residual,
         }
         write_output(payload, args.output, "json")
@@ -246,24 +264,14 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_greens(args) -> int:
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
     T = complex(args.T_real, args.T_imag) * (1 - 1j * args.epsilon)
     thetas = np.linspace(-math.pi, math.pi, args.points, endpoint=False)
-    rows = []
-    for th in thetas:
-        gw = greens_winding(float(th), args.theta0, T, args.windings)
-        gs = greens_spectral(float(th), args.theta0, T, args.modes)
-        rows.append(
-            [
-                f"{th:.12g}",
-                repr(gw.real),
-                repr(gw.imag),
-                repr(gs.real),
-                repr(gs.imag),
-                repr(abs(gw - gs)),
-            ]
-        )
+    winding = greens_winding(thetas, args.theta0, T, args.windings).tolist()
+    spectral = greens_spectral(thetas, args.theta0, T, args.modes).tolist()
+    rows = [
+        [f"{th:.12g}", *map(repr, (gw.real, gw.imag, gs.real, gs.imag, abs(gw - gs)))]
+        for th, gw, gs in zip(thetas, winding, spectral)
+    ]
     header = ["theta", "winding_re", "winding_im", "spectral_re", "spectral_im", "difference"]
     if args.format == "json":
         payload = {
@@ -390,6 +398,7 @@ _COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))
+        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except (ValidationError, QuadratureError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,12 @@
 
 Complex numbers serialize as two-element ``[re, im]`` arrays in JSON and as
 quoted ``"re,im"`` cells in CSV, so every value round-trips unambiguously.
+
+Complex matrices are rendered in one vectorised pass each: their floats are
+formatted by one call of the C JSON encoder (``repr`` for CSV) and laid out
+by row templates.  ``json.dumps`` with ``indent`` set runs CPython's
+pure-Python encoder, one call per float; the templates give the same bytes
+as that encoder would for the nested ``[re, im]`` lists.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .errors import ValidationError
 __all__ = [
     "format_complex",
     "parse_complex",
-    "complex_matrix_to_lists",
     "matrix_csv",
     "rows_csv",
     "atomic_write",
@@ -40,20 +45,17 @@ def parse_complex(cell: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def complex_matrix_to_lists(m: np.ndarray) -> list:
-    """Nested [re, im] pairs, JSON-ready, row-major."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def matrix_csv(m: np.ndarray, row_labels, col_labels) -> str:
     """CSV text of a labelled complex matrix with quoted "re,im" cells."""
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
+    reprs = list(map(repr, m.view(float).ravel().tolist()))
+    cells = list(map(",".join, zip(reprs[0::2], reprs[1::2])))  # format_complex, per cell
+    rows, cols = m.shape
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [str(c) for c in col_labels])
-    for label, row in zip(row_labels, m, strict=True):
-        writer.writerow([str(label)] + [format_complex(v) for v in row])
+    for label, i in zip(row_labels, range(rows), strict=True):
+        writer.writerow([str(label)] + cells[i * cols : (i + 1) * cols])
     return buf.getvalue()
 
 
@@ -90,14 +92,52 @@ def atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON container of rendered ``items`` laid out as ``json.dumps(indent=2)``
+    lays it out, its closing bracket after ``pad`` (a newline and indentation)."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _matrix_json(m: np.ndarray, pad: str) -> str:
+    """A complex matrix as rows of ``[re, im]`` pairs, laid out by ``_block``."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    rows, cols = m.shape
+    # the C encoder formats each float as the indent encoder does (NaN, Infinity, -0.0)
+    floats = json.dumps(m.view(float).ravel().tolist())[1:-1].split(", ")
+    pair = _block(["%s", "%s"], pad + "    ")
+    template = _block([_block([pair] * cols, pad + "  ")] * rows, pad)
+    return template % tuple(floats[: 2 * m.size])  # an empty matrix leaves one ""
+
+
+def _json(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of a value closing after
+    ``pad``, where dicts may hold complex matrices as ndarrays."""
+    if isinstance(obj, np.ndarray):
+        return _matrix_json(obj, pad)
+    if isinstance(obj, dict):
+        inner = pad + "  "
+        items = [
+            # as json.dumps does, a key that is not a string becomes its JSON text
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+            for k, v in sorted(obj.items())
+        ]
+        return _block(items, pad, "{}")
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def write_output(payload, output: str | None, fmt: str) -> None:
     """Emit ``payload`` as CSV text or a JSON object to a path or stdout.
 
     ``payload`` must be a string for csv format and a JSON-serializable
-    object for json format.
+    object for json format, in which a dict may also hold a 2-D complex
+    ``ndarray``: it is written as ``json.dumps`` writes the matrix's nested
+    ``[re, im]`` lists, byte for byte.
     """
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload, "\n") + "\n"
     elif fmt == "csv":
         if not isinstance(payload, str):
             raise ValidationError("csv output requires pre-rendered text")

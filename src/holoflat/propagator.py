@@ -32,6 +32,7 @@ DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
 _TAIL_TOL = 1e-8  # largest accepted mode-sum tail of greens_spectral
+_GREENS_BLOCK = 2**16  # terms per block of a Green sum over thetas; 1 MB complex
 
 
 def step_matrix(gram: GramData, H: np.ndarray, delta: float, order: int) -> np.ndarray:
@@ -226,27 +227,37 @@ def _check_time_converges(T: complex, what: str) -> complex:
     return T
 
 
-def greens_winding(theta: float, theta0: float, T: complex, n_max: int) -> complex:
+def greens_winding(
+    theta: float | np.ndarray, theta0: float, T: complex, n_max: int
+) -> complex | np.ndarray:
     """Free-particle Green function on the circle as a winding sum:
     ``sum_{|n|<=n_max} (2 pi i T)^{-1/2} exp(i (theta - theta0 + 2 pi n)^2 / (2T))``.
 
     Uses the principal square root.  Requires ``Im(T) < 0`` so the terms
     decay; evaluate at complexified time ``T*(1 - i*epsilon)`` for real T.
+    A float ``theta`` gives a complex, an array one value per entry.
     """
     T = _check_time_converges(T, "winding sum")
     if n_max < 0:
         raise ValidationError(f"n_max must be nonnegative, got {n_max}")
-    d = theta - theta0
     n = np.arange(-n_max, n_max + 1)
     pref = 1.0 / cmath.sqrt(2 * math.pi * 1j * T)
-    return complex(pref * np.sum(np.exp(1j * (d + 2 * math.pi * n) ** 2 / (2 * T))))
+
+    def row_sums(th: np.ndarray) -> list:
+        terms = np.exp(1j * (th - theta0 + 2 * math.pi * n) ** 2 / (2 * T))
+        return [pref * row.sum() for row in terms]
+
+    return _per_theta(theta, len(n), row_sums)
 
 
-def greens_spectral(theta: float, theta0: float, T: complex, M: int) -> complex:
+def greens_spectral(
+    theta: float | np.ndarray, theta0: float, T: complex, M: int
+) -> complex | np.ndarray:
     """Free-particle Green function on the circle as a mode sum:
     ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
 
     Equal to the winding sum by Poisson summation whenever both converge.
+    A float ``theta`` gives a complex, an array one value per entry.
     """
     T = _check_time_converges(T, "mode sum")
     if M < 1:
@@ -258,6 +269,25 @@ def greens_spectral(theta: float, theta0: float, T: complex, M: int) -> complex:
             "increase M or the regularization epsilon"
         )
     k = np.arange(-M, M + 1)
-    return complex(
-        np.sum(np.exp(1j * k * (theta - theta0) - 1j * k**2 * T / 2.0)) / (2 * math.pi)
-    )
+
+    def row_sums(th: np.ndarray) -> list:
+        terms = np.exp(1j * k * (th - theta0) - 1j * k**2 * T / 2.0)
+        return [row.sum() / (2 * math.pi) for row in terms]
+
+    return _per_theta(theta, len(k), row_sums)
+
+
+def _per_theta(theta, width: int, row_sums) -> complex | np.ndarray:
+    """``row_sums`` of blocks of the thetas as a column, so that no block's terms
+    exceed ``_GREENS_BLOCK`` entries; a float ``theta`` gives a complex.
+
+    Each row of terms is summed on its own: ``sum(axis=1)`` rounds differently,
+    and the values would move from those of one scalar call per theta."""
+    theta = np.asarray(theta, dtype=float)
+    column = theta.reshape(-1, 1)
+    step = max(1, _GREENS_BLOCK // width)
+    g = np.array(
+        [s for i in range(0, len(column), step) for s in row_sums(column[i : i + step])],
+        dtype=complex,
+    ).reshape(theta.shape)
+    return complex(g) if theta.ndim == 0 else g

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import holoflat
-from holoflat import HoloState, cylinder_basis
+from holoflat import HoloState, cylinder_basis, gram_matrix, reproducing_kernel
+from holoflat import cli
 from holoflat.cli import _read_state, _state_json, run
 from holoflat.io import parse_complex
 
@@ -137,6 +139,18 @@ class TestKernelCommands:
         assert run([command, "--grid-points", points, "--output", str(out)]) == 1
         assert "error: --grid-points must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_kernel_json_equals_reference_rendering(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--grid-points", "64", "--format", "json", "--output", str(out)]) == 0
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        values = reproducing_kernel(gram_matrix(cylinder_basis(8))).eval_grid(grid, grid)
+        payload = {
+            "grid": [float(v) for v in grid],
+            "values": [[[float(v.real), float(v.imag)] for v in row] for row in values],
+        }
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert out.read_text().split("\n") == want.split("\n")  # lines: a short failure report
 
     @pytest.mark.parametrize("t", ["inf", "nan", "0"])
     def test_heatkernel_rejects_nonfinite_or_nonpositive_time(self, t, tmp_path, capsys):
@@ -386,6 +400,32 @@ class TestPlumbing:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             assert run([command, "--config", str(cfg)]) == 0, config
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("kernel", "grid-points"), ("heatkernel", "grid-points"), ("greens", "points")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_size_above_limit_exits_before_work(
+        self, command, flag, source, tmp_path, monkeypatch, capsys
+    ):
+        # one above the cap; the subcommand must not start, so nothing is allocated
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("subcommand ran"))
+        limit = cli.SIZE_LIMITS[flag.replace("-", "_")]
+        if source == "flag":
+            argv = [command, f"--{flag}", str(limit + 1)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: limit + 1}))
+            argv = [command, "--config", str(cfg)]
+        assert run(argv + ["--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --{flag} must be <= {limit}, got {limit + 1}\n"
+        assert os.listdir(tmp_path) == (["cfg.json"] if source == "config" else [])
+
+    def test_size_limits_admit_the_limit(self):
+        # checked without running: the work at each cap is what its comment measures
+        for dest, limit in cli.SIZE_LIMITS.items():
+            cli._check_sizes(argparse.Namespace(**{dest: limit}))
 
     def test_output_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.csv"

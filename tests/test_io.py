@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import io
+import json
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflat.errors import ValidationError
 from holoflat.io import (
@@ -15,6 +20,40 @@ from holoflat.io import (
     rows_csv,
     write_output,
 )
+
+
+# fixed examples, no example database, no per-example deadline
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+SHAPES = [(0, 0), (1, 0), (1, 1), (3, 5), (17, 17)]
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e16, 1e-5]
+
+
+@st.composite
+def complex_matrices(draw):
+    """Complex matrices of the listed shapes: standard normals, with a drawn
+    share of the entries' parts replaced by the special values."""
+    shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal(shape + (2,))
+    special = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    parts[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return parts.view(complex).reshape(shape)
+
+
+def nested_pairs(m):
+    """The reference JSON form of a complex matrix: rows of [re, im] lists."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def matrix_csv_by_cell(m, row_labels, col_labels):
+    """The reference CSV rendering, one format_complex call per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([""] + [str(c) for c in col_labels])
+    for label, row in zip(row_labels, m, strict=True):
+        writer.writerow([str(label)] + [format_complex(v) for v in row])
+    return buf.getvalue()
 
 
 class TestComplexCells:
@@ -38,6 +77,18 @@ class TestMatrixCsv:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["", "c"]
         assert parse_complex(rows[1][1]) == 1 + 2j
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            matrix_csv(np.zeros((2, 1), dtype=complex), ["r"], ["c"])
+
+    @SETTINGS
+    @given(m=complex_matrices())
+    def test_equals_per_cell_rendering(self, m):
+        rows, cols = m.shape
+        row_labels, col_labels = [f"r{i}" for i in range(rows)], [f"c,{j}" for j in range(cols)]
+        got = matrix_csv(m, row_labels, col_labels)
+        assert got.split("\n") == matrix_csv_by_cell(m, row_labels, col_labels).split("\n")
 
 
 class TestRowsCsv:
@@ -89,3 +140,29 @@ class TestWriteOutput:
     def test_csv_requires_text(self):
         with pytest.raises(ValidationError):
             write_output({"a": 1}, None, "csv")
+
+    @SETTINGS
+    @given(m=complex_matrices(), other=complex_matrices(), depth=st.sampled_from([1, 2]))
+    def test_matrices_equal_json_dumps_of_nested_lists(self, m, other, depth):
+        def payload(a, b):
+            inner = {"m": a, "label": "x\u00e9\"", "list": [1, [2.5, None]], "empty": {}}
+            if depth == 2:
+                inner = {"outer": inner, "n": b, "0": [len(b)]}
+            return {**inner, "b": b, "A": True}
+
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            write_output(payload(m, other), None, "json")
+        want = json.dumps(payload(nested_pairs(m), nested_pairs(other)), indent=2, sort_keys=True)
+        # as lines: a failure then reports the first differing line, not a diff
+        assert out.getvalue().split("\n") == (want + "\n").split("\n")
+
+    def test_non_string_keys_as_json_dumps(self, tmp_path):
+        # a dict holding a matrix takes the same key conversion json.dumps makes
+        def payload(m):
+            return {"numbers": {2: m, -1.5: m}, "none": {None: m}, "bool": {False: m}}
+
+        m = np.array([[1 + 2j]])
+        out = tmp_path / "k.json"
+        write_output(payload(m), str(out), "json")
+        want = json.dumps(payload(nested_pairs(m)), indent=2, sort_keys=True)
+        assert out.read_text() == want + "\n"

@@ -426,6 +426,36 @@ class TestGreensWinding:
             greens_spectral(0.1, 0.0, T, M=10)
 
 
+def winding_by_theta(theta, theta0, T, n_max):
+    """The winding sum at one theta, as a scalar loop: the reference."""
+    n = np.arange(-n_max, n_max + 1)
+    pref = 1.0 / cmath.sqrt(2 * math.pi * 1j * T)
+    return complex(pref * np.sum(np.exp(1j * (theta - theta0 + 2 * math.pi * n) ** 2 / (2 * T))))
+
+
+def spectral_by_theta(theta, theta0, T, M):
+    """The mode sum at one theta, as a scalar loop: the reference."""
+    k = np.arange(-M, M + 1)
+    return complex(
+        np.sum(np.exp(1j * k * (theta - theta0) - 1j * k**2 * T / 2.0)) / (2 * math.pi)
+    )
+
+
+@pytest.mark.parametrize(
+    "theta0, T", [(0.7312, 1 - 0.05j), (-2.9, (1 - 0.3j) * (1 - 0.05j)), (0.0, 3 * (1 - 0.2j))]
+)
+def test_green_sums_on_theta_array_equal_scalar_loop(theta0, T):
+    # each row is summed on its own, so every value keeps its bits
+    thetas = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    pairs = [(greens_winding, winding_by_theta), (greens_spectral, spectral_by_theta)]
+    for sums, by_theta in pairs:
+        got = sums(thetas, theta0, T, 40)
+        assert got.shape == thetas.shape
+        assert got.tolist() == [by_theta(float(th), theta0, T, 40) for th in thetas]
+        scalar = sums(float(thetas[5]), theta0, T, 40)
+        assert type(scalar) is complex and scalar == got[5]
+
+
 class TestGreensSpectral:
     def test_matches_winding(self):
         T = 1 - 0.05j
