@@ -59,6 +59,13 @@ SIZE_LIMITS = {
     # greens: one row of 2 * windings + 1 terms per point; at 65,536, 1.5 s and
     # 94 MB peak RSS (CSV) or 2.7 s and 205 MB, writing 17 MB of JSON
     "points": 65536,
+    # greens: 2 * modes + 1 terms per point; heatkernel: 2 * modes + 1 terms per
+    # x-node and point.  At 4096, heatkernel 2.3 s and 111 MB peak RSS, greens
+    # 0.25 s and 32 MB (its mode sum converges down to epsilon = 2.1e-6 at T = 1)
+    "modes": 4096,
+    # heatkernel: two grid-points x x-nodes complex density arrays; at 4096,
+    # 0.3-0.4 s and 50 MB peak RSS; 58 s and 415 MB with --grid-points 1024
+    "x_nodes": 4096,
 }
 
 
@@ -268,27 +275,24 @@ def _cmd_greens(args) -> int:
     thetas = np.linspace(-math.pi, math.pi, args.points, endpoint=False)
     winding = greens_winding(thetas, args.theta0, T, args.windings).tolist()
     spectral = greens_spectral(thetas, args.theta0, T, args.modes).tolist()
-    rows = [
-        [f"{th:.12g}", *map(repr, (gw.real, gw.imag, gs.real, gs.imag, abs(gw - gs)))]
-        for th, gw, gs in zip(thetas, winding, spectral)
-    ]
-    header = ["theta", "winding_re", "winding_im", "spectral_re", "spectral_im", "difference"]
     if args.format == "json":
-        payload = {
-            "T": [T.real, T.imag],
-            "theta0": args.theta0,
-            "rows": [
-                {
-                    "theta": float(r[0]),
-                    "winding": [float(r[1]), float(r[2])],
-                    "spectral": [float(r[3]), float(r[4])],
-                    "difference": float(r[5]),
-                }
-                for r in rows
-            ],
-        }
+        rows = [
+            {
+                "theta": float(f"{th:.12g}"),  # the rounding of the CSV column
+                "winding": [gw.real, gw.imag],
+                "spectral": [gs.real, gs.imag],
+                "difference": abs(gw - gs),
+            }
+            for th, gw, gs in zip(thetas, winding, spectral)
+        ]
+        payload = {"T": [T.real, T.imag], "theta0": args.theta0, "rows": rows}
         write_output(payload, args.output, "json")
     else:
+        header = ["theta", "winding_re", "winding_im", "spectral_re", "spectral_im", "difference"]
+        rows = [
+            [f"{th:.12g}", *map(repr, (gw.real, gw.imag, gs.real, gs.imag, abs(gw - gs)))]
+            for th, gw, gs in zip(thetas, winding, spectral)
+        ]
         write_output(rows_csv(header, rows), args.output, "csv")
     return 0
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "QuadratureError", "FactorizationError"]
+
 
 class ValidationError(ValueError):
     """Input or configuration failed a documented precondition."""

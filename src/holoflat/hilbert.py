@@ -26,13 +26,11 @@ __all__ = [
     "bargmann_monomial_basis",
     "inner_product",
     "gram_matrix",
-    "moment_matrix",
     "orthonormalize",
     "alternating_ordering",
     "reproducing_kernel",
     "orthonormal_series_kernel",
     "project",
-    "project_coeffs",
     "state_norm",
 ]
 
@@ -169,15 +167,6 @@ def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(range(nb))
 
 
-def moment_matrix(basis: BasisSpec, z, w, g=None) -> np.ndarray:
-    """Moments ``Phi^H diag(w g) Phi`` of the basis on the nodes ``z`` with
-    weights ``w``: the Gram matrix for ``g = None``, the moments of
-    multiplication by ``g`` otherwise."""
-    Phi = basis.design_matrix(z)
-    wg = w if g is None else w * g
-    return np.conj(Phi).T @ (wg[:, None] * Phi)
-
-
 def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
     """Gram matrix of the basis with its Cholesky factor.
 
@@ -188,7 +177,9 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
         # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
         # summand magnitudes; extended-precision accumulation keeps the
         # cancellation error below the closed forms' 1e-10 target.
-        G = moment_matrix(basis, *tangent_nodes(order, extended=True)).astype(complex)
+        z, w = tangent_nodes(order, extended=True)
+        Phi = basis.design_matrix(z)
+        G = (np.conj(Phi).T @ (w[:, None] * Phi)).astype(complex)
     elif basis.closed_form_inner is not None:
         G = np.array(
             [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
@@ -293,21 +284,16 @@ def orthonormal_series_kernel(gram: GramData, ordering: Sequence[int] | None = N
     return KernelRep(gram=gram, mid=C @ np.conj(C).T)
 
 
-def project_coeffs(f, kernel: KernelRep, order: int) -> np.ndarray:
-    """Coefficients of the kernel-weighted projection of ``f``.
+def project(f, kernel: KernelRep, order: int) -> HoloState:
+    """Kernel-weighted projection of ``f`` onto the span of ``kernel.basis``.
 
     For the reproducing kernel this is the orthogonal projection onto the
-    truncated span; for an operator kernel it returns the operator applied
-    to that projection.  The integral runs on the order-``order`` grid.
+    truncated span; for an operator kernel it is the operator applied to
+    that projection.  The integral runs on the order-``order`` grid.
     """
     fz = _on_grid(f, order)
     _, w, Phi = _grid_values(kernel.basis, order)
-    return kernel.mid @ (np.conj(Phi).T @ (w * fz))
-
-
-def project(f, kernel: KernelRep, order: int) -> HoloState:
-    """Orthogonal projection of ``f`` onto the span of ``kernel.basis``."""
-    return HoloState(kernel.basis, project_coeffs(f, kernel, order))
+    return HoloState(kernel.basis, kernel.mid @ (np.conj(Phi).T @ (w * fz)))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import QuadratureError, ValidationError
 
-__all__ = ["hermite_rule", "hermite_rule_extended", "tangent_nodes"]
+__all__ = ["DEFAULT_ORDER", "hermite_rule", "tangent_nodes"]
 
 DEFAULT_ORDER = 64
 _MAX_ORDER = 740  # hermgauss overflows float64 at its outer nodes from order 741 on
@@ -35,6 +35,8 @@ def _hermite_rule_cached(order: int) -> tuple[np.ndarray, np.ndarray]:
     # Hermite recurrence (Golub & Welsch 1969; Townsend, Trogdon & Olver 2016)
     # give correctly rounded float64 nodes, which a long double no wider than
     # double cannot.
+    if order < 1:
+        raise ValidationError(f"quadrature order must be >= 1, got {order}")
     ld = np.longdouble
     nmant = np.finfo(ld).nmant
     if nmant < 63:
@@ -75,24 +77,8 @@ def hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact for polynomials up to degree ``2*order - 1``.
     """
-    if order < 1:
-        raise ValidationError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = _hermite_rule_cached(int(order))
     return nodes.astype(np.float64), weights.astype(np.float64)
-
-
-def hermite_rule_extended(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Long-double nodes and weights of the same rule.
-
-    Float64 rounding of the rule alone costs ~1e-10 relative error on strongly
-    cancelling integrands (e.g. pure oscillations integrating to e^{-16});
-    the extended rule pushes that to 5e-13 on the Gram entries of acceptance
-    criterion 1 (order 64), set by the long-double rounding of the weights.
-    """
-    if order < 1:
-        raise ValidationError(f"quadrature order must be >= 1, got {order}")
-    nodes, weights = _hermite_rule_cached(int(order))
-    return nodes.copy(), weights.copy()
 
 
 def tangent_nodes(order: int, extended: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +98,9 @@ def tangent_nodes(order: int, extended: bool = False) -> tuple[np.ndarray, np.nd
 def _tangent_grid(order: int, extended: bool) -> tuple[np.ndarray, np.ndarray]:
     # normalization 1/pi: the plane Gaussian e^{-|z|^2} has total mass pi
     if extended:
-        u, wu = hermite_rule_extended(order)
+        # a float64 rule costs ~1e-10 relative error on strongly cancelling
+        # integrands; long double gives 5e-13 on criterion 1's Gram entries
+        u, wu = _hermite_rule_cached(order)
         normalization = np.pi ** -np.longdouble(1)
     else:
         u, wu = hermite_rule(order)

@@ -37,7 +37,7 @@ from .operators import adjointness_residual, hamiltonian_free, ladder_lower, lad
 from .propagator import evolve, evolve_exact, greens_spectral, greens_winding
 from .quadrature import tangent_nodes
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
+__all__ = ["CriterionResult", "run_criteria"]
 
 _N = 8
 _SEED = 20240817

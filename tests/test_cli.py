@@ -178,6 +178,17 @@ class TestGreens:
         diffs = [float(r[-1]) for r in rows[1:]]
         assert max(diffs) <= 1e-8
 
+    def test_json_and_csv_carry_the_same_numbers(self, tmp_path):
+        argv = ["greens", "--points", "16", "--theta0", "0.3", "--T-imag", "-0.2"]
+        assert run(argv + ["--format", "csv", "--output", str(tmp_path / "g.csv")]) == 0
+        assert run(argv + ["--format", "json", "--output", str(tmp_path / "g.json")]) == 0
+        rows = read_csv(str(tmp_path / "g.csv"))[1:]
+        data = json.loads((tmp_path / "g.json").read_text())["rows"]
+        assert len(rows) == len(data) == 16
+        for row, item in zip(rows, data):
+            numbers = [item["theta"], *item["winding"], *item["spectral"], item["difference"]]
+            assert [float(cell) for cell in row] == numbers
+
     def test_divergent_inputs_exit_1(self, capsys):
         assert run(["greens", "--T-real", "1", "--epsilon", "0"]) == 1
         assert "error" in capsys.readouterr().err
@@ -403,7 +414,14 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("kernel", "grid-points"), ("heatkernel", "grid-points"), ("greens", "points")],
+        [
+            ("kernel", "grid-points"),
+            ("heatkernel", "grid-points"),
+            ("heatkernel", "modes"),
+            ("heatkernel", "x-nodes"),
+            ("greens", "points"),
+            ("greens", "modes"),
+        ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_size_above_limit_exits_before_work(

@@ -33,7 +33,7 @@ print(json.dumps({"codes": codes, "loaded": sorted(after - before)}))
 """
 
 
-MODULES = ("quadrature", "hilbert", "cylinder", "operators", "propagator", "validation", "io")
+MODULES = ("errors", "quadrature", "hilbert", "cylinder", "operators", "propagator", "validation", "io")
 
 
 @pytest.mark.parametrize("name", ("holoflat",) + tuple(f"holoflat.{m}" for m in MODULES))
@@ -48,6 +48,30 @@ def test_star_import():
     namespace = {}
     exec("from holoflat import *", namespace)
     assert set(importlib.import_module("holoflat").__all__) <= set(namespace)
+
+
+# The package's public surface; edit it with the module __all__ that changes it.
+PUBLIC = {
+    "__version__",
+    "ValidationError", "QuadratureError", "FactorizationError",
+    "DEFAULT_ORDER", "hermite_rule", "tangent_nodes",
+    "BasisSpec", "GramData", "KernelRep", "HoloState", "bargmann_monomial_basis",
+    "inner_product", "gram_matrix", "orthonormalize", "alternating_ordering",
+    "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
+    "DEFAULT_N", "HeatKernelParams", "cylinder_basis", "gram_closed", "heat_rho",
+    "heat_rho_winding", "heat_kernel_formula", "calibrate_heat_kernel",
+    "ladder_lower", "ladder_raise", "hamiltonian_free", "to_orthonormal_frame",
+    "adjointness_residual",
+    "step_matrix", "evolve", "evolve_exact", "greens_winding", "greens_spectral",
+    "CriterionResult", "run_criteria",
+}
+
+
+def test_public_surface():
+    exported = importlib.import_module("holoflat").__all__
+    assert len(PUBLIC) == 40
+    assert len(exported) == len(set(exported))
+    assert set(exported) == PUBLIC
 
 
 def _declared_distributions() -> set[str]:

@@ -25,7 +25,6 @@ from holoflat import (
     hamiltonian_free,
     heat_rho,
     ladder_lower,
-    moment_matrix,
     state_norm,
     step_matrix,
 )
@@ -77,7 +76,9 @@ class TestInfinitesimalStep:
         # S(0) = (G^-1 G_q)^2, G_q the grid's own Gram matrix: exact even where the
         # rule does not resolve the basis (N = 12 at order 64)
         S0, gram, basis = zero_step(n, order)
-        A = gram.solve(moment_matrix(basis, *tangent_nodes(order)))
+        z, w = tangent_nodes(order)
+        Phi = basis.design_matrix(z)
+        A = gram.solve(np.conj(Phi).T @ (w[:, None] * Phi))
         assert np.abs(S0 - A @ A).max() < 1e-12
 
     def test_zero_delta_is_identity(self):

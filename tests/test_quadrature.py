@@ -9,7 +9,7 @@ import pytest
 
 from holoflat import QuadratureError, ValidationError, hermite_rule, tangent_nodes
 import holoflat
-from holoflat.quadrature import _hermite_rule_cached, _tangent_grid, hermite_rule_extended
+from holoflat.quadrature import _hermite_rule_cached, _tangent_grid
 
 
 class TestHermiteRule:
@@ -61,7 +61,7 @@ class TestHermiteRule:
 
     def test_extended_matches_double(self):
         x, w = hermite_rule(16)
-        xe, we = hermite_rule_extended(16)
+        xe, we = _hermite_rule_cached(16)
         assert np.allclose(x, xe.astype(float))
         assert np.allclose(w, we.astype(float))
 
@@ -108,7 +108,7 @@ class TestHermiteReference:
         assert np.array_equal(x, [float(v) for v in ref_x])
         ref_w64 = np.array([float(v) for v in ref_w])
         assert np.all(np.abs(w - ref_w64) <= np.spacing(ref_w64))
-        xe, we = hermite_rule_extended(order)
+        xe, we = _hermite_rule_cached(order)
         ref_xe, ref_we = long_double(ref_x), long_double(ref_w)
         assert np.all(np.abs(xe - ref_xe) <= 1e-16 * np.abs(ref_xe))
         assert np.all(np.abs(we - ref_we) <= 1e-16 * ref_we)
@@ -159,7 +159,7 @@ class TestTangentNodes:
         # node i * order + j sits at Hermite nodes (u_i, u_j): z = u_i - i u_j
         for order in (23, 24):
             for extended in (False, True):
-                u, wu = (hermite_rule_extended if extended else hermite_rule)(order)
+                u, wu = (_hermite_rule_cached if extended else hermite_rule)(order)
                 z, w = tangent_nodes(order, extended)
                 ref_z = [u[i] - 1j * u[j] for i in range(order) for j in range(order)]
                 ref_w = [wu[i] * wu[j] for i in range(order) for j in range(order)]
@@ -172,7 +172,7 @@ class TestTangentNodes:
         # each block running over the whole inner axis
         order = 24
         for extended in (False, True):
-            u, wu = (hermite_rule_extended if extended else hermite_rule)(order)
+            u, wu = (_hermite_rule_cached if extended else hermite_rule)(order)
             z, w = tangent_nodes(order, extended)
             blocks = [(u[i] - 1j * u, wu[i] * wu) for i in range(order)]
             assert np.array_equal(z, np.concatenate([zb for zb, _ in blocks]))
