@@ -50,8 +50,9 @@ DEFAULT_MODES = 12
 DEFAULT_X_QUAD = 256
 
 # The largest value of each size flag, checked with its lower bound of 1
-# before any work.  Measured at the cap with the other flags at their
-# defaults, 2-vCPU VM (JSON is about 75 bytes per matrix entry):
+# (the subcommand's own bound for the flags of _OWN_LOWER_BOUND) before any
+# work.  Measured at the cap with the other flags at their defaults, 2-vCPU VM
+# (JSON is about 75 bytes per matrix entry):
 SIZE_LIMITS = {
     # kernel/heatkernel: a dense G x G complex grid; at 1024, 5.2-8.5 s and
     # 370-415 MB peak RSS, writing 46 MB of CSV or 79 MB of JSON
@@ -66,7 +67,20 @@ SIZE_LIMITS = {
     # heatkernel: two grid-points x x-nodes complex density arrays; at 4096,
     # 0.3-0.4 s and 50 MB peak RSS; 58 s and 415 MB with --grid-points 1024
     "x_nodes": 4096,
+    # every subcommand but greens: a (2N + 1)-function basis.  At 100, gram
+    # --quadrature 10 s and 108 MB peak RSS (its long-double Gram has no BLAS;
+    # exit 1, the order-64 Gram is singular), evolve 2.6 s and 86 MB, the rest
+    # under 0.8 s and 52 MB
+    "truncation": 100,
+    # evolve keeps and writes every state; at 10,000, 3.1 s and 139 MB peak RSS,
+    # writing 16 MB of JSON
+    "steps": 10000,
+    # greens: one row of 2 * windings + 1 terms per point, in blocks; at
+    # 100,000, 1.5 s and 38 MB peak RSS
+    "windings": 100000,
 }
+# --truncation and --windings accept 0, and evolve refuses --steps 0 itself
+_OWN_LOWER_BOUND = {"truncation", "steps", "windings"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -177,7 +191,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def _check_sizes(args: argparse.Namespace) -> None:
     for dest, limit in SIZE_LIMITS.items():
         value = getattr(args, dest, None)
-        if value is not None and not 1 <= value <= limit:
+        if value is not None and (value > limit or value < 1 and dest not in _OWN_LOWER_BOUND):
             bound = ">= 1" if value < 1 else f"<= {limit}"
             raise ValidationError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
 
@@ -342,7 +356,7 @@ def _cmd_evolve(args) -> int:
     state = HoloState(basis, state.coeffs / norm)
     hermite_rule(args.quad_order)  # a bad order fails here, before the step-matrix limit
     H = hamiltonian_free(N)
-    _, history = evolve(state, H, args.t, args.steps, gram, args.quad_order, return_history=True)
+    _, history = evolve(state, H, args.t, args.steps, args.quad_order, return_history=True)
     delta = args.t / args.steps
     if args.format == "json":
         payload = {

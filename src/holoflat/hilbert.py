@@ -8,7 +8,7 @@ series forms), and projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from typing import Callable, Optional, Sequence
@@ -70,11 +70,29 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class GramData:
-    """Gram matrix of a basis with its Cholesky factor."""
+    """Gram matrix of a basis, stored symmetrised, and its Cholesky factor.  A matrix not
+    finite and Hermitian to 1e-12, or not positive definite, raises FactorizationError."""
 
     basis: BasisSpec
     matrix: np.ndarray
-    factor: np.ndarray  # lower-triangular, matrix = factor @ factor^H
+    factor: np.ndarray = field(init=False)  # lower-triangular, matrix = factor @ factor^H
+
+    def __post_init__(self):
+        G = np.asarray(self.matrix, dtype=complex)
+        if G.shape != (self.basis.size,) * 2:
+            raise ValidationError(f"Gram matrix must be square of the basis size {self.basis.size}")
+        scale = max(np.abs(G).max(), 1.0)
+        if not np.isfinite(G).all() or np.abs(G - np.conj(G).T).max() > _HERMITICITY_TOL * scale:
+            raise FactorizationError("Gram matrix is not finite and Hermitian to tolerance")
+        G = 0.5 * (G + np.conj(G).T)
+        try:
+            factor = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                "basis numerically dependent at this truncation/precision"
+            ) from exc
+        object.__setattr__(self, "matrix", G)
+        object.__setattr__(self, "factor", factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``matrix @ x = rhs`` through the Cholesky factor: ``factor @ y = rhs``,
@@ -168,7 +186,7 @@ def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
 
 
 def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
-    """Gram matrix of the basis with its Cholesky factor.
+    """Gram data of the basis (``GramData`` checks and factors the matrix).
 
     With an ``order``, integrates every pair on the tensor grid of that
     order; otherwise uses ``closed_form_inner``.
@@ -186,17 +204,7 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
         )
     else:
         raise ValidationError("basis has no closed-form Gram entries; give a quadrature order")
-    scale = max(np.abs(G).max(), 1.0)
-    if np.abs(G - np.conj(G).T).max() > _HERMITICITY_TOL * scale:
-        raise FactorizationError("Gram matrix is not Hermitian to tolerance")
-    G = 0.5 * (G + np.conj(G).T)
-    try:
-        factor = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            "basis numerically dependent at this truncation/precision"
-        ) from exc
-    return GramData(basis=basis, matrix=G, factor=factor)
+    return GramData(basis, G)
 
 
 def orthonormalize(gram: GramData, ordering: Sequence[int] | None = None) -> np.ndarray:
@@ -233,10 +241,9 @@ class KernelRep:
     ``mid = G^{-1}`` (obtained by Cholesky solves, not explicit inversion)
     gives the reproducing kernel; ``mid = O @ G^{-1}`` the integral kernel
     of the operator ``O``; ``mid = C @ C^H`` the orthonormal series form.
-    The basis is the one of ``gram``.
     """
 
-    gram: GramData
+    basis: BasisSpec
     mid: np.ndarray
 
     def __post_init__(self):
@@ -268,20 +275,16 @@ class KernelRep:
         Pw = self.basis.design_matrix(np.atleast_1d(w))[0]
         return HoloState(self.basis, self.mid @ np.conj(Pw))
 
-    @property
-    def basis(self) -> BasisSpec:
-        return self.gram.basis
-
 
 def reproducing_kernel(gram: GramData) -> KernelRep:
     """Gram-inverse form of the reproducing kernel on the truncated span."""
-    return KernelRep(gram=gram, mid=gram.inverse())
+    return KernelRep(gram.basis, gram.inverse())
 
 
 def orthonormal_series_kernel(gram: GramData, ordering: Sequence[int] | None = None) -> KernelRep:
     """Series form ``sum_j beta_j(z) conj(beta_j(w))`` of the same kernel."""
     C = orthonormalize(gram, ordering)
-    return KernelRep(gram=gram, mid=C @ np.conj(C).T)
+    return KernelRep(gram.basis, C @ np.conj(C).T)
 
 
 def project(f, kernel: KernelRep, order: int) -> HoloState:
@@ -297,6 +300,8 @@ def project(f, kernel: KernelRep, order: int) -> HoloState:
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:
-    """Gram norm ``sqrt(c^H G c)`` of a state."""
+    """Gram norm ``sqrt(c^H G c)`` of a state on the basis of ``gram``."""
+    if state.basis != gram.basis:
+        raise ValidationError("state basis differs from the basis of the Gram data")
     c = state.coeffs
     return float(np.sqrt(np.real(np.conj(c) @ gram.matrix @ c)))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .hilbert import GramData, HoloState
+from .hilbert import BasisSpec, HoloState, gram_matrix
 from .quadrature import tangent_nodes
 
 __all__ = [
@@ -35,17 +35,18 @@ _TAIL_TOL = 1e-8  # largest accepted mode-sum tail of greens_spectral
 _GREENS_BLOCK = 2**16  # terms per block of a Green sum over thetas; 1 MB complex
 
 
-def step_matrix(gram: GramData, H: np.ndarray, delta: float, order: int) -> np.ndarray:
+def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np.ndarray:
     """Coefficient-space matrix of one short-time step of length ``delta`` under the
-    Hamiltonian matrix ``H``, integrated on the order-``order`` tangent grid.
+    Hamiltonian matrix ``H`` on ``basis``, integrated on the order-``order`` tangent grid.
 
-    The kernel ``K`` has ``mid = G^-1``, G the matrix of ``gram``, and ``K_H`` has
-    ``H @ mid``.  Column ``k`` is the projection of the step applied to basis element
-    ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram matrix: the
-    identity only where the rule resolves the basis (max ``|G^-1 G_q - I|`` is 4.5e-6 at
-    N = 8 and 1.0 at N = 12, order 64).  Node pairs are summed in ``_TILE`` blocks through buffers
-    allocated once (memory O(order^2 * basis size)); a summed pair with
-    ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError, and so does a non-finite sum.
+    The kernel ``K`` has ``mid = G^-1``, G the Gram matrix of ``basis`` (closed form, else
+    by quadrature at ``order``), and ``K_H`` has ``H @ mid``.  Column ``k`` is the projection
+    of the step applied to basis element ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``,
+    ``G_q`` the grid's Gram matrix: the identity only where the rule resolves the basis
+    (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs
+    are summed in ``_TILE`` blocks through buffers allocated once (memory O(order^2 *
+    basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises
+    QuadratureError, and so does a non-finite sum.
     Orders above ``MAX_STEP_ORDER`` raise QuadratureError, and an ``H`` that is not a
     finite square matrix of the basis size ValidationError, before any grid is built.
 
@@ -77,12 +78,12 @@ def step_matrix(gram: GramData, H: np.ndarray, delta: float, order: int) -> np.n
             f"quadrature order {order} above the step-matrix limit {MAX_STEP_ORDER} "
             "(the node-pair sum grows as order^4)"
         )
-    basis = gram.basis
     H = np.asarray(H, dtype=complex)
     if H.shape != (basis.size,) * 2:
         raise ValidationError(f"Hamiltonian shape {H.shape} is not ({basis.size}, {basis.size})")
     if not np.isfinite(H).all():
         raise ValidationError("Hamiltonian entries must be finite")
+    gram = gram_matrix(basis, order if basis.closed_form_inner is None else None)
     z, w = tangent_nodes(order)
     Phi = basis.design_matrix(z)
     s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
@@ -163,16 +164,10 @@ def step_matrix(gram: GramData, H: np.ndarray, delta: float, order: int) -> np.n
 
 
 def evolve(
-    state: HoloState,
-    H: np.ndarray,
-    t: float,
-    n_steps: int,
-    gram: GramData,
-    order: int,
-    return_history: bool = False,
+    state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int, return_history: bool = False
 ):
     """Iterate the short-time step of ``H`` ``n_steps`` times over total time ``t``,
-    each step integrated on the order-``order`` tangent grid with the Gram data ``gram``.
+    each step integrated on the order-``order`` tangent grid of ``state.basis``.
 
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
@@ -183,10 +178,8 @@ def evolve(
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if state.basis.size != len(H):
         raise ValidationError("state and Hamiltonian sizes differ")
-    if state.basis != gram.basis:
-        raise ValidationError("state basis differs from the basis of the Gram data")
     delta = t / n_steps
-    S = step_matrix(gram, H, delta, order)
+    S = step_matrix(state.basis, H, delta, order)
     c = state.coeffs
     history = [HoloState(state.basis, c)]
     for step in range(n_steps):

@@ -293,7 +293,7 @@ def criterion_trotter_convergence() -> CriterionResult:
     exact = evolve_exact(phi, H, t)
     errs = {}
     for n in (8, 16, 32, 64):
-        approx = evolve(phi, H, t, n, gram, 64)
+        approx = evolve(phi, H, t, n, 64)
         errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)
@@ -359,10 +359,15 @@ CRITERIA = (
 
 
 def run_criteria(names: list[str] | None = None) -> list[CriterionResult]:
-    """Run the acceptance checks, optionally filtered by name substring."""
+    """Run the acceptance checks, optionally only those whose printed name contains
+    one of ``names`` (``_`` read as ``-``)."""
     selected = [
         fn
         for fn in CRITERIA
-        if not names or any(n.replace("-", "_") in fn.__name__ for n in names)
+        if not names
+        or any(
+            n.replace("_", "-") in fn.__name__.removeprefix("criterion_").replace("_", "-")
+            for n in names
+        )
     ]
     return [fn() for fn in selected]

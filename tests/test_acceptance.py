@@ -34,7 +34,7 @@ def _run(fn):
 
 
 def _assert_selectable(fn, r):
-    # `validate --only NAME` matches NAME against the function name
+    # `validate --only NAME` matches NAME against the printed name, read off the function name
     assert fn.__name__ == "criterion_" + r.name.replace("-", "_")
 
 

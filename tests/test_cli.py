@@ -327,6 +327,18 @@ class TestValidate:
         assert len(lines) == 1
         assert lines[0].startswith("PASS kernel-construction-equivalence: ")
 
+    @pytest.mark.parametrize("token", ["criterion", "n_k"])
+    def test_only_ignores_function_name(self, token, capsys):
+        # neither token is part of a printed name, though both are of function names
+        assert run(["validate", "--only", token]) == 1
+        assert "no acceptance criteria match the requested names" in capsys.readouterr().err
+
+    def test_only_reads_underscore_as_dash(self, capsys):
+        assert run(["validate", "--only", "kernel_properties"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("PASS kernel-properties: ")
+
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(holoflat.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -421,6 +433,14 @@ class TestPlumbing:
             ("heatkernel", "x-nodes"),
             ("greens", "points"),
             ("greens", "modes"),
+            ("greens", "windings"),
+            ("gram", "truncation"),
+            ("orthonormalize", "truncation"),
+            ("kernel", "truncation"),
+            ("heatkernel", "truncation"),
+            ("ladder", "truncation"),
+            ("evolve", "truncation"),
+            ("evolve", "steps"),
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -439,6 +459,23 @@ class TestPlumbing:
         assert run(argv + ["--output", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: --{flag} must be <= {limit}, got {limit + 1}\n"
         assert os.listdir(tmp_path) == (["cfg.json"] if source == "config" else [])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gram", "--truncation", "-1"], "error: truncation must be nonnegative, got -1\n"),
+            (["greens", "--windings", "-1"], "error: n_max must be nonnegative, got -1\n"),
+            (["evolve", "--steps", "0"], "error: n_steps must be >= 1, got 0\n"),
+        ],
+    )
+    def test_own_lower_bounds_keep_their_messages(self, argv, message, capsys):
+        # only the upper bound of these flags is in SIZE_LIMITS
+        assert run(argv) == 1
+        assert capsys.readouterr().err == message
+
+    def test_zero_windings_and_truncation_valid(self, tmp_path):
+        assert run(["greens", "--windings", "0", "--output", str(tmp_path / "g")]) == 0
+        assert run(["gram", "--truncation", "0", "--output", str(tmp_path / "t")]) == 0
 
     def test_size_limits_admit_the_limit(self):
         # checked without running: the work at each cap is what its comment measures
@@ -480,3 +517,32 @@ def test_json_output_matches_reference(command, tmp_path):
             assert abs(a - b) <= 1e-12 * scale, path
         else:
             assert a == b, path
+
+
+def readme_examples():
+    """The ``holoflat ...`` lines of the README's ``sh`` blocks, comments dropped."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")
+    lines = [
+        line.split("#")[0].split()
+        for block in blocks[1::2]
+        if block.startswith("sh\n")
+        for line in block.splitlines()
+    ]
+    return [argv[1:] for argv in lines if argv[:1] == ["holoflat"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in readme_examples() if argv[0] != "validate"],  # covered by TestValidate
+    ids=lambda argv: argv[0],
+)
+def test_readme_example(argv, tmp_path):
+    assert run(argv + ["--output", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_readme_examples_found():
+    assert [argv[0] for argv in readme_examples()] == [
+        "gram", "orthonormalize", "kernel", "heatkernel", "ladder", "greens", "evolve", "validate",
+    ]

@@ -137,6 +137,52 @@ class TestGramMatrix:
             gram_matrix(basis, ORDER)
 
 
+class TestGramData:
+    """``GramData(basis, matrix)`` checks, symmetrises and factors the matrix itself."""
+
+    def test_factor_derived(self, setup_n4):
+        basis, gram = setup_n4
+        derived = GramData(basis, gram.matrix)
+        assert np.array_equal(derived.matrix, gram.matrix)
+        assert np.array_equal(derived.factor, np.linalg.cholesky(gram.matrix))
+
+    def test_symmetrises_within_tolerance(self, setup_n4):
+        basis, gram = setup_n4
+        G = gram.matrix.copy()
+        G[0, 1] += 1e-14
+        assert np.array_equal(GramData(basis, G).matrix, 0.5 * (G + np.conj(G).T))
+
+    def test_rejects_non_hermitian(self, setup_n4):
+        basis, gram = setup_n4
+        G = gram.matrix.copy()
+        G[0, 1] += 1e-3
+        with pytest.raises(FactorizationError, match="Hermitian to tolerance"):
+            GramData(basis, G)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, setup_n4, bad):
+        basis, gram = setup_n4
+        G = gram.matrix.copy()
+        G[2, 2] = bad
+        with pytest.raises(FactorizationError, match="not finite and Hermitian"):
+            GramData(basis, G)
+
+    def test_rejects_indefinite(self, setup_n4):
+        basis, gram = setup_n4
+        with pytest.raises(FactorizationError, match="dependent"):
+            GramData(basis, gram.matrix - 2 * np.eye(basis.size))
+
+    def test_rejects_wrong_shape(self, setup_n4):
+        basis, _ = setup_n4
+        with pytest.raises(ValidationError, match="square of the basis size 9"):
+            GramData(basis, np.eye(8))
+
+    def test_factor_is_not_an_argument(self, setup_n4):
+        basis, gram = setup_n4
+        with pytest.raises(TypeError):
+            GramData(basis, gram.matrix, gram.factor)
+
+
 class TestGramSolve:
     @pytest.mark.parametrize("N", [1, 4, 8, 12])
     @pytest.mark.parametrize("columns", [None, 5])
@@ -154,7 +200,7 @@ class TestGramSolve:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         G = A @ np.conj(A).T + 9 * np.eye(9)
-        gram = GramData(cylinder_basis(4), G, np.linalg.cholesky(G))
+        gram = GramData(cylinder_basis(4), G)
         rhs = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
         assert np.linalg.norm(G @ gram.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
         inv = gram.inverse()
@@ -329,7 +375,7 @@ class TestProject:
 
 def operator_kernel(O, gram):
     """Integral kernel of the operator with coefficient matrix ``O``."""
-    return KernelRep(gram, mid=O @ gram.inverse())
+    return KernelRep(gram.basis, mid=O @ gram.inverse())
 
 
 class TestOperatorKernel:
@@ -361,7 +407,7 @@ class TestOperatorKernel:
     def test_dimension_mismatch(self, setup_n4):
         basis, gram = setup_n4
         with pytest.raises(ValidationError):
-            KernelRep(gram, mid=np.eye(5))
+            KernelRep(basis, mid=np.eye(5))
 
 
 class TestDesignMatrix:
@@ -474,3 +520,17 @@ class TestHoloState:
         assert f.evaluate(z) == pytest.approx(np.exp(1j * z - 0.5))
         arr = f.evaluate(np.array([z, 0.0]))
         assert arr.shape == (2,)
+
+
+class TestStateNorm:
+    def test_gram_norm(self, setup_n4):
+        _, gram = setup_n4
+        f = basis_state(4, 2)  # a unit basis function of the normalized basis
+        assert state_norm(f, gram) == pytest.approx(1.0, rel=1e-14)
+
+    def test_rejects_state_on_other_basis(self):
+        # same size, other basis: c^H G c with the normalized basis's G is meaningless
+        state = HoloState(cylinder_basis(3, normalized=False), np.eye(7)[3])
+        gram = gram_matrix(cylinder_basis(3))
+        with pytest.raises(ValidationError, match="state basis differs"):
+            state_norm(state, gram)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from holoflat import (
     BasisSpec,
-    GramData,
     HeatKernelParams,
     HoloState,
     QuadratureError,
@@ -19,6 +18,7 @@ from holoflat import (
     cylinder_basis,
     evolve,
     evolve_exact,
+    gram_closed,
     gram_matrix,
     greens_spectral,
     greens_winding,
@@ -50,9 +50,9 @@ DELTAS = (0.1, 0.05, 0.025, 0.0125)
 
 
 @pytest.fixture(scope="module")
-def steps(gram):
+def steps():
     """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64."""
-    return {d: step_matrix(gram, hamiltonian_free(N), d, ORDER) for d in DELTAS}
+    return {d: step_matrix(cylinder_basis(N), hamiltonian_free(N), d, ORDER) for d in DELTAS}
 
 
 def column_norms(M, gram):
@@ -64,7 +64,7 @@ def column_norms(M, gram):
 def zero_step(n, order):
     basis = cylinder_basis(n)
     gram = gram_matrix(basis)
-    S0 = step_matrix(gram, hamiltonian_free(n), 0.0, order)
+    S0 = step_matrix(basis, hamiltonian_free(n), 0.0, order)
     return S0, gram, basis
 
 
@@ -110,9 +110,9 @@ class TestInfinitesimalStep:
         for d1, d2 in zip(DELTAS[:2], DELTAS[1:3]):
             assert drift[d1][e1] / drift[d2][e1] > 3.0  # and the e_1 drift scales as delta^2
 
-    def test_matches_step_matrix_column(self, gram, steps):
+    def test_matches_step_matrix_column(self, steps):
         # one evolution step from e_1 is the e_1 column of S(delta)
-        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, gram, ORDER)
+        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, ORDER)
         assert np.abs(steps[0.05][:, N + 1] - out.coeffs).max() < 1e-12
 
 
@@ -133,30 +133,33 @@ def dense_step(gram, H, delta, order):
 
 
 CASES = ("free", "skew-H", "skew-gram", "mirror-only", "conj-only")
+SKEW = {(0, 1): 0.1j, (1, 0): -0.1j}
+
+
+def skew_inner(p, q):
+    """The normalized circle's Gram entries, +0.1i at labels (0, 1) and -0.1i at (1, 0)."""
+    return complex(gram_closed(p, q, True)) + SKEW.get((p, q), 0)
 
 
 def step_case(case, n=N):
-    """Gram data and Hamiltonian at truncation ``n``: "free" is even under z -> -z and
+    """Basis and Hamiltonian at truncation ``n``: "free" is even under z -> -z and
     real, so the mirror and the conjugation folds both apply; "skew-H" adds d/dz to H and
-    "skew-gram" adds +0.1i at labels (0, 1) of G and -0.1i at (1, 0), so neither fold
-    applies and the full pair sum must run.  "mirror-only" adds an imaginary diagonal
-    even in k (only the mirror applies), "conj-only" a real diagonal odd in k (only the
-    conjugation applies)."""
-    gram = gram_matrix(cylinder_basis(n))
+    "skew-gram" takes a closed form that adds +0.1i at labels (0, 1) of G and -0.1i at
+    (1, 0), so neither fold applies and the full pair sum must run.  "mirror-only" adds
+    an imaginary diagonal even in k (only the mirror applies), "conj-only" a real
+    diagonal odd in k (only the conjugation applies)."""
+    basis = cylinder_basis(n)
     H = hamiltonian_free(n)
     k = np.arange(-n, n + 1)
     if case == "skew-H":
         H = H + ladder_lower(n)
     if case == "skew-gram":
-        G = gram.matrix.copy()
-        G[n, n + 1] += 0.1j
-        G[n + 1, n] -= 0.1j
-        gram = GramData(gram.basis, G, np.linalg.cholesky(G))
+        basis = BasisSpec(basis.labels, basis.eval_fn, skew_inner)
     if case == "mirror-only":
         H = H + 0.1j * np.diag(k**2)
     if case == "conj-only":
         H = H + 0.1 * np.diag(k)
-    return gram, H
+    return basis, H
 
 
 # the reflections each case admits: J is z -> -z, sigma is z -> -conj(z)
@@ -175,18 +178,18 @@ class TestStepMatrix:
         # ceil(M/2) at both orders (72 and 61)
         monkeypatch.setattr(propagator, "_TILE", tile)
         for order, case in itertools.product((12, 11), CASES):
-            gram, H = step_case(case)
-            ref = dense_step(gram, H, 0.05, order)
-            S = step_matrix(gram, H, 0.05, order)
+            basis, H = step_case(case)
+            ref = dense_step(gram_matrix(basis), H, 0.05, order)
+            S = step_matrix(basis, H, 0.05, order)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
 
     @pytest.mark.parametrize("order", [32, 48])
     @pytest.mark.parametrize("case", CASES)
     def test_pruned_matches_full_grid(self, case, order):
         # 988 of 1,024 and 1,920 of 2,304 nodes are summed; dense_step sums them all
-        gram, H = step_case(case)
-        ref = dense_step(gram, H, 0.05, order)
-        S = step_matrix(gram, H, 0.05, order)
+        basis, H = step_case(case)
+        ref = dense_step(gram_matrix(basis), H, 0.05, order)
+        S = step_matrix(basis, H, 0.05, order)
         assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
@@ -211,8 +214,8 @@ class TestStepMatrix:
             return less(a, b, out=out)
 
         monkeypatch.setattr(np, "less", spy)
-        gram, H = step_case(case)
-        step_matrix(gram, H, 0.05, order)
+        basis, H = step_case(case)
+        step_matrix(basis, H, 0.05, order)
         assert sum(guarded) == pairs
 
     @pytest.mark.parametrize("order", [32, 33])
@@ -226,9 +229,9 @@ class TestStepMatrix:
             guarded.append(out.size)
             return less(a, b, out=out)
 
-        gram, H = step_case(case)
+        basis, H = step_case(case)
         z, w = tangent_nodes(order)
-        Phi = gram.basis.design_matrix(z)
+        Phi = basis.design_matrix(z)
         s = w * np.sum(np.abs(Phi) ** 2, axis=1)
         M = len(s)
         x, y = np.divmod(np.arange(M), order)
@@ -245,38 +248,48 @@ class TestStepMatrix:
 
         monkeypatch.setattr(propagator, "_TILE", (1, M))
         monkeypatch.setattr(np, "less", spy)
-        step_matrix(gram, H, 0.05, order)
+        step_matrix(basis, H, 0.05, order)
         assert sum(guarded) == pairs
+
+    @pytest.mark.parametrize("order", [32, 33])
+    def test_basis_without_closed_form(self, order):
+        # no closed-form Gram entries: the step takes G from the order-``order`` quadrature
+        base = cylinder_basis(N)
+        basis = BasisSpec(base.labels, base.eval_fn)
+        H = hamiltonian_free(N)
+        ref = dense_step(gram_matrix(basis, order), H, 0.05, order)
+        S = step_matrix(basis, H, 0.05, order)
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_nonfinite_scale_raises(self):
         # e^{400 k z} overflows at the outer nodes; an infinite or NaN largest scale
         # would drop every node and return S = 0
-        gram = gram_matrix(cylinder_basis(1))
+        basis = cylinder_basis(1)
 
         def eval_fn(k, z):
             with np.errstate(over="ignore"):
                 return np.exp(400.0 * k * z)
 
-        overflowing = GramData(BasisSpec(gram.basis.labels, eval_fn), gram.matrix, gram.factor)
+        overflowing = BasisSpec(basis.labels, eval_fn, basis.closed_form_inner)
         with pytest.raises(QuadratureError, match="not finite"):
             step_matrix(overflowing, hamiltonian_free(1), 0.05, 12)
 
-    def test_division_guard_raises(self, gram, monkeypatch):
+    def test_division_guard_raises(self, monkeypatch):
         H = hamiltonian_free(N)
         monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
         with pytest.raises(QuadratureError, match="below guard"):
-            step_matrix(gram, H, 0.05, ORDER)
+            step_matrix(cylinder_basis(N), H, 0.05, ORDER)
         with pytest.raises(QuadratureError, match="below guard"):
-            evolve(basis_state(0), H, 0.5, 4, gram, ORDER)
+            evolve(basis_state(0), H, 0.5, 4, ORDER)
 
-    def test_order_limit(self, gram, monkeypatch):
+    def test_order_limit(self, monkeypatch):
         H = hamiltonian_free(N)
         monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
         assert propagator.MAX_STEP_ORDER == 256
         with pytest.raises(QuadratureError, match="above the step-matrix limit 256"):
-            step_matrix(gram, H, 0.05, 257)
+            step_matrix(cylinder_basis(N), H, 0.05, 257)
         with pytest.raises(RuntimeError, match="grid built"):  # 256 itself is allowed
-            step_matrix(gram, H, 0.05, 256)
+            step_matrix(cylinder_basis(N), H, 0.05, 256)
 
     @pytest.mark.parametrize(
         "H, message",
@@ -287,17 +300,17 @@ class TestStepMatrix:
         ],
         ids=["not-square", "wrong-size", "nan-entry"],
     )
-    def test_rejects_bad_hamiltonian(self, gram, H, message, monkeypatch):
+    def test_rejects_bad_hamiltonian(self, H, message, monkeypatch):
         # refused before the grid, not after the O(order^4) pair sum
         monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
         with pytest.raises(ValidationError, match=message):
-            step_matrix(gram, H, 0.05, ORDER)
+            step_matrix(cylinder_basis(N), H, 0.05, ORDER)
 
-    def test_memory_bounded(self, gram):
+    def test_memory_bounded(self):
         # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
         tracemalloc.start()
         try:
-            step_matrix(gram, hamiltonian_free(N), 0.05, ORDER)
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), 0.05, ORDER)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -308,22 +321,22 @@ class TestStepMatrix:
 @given(delta=st.floats(0.0, 0.2), n=st.integers(1, 8), case=st.sampled_from(CASES))
 def test_pruned_step_matches_full_grid(delta, n, case):
     # order 32 drops nodes at every n in 1..8 but 7
-    gram, H = step_case(case, n)
-    ref = dense_step(gram, H, delta, 32)
-    S = step_matrix(gram, H, delta, 32)
+    basis, H = step_case(case, n)
+    ref = dense_step(gram_matrix(basis), H, delta, 32)
+    S = step_matrix(basis, H, delta, 32)
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEvolve:
-    def test_zero_time_identity(self, gram):
+    def test_zero_time_identity(self):
         phi = basis_state(2)
-        out = evolve(phi, hamiltonian_free(N), 0.0, 4, gram, ORDER)
+        out = evolve(phi, hamiltonian_free(N), 0.0, 4, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
-    def test_zero_hamiltonian_identity(self, gram):
+    def test_zero_hamiltonian_identity(self):
         H = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
         phi = basis_state(1)
-        out = evolve(phi, H, 2.0, 4, gram, ORDER)
+        out = evolve(phi, H, 2.0, 4, ORDER)
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_first_order_convergence(self, gram):
@@ -334,43 +347,58 @@ class TestEvolve:
         exact = evolve_exact(phi, H, 0.5)
         errs = []
         for n in (16, 32):
-            out = evolve(phi, H, 0.5, n, gram, ORDER)
+            out = evolve(phi, H, 0.5, n, ORDER)
             errs.append(state_norm(HoloState(phi.basis, out.coeffs - exact.coeffs), gram))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
-    def test_history(self, gram):
+    def test_history(self):
         H = hamiltonian_free(N)
-        _, history = evolve(basis_state(0), H, 0.2, 3, gram, ORDER, return_history=True)
+        _, history = evolve(basis_state(0), H, 0.2, 3, ORDER, return_history=True)
         assert len(history) == 4
 
-    def test_config_validation(self, gram):
+    def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_steps must be >= 1, got 0"):
-            evolve(basis_state(0), hamiltonian_free(N), 1.0, 0, gram, ORDER)
+            evolve(basis_state(0), hamiltonian_free(N), 1.0, 0, ORDER)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_time(self, t, gram):
+    def test_rejects_nonfinite_time(self, t):
         # checked before n_steps, so a non-finite time with no steps names the time
         with pytest.raises(ValidationError, match="evolution time must be finite"):
-            evolve(basis_state(0), hamiltonian_free(N), t, 0, gram, ORDER)
+            evolve(basis_state(0), hamiltonian_free(N), t, 0, ORDER)
 
-    def test_rejects_state_size_mismatch(self, gram):
+    def test_rejects_state_size_mismatch(self):
         state = HoloState(cylinder_basis(N - 1), np.ones(2 * N - 1))
         with pytest.raises(ValidationError, match="state and Hamiltonian sizes differ"):
-            evolve(state, hamiltonian_free(N), 0.5, 4, gram, ORDER)
+            evolve(state, hamiltonian_free(N), 0.5, 4, ORDER)
 
-    def test_rejects_state_on_other_basis(self):
-        # same size, other basis: stepping it with the normalized basis's matrix is meaningless
-        state = HoloState(cylinder_basis(3, normalized=False), np.eye(7)[3])
-        gram = gram_matrix(cylinder_basis(3))
-        with pytest.raises(ValidationError, match="state basis differs"):
-            evolve(state, hamiltonian_free(3), 0.1, 2, gram, 32)
-
-    def test_accepts_state_on_equal_basis(self, gram):
-        # a state built on its own cylinder_basis(N) call, as basis_state does
+    def test_accepts_state_on_equal_basis(self, steps):
+        # a state built on its own cylinder_basis(N) call, as basis_state does, is stepped
+        # with the step matrix of that basis
         state = basis_state(1)
-        assert state.basis is not gram.basis
-        out = evolve(state, hamiltonian_free(N), 0.1, 2, gram, ORDER)
-        assert out.basis == gram.basis
+        out = evolve(state, hamiltonian_free(N), 0.1, 2, ORDER)
+        assert out.basis is state.basis
+        assert np.abs(out.coeffs - steps[0.05] @ steps[0.05] @ state.coeffs).max() < 1e-12
+
+
+# Gram-norm error at t = 0.5 in 16 steps of the random state below, measured when the
+# step matrix was summed on the Gauss-Hermite grid: the error is the method's, not the
+# quadrature's, so raising the order from 64 to 96 leaves it in place
+METHOD_ERROR = {64: 0.43239, 96: 0.43248}
+
+
+def test_method_bound_error():
+    gram = gram_matrix(cylinder_basis(N))
+    rng = np.random.default_rng(1)
+    phi = HoloState(gram.basis, rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
+    phi = HoloState(gram.basis, phi.coeffs / state_norm(phi, gram))
+    H = hamiltonian_free(N)
+    exact = evolve_exact(phi, H, 0.5)
+    errs = {}
+    for order, expected in METHOD_ERROR.items():
+        out = evolve(phi, H, 0.5, 16, order)
+        errs[order] = state_norm(HoloState(gram.basis, out.coeffs - exact.coeffs), gram)
+        assert errs[order] == pytest.approx(expected, rel=0.01), order
+    assert errs[64] == pytest.approx(errs[96], rel=0.01)
 
 
 class TestEvolveExact:
