@@ -32,7 +32,7 @@ from .hilbert import (
     reproducing_kernel,
     state_norm,
 )
-from .io import matrix_csv, rows_csv, write_output
+from .io import matrix_csv, render_json, rows_csv, write_output
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import (
     DEFAULT_EPSILON,
@@ -40,14 +40,8 @@ from .propagator import (
     greens_spectral,
     greens_winding,
 )
-from .quadrature import DEFAULT_ORDER, hermite_rule
+from .quadrature import DEFAULT_ORDER
 from .validation import run_criteria
-
-# Defaults shared by every subcommand (also documented in the README):
-#   truncation N = 8, quadrature order 64, heat-kernel modes M = 12,
-#   256 periodic x-nodes, regularization epsilon = 0.05.
-DEFAULT_MODES = 12
-DEFAULT_X_QUAD = 256
 
 # The largest value of each size flag, checked with its lower bound of 1
 # (the subcommand's own bound for the flags of _OWN_LOWER_BOUND) before any
@@ -116,9 +110,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("heatkernel", help="calibrated heat-kernel formula on a real grid")
     p.add_argument("--truncation", type=int, default=DEFAULT_N)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--modes", type=int, default=DEFAULT_MODES)
-    p.add_argument("--x-nodes", type=int, default=DEFAULT_X_QUAD)
+    p.add_argument("--t", type=float, default=HeatKernelParams.t)
+    p.add_argument("--modes", type=int, default=HeatKernelParams.M)
+    p.add_argument("--x-nodes", type=int, default=HeatKernelParams.x_quad)
     p.add_argument("--grid-points", type=int, default=5)
     _add_common(p)
 
@@ -201,10 +195,10 @@ def _cmd_gram(args) -> int:
     g = gram_matrix(basis, args.quad_order if args.quadrature else None)
     labels = list(basis.labels)
     if args.format == "json":
-        payload = {"labels": labels, "matrix": g.matrix}
-        write_output(payload, args.output, "json")
+        text = render_json({"labels": labels, "matrix": g.matrix})
     else:
-        write_output(matrix_csv(g.matrix, labels, labels), args.output, "csv")
+        text = matrix_csv(g.matrix, labels, labels)
+    write_output(text, args.output)
     return 0
 
 
@@ -215,16 +209,13 @@ def _cmd_orthonormalize(args) -> int:
     residual = float(np.abs(np.conj(C).T @ gram.matrix @ C - np.eye(basis.size)).max())
     labels = list(basis.labels)
     if args.format == "json":
-        payload = {
-            "labels": labels,
-            "coefficients": C,
-            "orthonormality_residual": residual,
-        }
-        write_output(payload, args.output, "json")
+        text = render_json(
+            {"labels": labels, "coefficients": C, "orthonormality_residual": residual}
+        )
     else:
         text = matrix_csv(C, labels, [f"beta_{j}" for j in range(basis.size)])
         text += f"orthonormality_residual,{residual!r}\n"
-        write_output(text, args.output, "csv")
+    write_output(text, args.output)
     return 0
 
 
@@ -239,10 +230,10 @@ def _kernel_grid(args):
 def _emit_grid(values: np.ndarray, grid: np.ndarray, args) -> None:
     labels = [f"{v:.12g}" for v in grid]
     if args.format == "json":
-        payload = {"grid": [float(v) for v in grid], "values": values}
-        write_output(payload, args.output, "json")
+        text = render_json({"grid": [float(v) for v in grid], "values": values})
     else:
-        write_output(matrix_csv(values, labels, labels), args.output, "csv")
+        text = matrix_csv(values, labels, labels)
+    write_output(text, args.output)
 
 
 def _cmd_kernel(args) -> int:
@@ -269,18 +260,14 @@ def _cmd_ladder(args) -> int:
     residual = adjointness_residual(N)
     labels = list(basis.labels)
     if args.format == "json":
-        payload = {
-            "labels": labels,
-            "lower": lower,
-            "raise": raised,
-            "adjointness_residual": residual,
-        }
-        write_output(payload, args.output, "json")
+        text = render_json(
+            {"labels": labels, "lower": lower, "raise": raised, "adjointness_residual": residual}
+        )
     else:
         text = "lower\n" + matrix_csv(lower, labels, labels)
         text += "raise\n" + matrix_csv(raised, labels, labels)
         text += f"adjointness_residual,{residual!r}\n"
-        write_output(text, args.output, "csv")
+    write_output(text, args.output)
     return 0
 
 
@@ -299,15 +286,15 @@ def _cmd_greens(args) -> int:
             }
             for th, gw, gs in zip(thetas, winding, spectral)
         ]
-        payload = {"T": [T.real, T.imag], "theta0": args.theta0, "rows": rows}
-        write_output(payload, args.output, "json")
+        text = render_json({"T": [T.real, T.imag], "theta0": args.theta0, "rows": rows})
     else:
         header = ["theta", "winding_re", "winding_im", "spectral_re", "spectral_im", "difference"]
         rows = [
             [f"{th:.12g}", *map(repr, (gw.real, gw.imag, gs.real, gs.imag, abs(gw - gs)))]
             for th, gw, gs in zip(thetas, winding, spectral)
         ]
-        write_output(rows_csv(header, rows), args.output, "csv")
+        text = rows_csv(header, rows)
+    write_output(text, args.output)
     return 0
 
 
@@ -354,29 +341,23 @@ def _cmd_evolve(args) -> int:
     if not 0 < norm < math.inf:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
-    hermite_rule(args.quad_order)  # a bad order fails here, before the step-matrix limit
-    H = hamiltonian_free(N)
-    _, history = evolve(state, H, args.t, args.steps, args.quad_order, return_history=True)
+    trajectory = evolve(state, hamiltonian_free(N), args.t, args.steps, args.quad_order)
     delta = args.t / args.steps
     if args.format == "json":
-        payload = {
-            "t": args.t,
-            "steps": args.steps,
-            "history": [
-                {"step": i, "time": i * delta, "norm": state_norm(s, gram), **_state_json(s)}
-                for i, s in enumerate(history)
-            ],
-        }
-        write_output(payload, args.output, "json")
+        history = [
+            {"step": i, "time": i * delta, "norm": state_norm(s, gram), **_state_json(s)}
+            for i, s in enumerate(trajectory)
+        ]
+        text = render_json({"t": args.t, "steps": args.steps, "history": history})
     else:
         header = ["step", "time", "norm"] + [f"c_{k}" for k in range(-N, N + 1)]
-        rows = []
-        for i, s in enumerate(history):
-            rows.append(
-                [str(i), f"{i * delta:.12g}", repr(state_norm(s, gram))]
-                + [complex(c) for c in s.coeffs]
-            )
-        write_output(rows_csv(header, rows), args.output, "csv")
+        rows = [
+            [str(i), f"{i * delta:.12g}", repr(state_norm(s, gram))]
+            + [complex(c) for c in s.coeffs]
+            for i, s in enumerate(trajectory)
+        ]
+        text = rows_csv(header, rows)
+    write_output(text, args.output)
     return 0
 
 
@@ -390,12 +371,10 @@ def _cmd_validate(args) -> int:
         lines.append(f"{status} {r.name}: {r.detail}")
     text = "\n".join(lines) + "\n"
     if args.format == "json":
-        payload = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ]
-        write_output(payload, args.output, "json")
+        payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        write_output(render_json(payload), args.output)
     else:
-        write_output(text, args.output, "csv")
+        write_output(text, args.output)
     if args.output is not None:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 1

@@ -29,6 +29,7 @@ __all__ = [
     "matrix_csv",
     "rows_csv",
     "atomic_write",
+    "render_json",
     "write_output",
 ]
 
@@ -128,22 +129,15 @@ def _json(obj, pad: str) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def write_output(payload, output: str | None, fmt: str) -> None:
-    """Emit ``payload`` as CSV text or a JSON object to a path or stdout.
+def render_json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, where a dict
+    in ``payload`` may also hold a 2-D complex ``ndarray``: it is written as
+    ``json.dumps`` writes the matrix's nested ``[re, im]`` lists, byte for byte."""
+    return _json(payload, "\n") + "\n"
 
-    ``payload`` must be a string for csv format and a JSON-serializable
-    object for json format, in which a dict may also hold a 2-D complex
-    ``ndarray``: it is written as ``json.dumps`` writes the matrix's nested
-    ``[re, im]`` lists, byte for byte.
-    """
-    if fmt == "json":
-        text = _json(payload, "\n") + "\n"
-    elif fmt == "csv":
-        if not isinstance(payload, str):
-            raise ValidationError("csv output requires pre-rendered text")
-        text = payload
-    else:
-        raise ValidationError(f"unknown format {fmt!r}; use csv or json")
+
+def write_output(text: str, output: str | None) -> None:
+    """Write ``text`` to the path ``output`` atomically, or to stdout."""
     if output is None:
         sys.stdout.write(text)
     else:

@@ -163,11 +163,10 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     return gram.solve(b)
 
 
-def evolve(
-    state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int, return_history: bool = False
-):
-    """Iterate the short-time step of ``H`` ``n_steps`` times over total time ``t``,
-    each step integrated on the order-``order`` tangent grid of ``state.basis``.
+def evolve(state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int) -> list[HoloState]:
+    """The trajectory of ``n_steps`` short-time steps of ``H`` over total time ``t``,
+    each integrated on the order-``order`` tangent grid of ``state.basis``: ``n_steps
+    + 1`` states, the first holding the coefficients of ``state``.
 
     The step matrix is built once and applied repeatedly; the error against
     the exact spectral evolution decreases like ``1/n_steps``.
@@ -176,20 +175,15 @@ def evolve(
         raise ValidationError(f"evolution time must be finite, got {t}")
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if state.basis.size != len(H):
-        raise ValidationError("state and Hamiltonian sizes differ")
-    delta = t / n_steps
-    S = step_matrix(state.basis, H, delta, order)
+    S = step_matrix(state.basis, H, t / n_steps, order)
     c = state.coeffs
-    history = [HoloState(state.basis, c)]
+    trajectory = [HoloState(state.basis, c)]
     for step in range(n_steps):
         c = S @ c
         if not np.all(np.isfinite(c)):
             raise QuadratureError(f"evolution diverged at step {step + 1}")
-        if return_history:
-            history.append(HoloState(state.basis, c))
-    final = HoloState(state.basis, c)
-    return (final, history) if return_history else final
+        trajectory.append(HoloState(state.basis, c))
+    return trajectory
 
 
 def evolve_exact(state: HoloState, H: np.ndarray, t: float) -> HoloState:
@@ -228,7 +222,8 @@ def greens_winding(
 
     Uses the principal square root.  Requires ``Im(T) < 0`` so the terms
     decay; evaluate at complexified time ``T*(1 - i*epsilon)`` for real T.
-    A float ``theta`` gives a complex, an array one value per entry.
+    A float ``theta`` gives a complex, an array one value per entry.  A non-finite
+    angle raises ValidationError, and a value that is not finite QuadratureError.
     """
     T = _check_time_converges(T, "winding sum")
     if n_max < 0:
@@ -240,7 +235,7 @@ def greens_winding(
         terms = np.exp(1j * (th - theta0 + 2 * math.pi * n) ** 2 / (2 * T))
         return [pref * row.sum() for row in terms]
 
-    return _per_theta(theta, len(n), row_sums)
+    return _per_theta(theta, theta0, T, len(n), row_sums, "winding sum")
 
 
 def greens_spectral(
@@ -250,7 +245,8 @@ def greens_spectral(
     ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
 
     Equal to the winding sum by Poisson summation whenever both converge.
-    A float ``theta`` gives a complex, an array one value per entry.
+    A float ``theta`` gives a complex, an array one value per entry.  A non-finite
+    angle raises ValidationError, and a value that is not finite QuadratureError.
     """
     T = _check_time_converges(T, "mode sum")
     if M < 1:
@@ -267,20 +263,29 @@ def greens_spectral(
         terms = np.exp(1j * k * (th - theta0) - 1j * k**2 * T / 2.0)
         return [row.sum() / (2 * math.pi) for row in terms]
 
-    return _per_theta(theta, len(k), row_sums)
+    return _per_theta(theta, theta0, T, len(k), row_sums, "mode sum")
 
 
-def _per_theta(theta, width: int, row_sums) -> complex | np.ndarray:
+def _per_theta(
+    theta, theta0: float, T: complex, width: int, row_sums, what: str
+) -> complex | np.ndarray:
     """``row_sums`` of blocks of the thetas as a column, so that no block's terms
     exceed ``_GREENS_BLOCK`` entries; a float ``theta`` gives a complex.
 
     Each row of terms is summed on its own: ``sum(axis=1)`` rounds differently,
-    and the values would move from those of one scalar call per theta."""
+    and the values would move from those of one scalar call per theta.  A
+    non-finite angle raises ValidationError, and a non-finite value of the sum
+    ``what`` (its terms overflow) QuadratureError."""
     theta = np.asarray(theta, dtype=float)
+    if not (math.isfinite(theta0) and np.isfinite(theta).all()):
+        raise ValidationError(f"theta and theta0 must be finite, got theta0={theta0}")
     column = theta.reshape(-1, 1)
     step = max(1, _GREENS_BLOCK // width)
-    g = np.array(
-        [s for i in range(0, len(column), step) for s in row_sums(column[i : i + step])],
-        dtype=complex,
-    ).reshape(theta.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.array(
+            [s for i in range(0, len(column), step) for s in row_sums(column[i : i + step])],
+            dtype=complex,
+        ).reshape(theta.shape)
+    if not np.isfinite(g).all():
+        raise QuadratureError(f"{what} not finite at T={T}, theta0={theta0}: its terms overflow")
     return complex(g) if theta.ndim == 0 else g

@@ -293,7 +293,7 @@ def criterion_trotter_convergence() -> CriterionResult:
     exact = evolve_exact(phi, H, t)
     errs = {}
     for n in (8, 16, 32, 64):
-        approx = evolve(phi, H, t, n, 64)
+        approx = evolve(phi, H, t, n, 64)[-1]
         errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)

@@ -9,10 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoflat
-from holoflat import HoloState, cylinder_basis, gram_matrix, reproducing_kernel
-from holoflat import cli
+from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, reproducing_kernel
+from holoflat import ValidationError, cli, propagator
 from holoflat.cli import _read_state, _state_json, run
 from holoflat.io import parse_complex
 
@@ -203,6 +205,25 @@ class TestGreens:
         assert run(["greens", "--points", "2"] + flag) == 1
         assert "error: time parameter must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--theta0=nan", "theta and theta0 must be finite, got theta0=nan"),
+            ("--theta0=inf", "theta and theta0 must be finite, got theta0=inf"),
+            ("--theta0=1e308", "winding sum not finite at T=(1-0.05j), theta0=1e+308"),
+            ("--T-real=1e308", "winding sum not finite at T=(1e+308-5.0000000000000006e+306j)"),
+        ],
+        ids=["theta0-nan", "theta0-inf", "theta0-1e308", "T-real-1e308"],
+    )
+    def test_nonfinite_angle_or_value_exit_1(self, flag, message, tmp_path, capsys):
+        # one error line, no numpy warning before it and no output file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["greens", "--points", "2", flag, "--output", str(tmp_path / "g")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: " + message)
+        assert os.listdir(tmp_path) == []
+
 
 class TestEvolve:
     def test_default_initial(self, tmp_path):
@@ -289,10 +310,11 @@ class TestEvolve:
         assert err.startswith("error: ") and "step-matrix limit 256" in err
 
     def test_quad_order_without_finite_nodes(self, capsys):
-        # the Hermite rule is refused by name before the step-matrix limit
+        # refused by the step-matrix limit, before any Hermite rule is built
         assert run(["evolve", "--quad-order", "741", "--steps", "1"]) == 1
         assert capsys.readouterr().err == (
-            "error: Gauss-Hermite nodes of order 741 are not finite; lower the quadrature order\n"
+            "error: quadrature order 741 above the step-matrix limit 256 "
+            "(the node-pair sum grows as order^4)\n"
         )
 
     def test_quad_order_zero(self, capsys):
@@ -482,6 +504,28 @@ class TestPlumbing:
         for dest, limit in cli.SIZE_LIMITS.items():
             cli._check_sizes(argparse.Namespace(**{dest: limit}))
 
+    @pytest.mark.parametrize("dest", sorted(cli.SIZE_LIMITS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_size_check_refuses_exactly_outside_the_bounds(self, dest, data):
+        # no subcommand runs, so no over-cap size is allocated
+        limit = cli.SIZE_LIMITS[dest]
+        near = st.integers(-3, 3)
+        value = data.draw(
+            st.one_of(near, near.map(lambda d: limit + d), st.integers(-2 * limit, 2 * limit))
+        )
+        args, flag = argparse.Namespace(**{dest: value}), "--" + dest.replace("_", "-")
+        if value > limit:
+            message = f"{flag} must be <= {limit}, got {value}"
+        elif value < 1 and dest not in cli._OWN_LOWER_BOUND:
+            message = f"{flag} must be >= 1, got {value}"
+        else:
+            cli._check_sizes(args)
+            return
+        with pytest.raises(ValidationError) as exc:
+            cli._check_sizes(args)
+        assert str(exc.value) == message
+
     def test_output_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.csv"
         assert run(["gram", "--truncation", "1", "--output", str(out)]) == 1
@@ -519,9 +563,12 @@ def test_json_output_matches_reference(command, tmp_path):
             assert a == b, path
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def readme_examples():
     """The ``holoflat ...`` lines of the README's ``sh`` blocks, comments dropped."""
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+    with open(README) as fh:
         blocks = fh.read().split("```")
     lines = [
         line.split("#")[0].split()
@@ -540,6 +587,37 @@ def readme_examples():
 def test_readme_example(argv, tmp_path):
     assert run(argv + ["--output", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out").stat().st_size > 0
+
+
+def readme_defaults():
+    """The README's Defaults table as {parameter: the number its value cell starts with}."""
+    with open(README) as fh:
+        section = fh.read().split("### Defaults\n")[1].strip().split("\n\n")[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()[2:]]
+    return {name.strip(): float(value.split()[0]) for name, value in rows}
+
+
+def test_defaults_have_one_owner():
+    params = HeatKernelParams()
+    assert readme_defaults() == {
+        "basis truncation N (modes -N..N)": holoflat.DEFAULT_N,
+        "Gauss-Hermite order per real dimension": holoflat.DEFAULT_ORDER,
+        "heat-kernel mode cutoff M": params.M,
+        "heat-kernel diffusion time t": params.t,
+        "periodic x-integration nodes": params.x_quad,
+        "Green-function regularization epsilon": propagator.DEFAULT_EPSILON,
+        "kernel-ratio division guard": propagator.DIVISION_GUARD,
+    }
+    _, subparsers = cli._build_parser()
+    defaults = {name: {a.dest: a.default for a in p._actions} for name, p in subparsers.items()}
+    for name, owner in [("truncation", holoflat.DEFAULT_N), ("quad_order", holoflat.DEFAULT_ORDER)]:
+        assert {d[name] for d in defaults.values() if name in d} == {owner}, name
+    assert [c for c in defaults if "truncation" not in defaults[c]] == ["greens", "validate"]
+    assert [c for c in defaults if "quad_order" in defaults[c]] == ["gram", "evolve"]
+    heat = defaults["heatkernel"]
+    assert (heat["t"], heat["modes"], heat["x_nodes"]) == (params.t, params.M, params.x_quad)
+    assert defaults["greens"]["epsilon"] == propagator.DEFAULT_EPSILON
+    assert defaults["greens"]["modes"] == 40  # its own mode cutoff, not the heat kernel's
 
 
 def test_readme_examples_found():

@@ -17,6 +17,7 @@ from holoflat.io import (
     format_complex,
     matrix_csv,
     parse_complex,
+    render_json,
     rows_csv,
     write_output,
 )
@@ -127,19 +128,31 @@ class TestAtomicWrite:
 
 
 class TestWriteOutput:
+    TEXT = "a,b\n\"1,2\",x\u00e9\n\nno newline at the end"
+
+    def test_writes_text_verbatim_to_path(self, tmp_path):
+        out = tmp_path / "out.txt"
+        write_output(self.TEXT, str(out))
+        assert out.read_bytes() == self.TEXT.encode()
+
+    def test_writes_text_verbatim_to_stdout(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            write_output(self.TEXT, None)
+        assert out.getvalue() == self.TEXT
+
     def test_json_stable_key_order(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_output({"b": 1, "a": 2}, str(a), "json")
-        write_output({"a": 2, "b": 1}, str(b), "json")
+        write_output(render_json({"b": 1, "a": 2}), str(a))
+        write_output(render_json({"a": 2, "b": 1}), str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_format(self):
-        with pytest.raises(ValidationError):
-            write_output("x", None, "xml")
-
-    def test_csv_requires_text(self):
-        with pytest.raises(ValidationError):
-            write_output({"a": 1}, None, "csv")
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, [], {"b": [1, 2.5, None], "a": {"y": "x\u00e9\"", "x": [[]]}, "2": True}, "s", 0.1],
+        ids=["empty-dict", "empty-list", "nested", "string", "float"],
+    )
+    def test_render_json_without_matrices_is_json_dumps(self, payload):
+        assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @SETTINGS
     @given(m=complex_matrices(), other=complex_matrices(), depth=st.sampled_from([1, 2]))
@@ -151,7 +164,7 @@ class TestWriteOutput:
             return {**inner, "b": b, "A": True}
 
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            write_output(payload(m, other), None, "json")
+            write_output(render_json(payload(m, other)), None)
         want = json.dumps(payload(nested_pairs(m), nested_pairs(other)), indent=2, sort_keys=True)
         # as lines: a failure then reports the first differing line, not a diff
         assert out.getvalue().split("\n") == (want + "\n").split("\n")
@@ -163,6 +176,6 @@ class TestWriteOutput:
 
         m = np.array([[1 + 2j]])
         out = tmp_path / "k.json"
-        write_output(payload(m), str(out), "json")
+        write_output(render_json(payload(m)), str(out))
         want = json.dumps(payload(nested_pairs(m)), indent=2, sort_keys=True)
         assert out.read_text() == want + "\n"

@@ -112,7 +112,7 @@ class TestInfinitesimalStep:
 
     def test_matches_step_matrix_column(self, steps):
         # one evolution step from e_1 is the e_1 column of S(delta)
-        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, ORDER)
+        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, ORDER)[-1]
         assert np.abs(steps[0.05][:, N + 1] - out.coeffs).max() < 1e-12
 
 
@@ -330,13 +330,13 @@ def test_pruned_step_matches_full_grid(delta, n, case):
 class TestEvolve:
     def test_zero_time_identity(self):
         phi = basis_state(2)
-        out = evolve(phi, hamiltonian_free(N), 0.0, 4, ORDER)
+        out = evolve(phi, hamiltonian_free(N), 0.0, 4, ORDER)[-1]
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_zero_hamiltonian_identity(self):
         H = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
         phi = basis_state(1)
-        out = evolve(phi, H, 2.0, 4, ORDER)
+        out = evolve(phi, H, 2.0, 4, ORDER)[-1]
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_first_order_convergence(self, gram):
@@ -347,14 +347,19 @@ class TestEvolve:
         exact = evolve_exact(phi, H, 0.5)
         errs = []
         for n in (16, 32):
-            out = evolve(phi, H, 0.5, n, ORDER)
+            out = evolve(phi, H, 0.5, n, ORDER)[-1]
             errs.append(state_norm(HoloState(phi.basis, out.coeffs - exact.coeffs), gram))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
-    def test_history(self):
-        H = hamiltonian_free(N)
-        _, history = evolve(basis_state(0), H, 0.2, 3, ORDER, return_history=True)
-        assert len(history) == 4
+    def test_history(self, steps):
+        # n_steps + 1 states: the input coefficients, then S @ the previous state, bit for bit
+        state = HoloState(cylinder_basis(N), np.arange(2 * N + 1) * (1 - 0.5j))
+        trajectory = evolve(state, hamiltonian_free(N), 0.2, 4, ORDER)
+        assert len(trajectory) == 5
+        assert np.array_equal(trajectory[0].coeffs, state.coeffs)
+        for before, after in zip(trajectory, trajectory[1:]):
+            assert after.basis is state.basis
+            assert np.array_equal(after.coeffs, steps[0.05] @ before.coeffs)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_steps must be >= 1, got 0"):
@@ -366,16 +371,18 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="evolution time must be finite"):
             evolve(basis_state(0), hamiltonian_free(N), t, 0, ORDER)
 
-    def test_rejects_state_size_mismatch(self):
+    def test_rejects_state_size_mismatch(self, monkeypatch):
+        # step_matrix refuses the Hamiltonian of another basis size before any grid
+        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
         state = HoloState(cylinder_basis(N - 1), np.ones(2 * N - 1))
-        with pytest.raises(ValidationError, match="state and Hamiltonian sizes differ"):
+        with pytest.raises(ValidationError, match=r"Hamiltonian shape \(17, 17\) is not \(15, 15\)"):
             evolve(state, hamiltonian_free(N), 0.5, 4, ORDER)
 
     def test_accepts_state_on_equal_basis(self, steps):
         # a state built on its own cylinder_basis(N) call, as basis_state does, is stepped
         # with the step matrix of that basis
         state = basis_state(1)
-        out = evolve(state, hamiltonian_free(N), 0.1, 2, ORDER)
+        out = evolve(state, hamiltonian_free(N), 0.1, 2, ORDER)[-1]
         assert out.basis is state.basis
         assert np.abs(out.coeffs - steps[0.05] @ steps[0.05] @ state.coeffs).max() < 1e-12
 
@@ -395,7 +402,7 @@ def test_method_bound_error():
     exact = evolve_exact(phi, H, 0.5)
     errs = {}
     for order, expected in METHOD_ERROR.items():
-        out = evolve(phi, H, 0.5, 16, order)
+        out = evolve(phi, H, 0.5, 16, order)[-1]
         errs[order] = state_norm(HoloState(gram.basis, out.coeffs - exact.coeffs), gram)
         assert errs[order] == pytest.approx(expected, rel=0.01), order
     assert errs[64] == pytest.approx(errs[96], rel=0.01)
@@ -453,6 +460,33 @@ class TestGreensWinding:
             greens_winding(0.1, 0.0, T, n_max=10)
         with pytest.raises(ValidationError, match="finite"):
             greens_spectral(0.1, 0.0, T, M=10)
+
+
+GREEN_SUMS = [(greens_winding, "winding sum"), (greens_spectral, "mode sum")]
+
+
+@pytest.mark.parametrize("sums, name", GREEN_SUMS, ids=["winding", "spectral"])
+@pytest.mark.parametrize(
+    "theta, theta0",
+    [(0.1, math.nan), (0.1, math.inf), (0.1, -math.inf), (np.array([0.1, math.nan]), 0.0)],
+    ids=["theta0-nan", "theta0-inf", "theta0-minus-inf", "theta-nan"],
+)
+def test_green_sums_refuse_nonfinite_angles(sums, name, theta, theta0):
+    with pytest.raises(ValidationError, match="theta and theta0 must be finite"):
+        sums(theta, theta0, 1 - 0.05j, 40)
+
+
+@pytest.mark.parametrize("sums, name", GREEN_SUMS, ids=["winding", "spectral"])
+@pytest.mark.parametrize(
+    "theta0, T",
+    [(1e308, 1 - 0.05j), (0.0, 1e308 * (1 - 0.05j))],
+    ids=["theta0-1e308", "T-real-1e308"],
+)
+def test_green_sums_refuse_nonfinite_values(sums, name, theta0, T):
+    # an overflow of the terms is one error, with no numpy warning (they are errors here)
+    thetas = np.linspace(-math.pi, math.pi, 4, endpoint=False)
+    with pytest.raises(QuadratureError, match=f"^{name} not finite at T="):
+        sums(thetas, theta0, T, 40)
 
 
 def winding_by_theta(theta, theta0, T, n_max):
