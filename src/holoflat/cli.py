@@ -52,7 +52,7 @@ SIZE_LIMITS = {
     # 370-415 MB peak RSS, writing 46 MB of CSV or 79 MB of JSON
     "grid_points": 1024,
     # greens: one row of 2 * windings + 1 terms per point; at 65,536, 1.5 s and
-    # 94 MB peak RSS (CSV) or 2.7 s and 205 MB, writing 17 MB of JSON
+    # 94 MB peak RSS (CSV), JSON as fast and 117 MB, writing 17 MB of JSON
     "points": 65536,
     # greens: 2 * modes + 1 terms per point; heatkernel: 2 * modes + 1 terms per
     # x-node and point.  At 4096, heatkernel 2.3 s and 111 MB peak RSS, greens
@@ -277,15 +277,11 @@ def _cmd_greens(args) -> int:
     winding = greens_winding(thetas, args.theta0, T, args.windings).tolist()
     spectral = greens_spectral(thetas, args.theta0, T, args.modes).tolist()
     if args.format == "json":
-        rows = [
-            {
-                "theta": float(f"{th:.12g}"),  # the rounding of the CSV column
-                "winding": [gw.real, gw.imag],
-                "spectral": [gs.real, gs.imag],
-                "difference": abs(gw - gs),
-            }
-            for th, gw, gs in zip(thetas, winding, spectral)
-        ]
+        fields = [("theta", float), ("winding", complex), ("spectral", complex), ("difference", float)]
+        rows = np.empty(len(thetas), dtype=fields)
+        rows["theta"] = [float(f"{th:.12g}") for th in thetas]  # the rounding of the CSV column
+        rows["winding"], rows["spectral"] = winding, spectral
+        rows["difference"] = [abs(gw - gs) for gw, gs in zip(winding, spectral)]
         text = render_json({"T": [T.real, T.imag], "theta0": args.theta0, "rows": rows})
     else:
         header = ["theta", "winding_re", "winding_im", "spectral_re", "spectral_im", "difference"]

@@ -3,9 +3,9 @@
 Complex numbers serialize as two-element ``[re, im]`` arrays in JSON and as
 quoted ``"re,im"`` cells in CSV, so every value round-trips unambiguously.
 
-Complex matrices are rendered in one vectorised pass each: their floats are
-formatted by one call of the C JSON encoder (``repr`` for CSV) and laid out
-by row templates.  ``json.dumps`` with ``indent`` set runs CPython's
+Complex matrices and record tables are rendered in one vectorised pass each:
+their floats are formatted by one call of the C JSON encoder (``repr`` for
+CSV) and laid out by row templates.  ``json.dumps`` with ``indent`` set runs CPython's
 pure-Python encoder, one call per float; the templates give the same bytes
 as that encoder would for the nested ``[re, im]`` lists.
 """
@@ -113,11 +113,24 @@ def _matrix_json(m: np.ndarray, pad: str) -> str:
     return template % tuple(floats[: 2 * m.size])  # an empty matrix leaves one ""
 
 
+def _records_json(rec: np.ndarray, pad: str) -> str:
+    """A 1-D structured array of float and complex fields as a list of objects with
+    sorted keys, a complex field as ``[re, im]``, laid out by ``_block``."""
+    names = sorted(rec.dtype.names)
+    columns = [(rec[n].real, rec[n].imag) if rec.dtype[n].kind == "c" else (rec[n],) for n in names]
+    pair = _block(["%s", "%s"], pad + "    ")
+    fields = [f"{json.dumps(n)}: {pair if len(c) == 2 else '%s'}" for n, c in zip(names, columns)]
+    template = _block([_block(fields, pad + "  ", "{}")] * len(rec), pad)
+    values = np.column_stack([part for c in columns for part in c])
+    floats = json.dumps(values.ravel().tolist())[1:-1].split(", ")
+    return template % tuple(floats[: values.size])  # no records leave one ""
+
+
 def _json(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` of a value closing after
-    ``pad``, where dicts may hold complex matrices as ndarrays."""
+    ``pad``, where dicts may hold complex matrices and records as ndarrays."""
     if isinstance(obj, np.ndarray):
-        return _matrix_json(obj, pad)
+        return _records_json(obj, pad) if obj.dtype.names else _matrix_json(obj, pad)
     if isinstance(obj, dict):
         inner = pad + "  "
         items = [
@@ -132,7 +145,9 @@ def _json(obj, pad: str) -> str:
 def render_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, where a dict
     in ``payload`` may also hold a 2-D complex ``ndarray``: it is written as
-    ``json.dumps`` writes the matrix's nested ``[re, im]`` lists, byte for byte."""
+    ``json.dumps`` writes the matrix's nested ``[re, im]`` lists, byte for byte.  A
+    1-D structured ``ndarray`` of float and complex fields is written likewise as
+    its list of records, each a dict of its fields, complex ones as ``[re, im]``."""
     return _json(payload, "\n") + "\n"
 
 

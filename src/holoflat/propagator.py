@@ -44,9 +44,11 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     of the step applied to basis element ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``,
     ``G_q`` the grid's Gram matrix: the identity only where the rule resolves the basis
     (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs
-    are summed in ``_TILE`` blocks through buffers allocated once (memory O(order^2 *
-    basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises
-    QuadratureError, and so does a non-finite sum.
+    are summed in ``_TILE`` blocks through buffers allocated once, projections included
+    (memory O(order^2 * basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|``
+    raises QuadratureError, and so does a non-finite sum.  Only the Pade factor below
+    depends on ``delta``, so ``_step_matrices`` shares the grid, folds, pruning and each
+    tile's ``K``, ``K_H`` and guard among several deltas, bit for bit as one call each.
     Orders above ``MAX_STEP_ORDER`` raise QuadratureError, and an ``H`` that is not a
     finite square matrix of the basis size ValidationError, before any grid is built.
 
@@ -73,6 +75,11 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     QuadratureError.  At N = 8 order 64 computes 2,075,216 pairs and order 128
     14,774,016.
     """
+    return _step_matrices(basis, H, (delta,), order)[0]
+
+
+def _step_matrices(basis: BasisSpec, H: np.ndarray, deltas, order: int) -> list[np.ndarray]:
+    """``step_matrix`` at each of ``deltas``, bit for bit, from one pass over the tiles."""
     if order > MAX_STEP_ORDER:
         raise QuadratureError(
             f"quadrature order {order} above the step-matrix limit {MAX_STEP_ORDER} "
@@ -124,16 +131,17 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     wPhi = w[:, None] * Phi
     wPhiH = np.conj(wPhi[rows]).T * weight[rows]
     PhiT_conj = np.conj(Phi).T
-    K, KH, E = (np.empty(_TILE, dtype=complex) for _ in range(3))
+    K, KH, E, D = (np.empty(_TILE, dtype=complex) for _ in range(4))
     absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
-    b, bimg = np.zeros((nb, nb), dtype=complex), np.zeros((nb, nb), dtype=complex)
+    P, Q = np.empty((_TILE[0], nb), dtype=complex), np.empty((nb, nb), dtype=complex)
+    b, bimg = (np.zeros((len(deltas), nb, nb), dtype=complex) for _ in range(2))  # per delta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i0 in range(0, len(rows), _TILE[0]):
             n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
             for j0 in range(0, n_cols, _TILE[1]):
                 r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
                 t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
-                k, kh, e, ak, akh = K[t], KH[t], E[t], absK[t], absKH[t]
+                k, kh, e, ak, akh, p = K[t], KH[t], E[t], absK[t], absKH[t], P[t[0]]
                 np.matmul(A[r], PhiT_conj[:, c], out=k)
                 np.matmul(B[r], PhiT_conj[:, c], out=kh)
                 np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
@@ -142,25 +150,28 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
                         f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
                         f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
                     )
-                # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
-                # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
-                # O(x^3) from the exponential, and bounded where x blows up near kernel
-                # zeros (the continuum phase integral diverges; the exponential overflows).
-                kh *= 0.5j * delta
-                np.subtract(k, kh, out=e)
-                kh += k
-                e /= kh
-                if conj:  # the sigma image: K over this factor is K times the one at -Delta
-                    np.divide(k, e, out=kh)
-                    bimg += wPhiH[:, r] @ (kh @ wPhi[c])
-                e *= k
-                b += wPhiH[:, r] @ (e @ wPhi[c])  # step of each basis element, projected
+                for n, delta in enumerate(deltas):
+                    # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
+                    # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
+                    # O(x^3) from the exponential, and bounded where x blows up near kernel
+                    # zeros (the continuum phase integral diverges; the exponential overflows).
+                    d = D[t] if n < len(deltas) - 1 else kh  # the last may scale K_H in place
+                    np.multiply(kh, 0.5j * delta, out=d)
+                    np.subtract(k, d, out=e)
+                    d += k
+                    e /= d
+                    if conj:  # the sigma image: K over this factor is K times the one at -Delta
+                        np.divide(k, e, out=d)
+                        bimg[n] += np.matmul(wPhiH[:, r], np.matmul(d, wPhi[c], out=p), out=Q)
+                    e *= k  # then the step of each basis element, projected
+                    b[n] += np.matmul(wPhiH[:, r], np.matmul(e, wPhi[c], out=p), out=Q)
         b += np.conj(bimg)
         if mirror:
-            b += b[np.ix_(J, J)]  # the rows not summed are mirror images of summed ones
-    if not np.isfinite(b).all():
-        raise QuadratureError(f"step matrix not finite at time step delta={delta:.3e}")
-    return gram.solve(b)
+            b += b[:, J][:, :, J]  # the rows not summed are mirror images of summed ones
+    for delta, bd in zip(deltas, b):
+        if not np.isfinite(bd).all():
+            raise QuadratureError(f"step matrix not finite at time step delta={delta:.3e}")
+    return [gram.solve(bd) for bd in b]
 
 
 def evolve(state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int) -> list[HoloState]:
@@ -175,7 +186,11 @@ def evolve(state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int) 
         raise ValidationError(f"evolution time must be finite, got {t}")
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    S = step_matrix(state.basis, H, t / n_steps, order)
+    return _trajectory(state, step_matrix(state.basis, H, t / n_steps, order), n_steps)
+
+
+def _trajectory(state: HoloState, S: np.ndarray, n_steps: int) -> list[HoloState]:
+    """``state`` and ``n_steps`` applications of ``S``; a non-finite one raises QuadratureError."""
     c = state.coeffs
     trajectory = [HoloState(state.basis, c)]
     for step in range(n_steps):

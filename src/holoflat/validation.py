@@ -34,7 +34,7 @@ from .hilbert import (
     state_norm,
 )
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
-from .propagator import evolve, evolve_exact, greens_spectral, greens_winding
+from .propagator import _step_matrices, _trajectory, evolve_exact, greens_spectral, greens_winding
 from .quadrature import tangent_nodes
 
 __all__ = ["CriterionResult", "run_criteria"]
@@ -150,11 +150,15 @@ def criterion_kernel_properties() -> CriterionResult:
 
     comp = 0.0
     nodes, wt = tangent_nodes(128)
-    # one call for the columns K(x, w[a]); the rows stay one call per point,
-    # since batching them moves the figure (2.161e-14 -> 2.336e-14)
-    K_nodes_u = kernel.eval_grid(nodes, w[:5])
+    # the products kernel.eval_grid forms, on node values built once: one for the columns
+    # K(x, w[a]), and one per point for the rows, since batching them moves the figure
+    # (2.161e-14 -> 2.336e-14)
+    Pn = basis.design_matrix(nodes)
+    K_nodes_u = (Pn @ kernel.mid) @ np.conj(basis.design_matrix(w[:5])).T
+    PnH = np.conj(Pn).T
     for a, (zi, ui) in enumerate(zip(z[:5], w[:5])):
-        total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * K_nodes_u[:, a])
+        row = (basis.design_matrix([zi]) @ kernel.mid) @ PnH
+        total = np.sum(wt * row[0] * K_nodes_u[:, a])
         comp = max(comp, abs(total - kernel.eval(zi, ui)))
 
     bound_violation = 0.0
@@ -292,8 +296,9 @@ def criterion_trotter_convergence() -> CriterionResult:
     t = 0.5
     exact = evolve_exact(phi, H, t)
     errs = {}
-    for n in (8, 16, 32, 64):
-        approx = evolve(phi, H, t, n, 64)[-1]
+    counts = (8, 16, 32, 64)  # evolve(phi, H, t, n, 64) for each n, steps from one pass
+    for n, S in zip(counts, _step_matrices(basis, H, [t / n for n in counts], 64)):
+        approx = _trajectory(phi, S, n)[-1]
         errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)

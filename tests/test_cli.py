@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import holoflat
 from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, reproducing_kernel
+from holoflat import greens_spectral, greens_winding
 from holoflat import ValidationError, cli, propagator
 from holoflat.cli import _read_state, _state_json, run
 from holoflat.io import parse_complex
@@ -190,6 +191,40 @@ class TestGreens:
         for row, item in zip(rows, data):
             numbers = [item["theta"], *item["winding"], *item["spectral"], item["difference"]]
             assert [float(cell) for cell in row] == numbers
+
+    @pytest.mark.parametrize(
+        "points, theta0, T_real, T_imag",
+        [
+            (1, 0.0, 1.0, 0.0),
+            (2, 0.0, 1.0, 0.0),
+            (4096, 0.3, 1.0, -0.2),
+            (65536, 0.0, 1.0, 0.0),  # the --points cap
+            (3, 1e-05, 1e18, 0.0),  # floats printed with exponents: theta0, T and values
+            (5, -3.3e20, 2.5e-05, -0.75),
+        ],
+    )
+    def test_json_equals_indent_encoder(self, points, theta0, T_real, T_imag, tmp_path):
+        # the rows go through io's one-pass templates; the reference is the list of
+        # row dicts through json.dumps's indent encoder
+        out = tmp_path / "g.json"
+        argv = ["greens", "--points", str(points), f"--theta0={theta0!r}", f"--T-real={T_real!r}"]
+        argv += [f"--T-imag={T_imag!r}", "--epsilon", "0.05", "--modes", "40", "--windings", "40"]
+        assert run(argv + ["--format", "json", "--output", str(out)]) == 0
+        T = complex(T_real, T_imag) * (1 - 0.05j)
+        thetas = np.linspace(-math.pi, math.pi, points, endpoint=False)
+        winding = greens_winding(thetas, theta0, T, 40).tolist()
+        spectral = greens_spectral(thetas, theta0, T, 40).tolist()
+        rows = [
+            {
+                "theta": float(f"{th:.12g}"),
+                "winding": [gw.real, gw.imag],
+                "spectral": [gs.real, gs.imag],
+                "difference": abs(gw - gs),
+            }
+            for th, gw, gs in zip(thetas, winding, spectral)
+        ]
+        payload = {"T": [T.real, T.imag], "theta0": theta0, "rows": rows}
+        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_divergent_inputs_exit_1(self, capsys):
         assert run(["greens", "--T-real", "1", "--epsilon", "0"]) == 1

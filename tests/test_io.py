@@ -42,6 +42,33 @@ def complex_matrices(draw):
     return parts.view(complex).reshape(shape)
 
 
+FIELDS = [("theta", float), ("winding", complex), ("spectral", complex), ("difference", float)]
+
+
+@st.composite
+def record_tables(draw):
+    """1-D structured arrays of 0 to 17 records of two float and two complex fields,
+    declared in a drawn order, their parts drawn as in complex_matrices."""
+    n = draw(st.sampled_from([0, 1, 3, 17]))
+    fields = draw(st.permutations(FIELDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((n, 6))
+    special = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    parts[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return parts.view(np.dtype(fields)).reshape(n)
+
+
+def record_dicts(rec):
+    """The reference JSON form of a record table: one dict per record, [re, im] lists."""
+    return [
+        {
+            name: [float(r[name].real), float(r[name].imag)] if kind is complex else float(r[name])
+            for name, kind in FIELDS
+        }
+        for r in rec
+    ]
+
+
 def nested_pairs(m):
     """The reference JSON form of a complex matrix: rows of [re, im] lists."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -168,6 +195,16 @@ class TestWriteOutput:
         want = json.dumps(payload(nested_pairs(m), nested_pairs(other)), indent=2, sort_keys=True)
         # as lines: a failure then reports the first differing line, not a diff
         assert out.getvalue().split("\n") == (want + "\n").split("\n")
+
+    @SETTINGS
+    @given(rec=record_tables(), m=complex_matrices(), depth=st.sampled_from([1, 2]))
+    def test_records_equal_json_dumps_of_dicts(self, rec, m, depth):
+        def payload(rows, matrix):
+            inner = {"rows": rows, "T": [1.0, -0.05], "theta0": 1e-5}
+            return {"outer": inner, "m": matrix} if depth == 2 else inner
+
+        want = json.dumps(payload(record_dicts(rec), nested_pairs(m)), indent=2, sort_keys=True)
+        assert render_json(payload(rec, m)).split("\n") == (want + "\n").split("\n")
 
     def test_non_string_keys_as_json_dumps(self, tmp_path):
         # a dict holding a matrix takes the same key conversion json.dumps makes

@@ -51,8 +51,9 @@ DELTAS = (0.1, 0.05, 0.025, 0.0125)
 
 @pytest.fixture(scope="module")
 def steps():
-    """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64."""
-    return {d: step_matrix(cylinder_basis(N), hamiltonian_free(N), d, ORDER) for d in DELTAS}
+    """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64, from one pass."""
+    basis, H = cylinder_basis(N), hamiltonian_free(N)
+    return dict(zip(DELTAS, propagator._step_matrices(basis, H, DELTAS, ORDER)))
 
 
 def column_norms(M, gram):
@@ -315,6 +316,34 @@ class TestStepMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+class TestStepMatrices:
+    """``_step_matrices``: the steps of several deltas from one pass over the tiles."""
+
+    @pytest.mark.parametrize("order, tile", [(11, (7, 50)), (12, (40, 30)), (33, None)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical_to_one_call_per_delta(self, case, order, tile, monkeypatch):
+        # every fold combination; small tiles leave partial row and column tiles, and an
+        # odd order has nodes fixed by the reflections
+        if tile:
+            monkeypatch.setattr(propagator, "_TILE", tile)
+        basis, H = step_case(case)
+        deltas = (0.1, 0.0, -0.05, 0.025)
+        shared = propagator._step_matrices(basis, H, deltas, order)
+        assert len(shared) == len(deltas)
+        for delta, S in zip(deltas, shared):
+            assert np.array_equal(S, step_matrix(basis, H, delta, order)), delta
+
+    def test_division_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
+        with pytest.raises(QuadratureError, match="below guard"):
+            propagator._step_matrices(cylinder_basis(N), hamiltonian_free(N), DELTAS, 12)
+
+    @pytest.mark.parametrize("deltas", [(0.05, 1e308), (1e308, 0.05)])
+    def test_nonfinite_sum_names_its_delta(self, deltas):
+        with pytest.raises(QuadratureError, match=r"not finite at time step delta=1\.000e\+308"):
+            propagator._step_matrices(cylinder_basis(N), hamiltonian_free(N), deltas, 12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
