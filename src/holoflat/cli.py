@@ -55,11 +55,11 @@ SIZE_LIMITS = {
     # 94 MB peak RSS (CSV), JSON as fast and 117 MB, writing 17 MB of JSON
     "points": 65536,
     # greens: 2 * modes + 1 terms per point; heatkernel: 2 * modes + 1 terms per
-    # x-node and point.  At 4096, heatkernel 2.3 s and 111 MB peak RSS, greens
-    # 0.25 s and 32 MB (its mode sum converges down to epsilon = 2.1e-6 at T = 1)
+    # x-node and point.  At 4096, heatkernel 1.3 s and 33 MB peak RSS, greens
+    # 0.16 s and 32 MB (its mode sum converges down to epsilon = 2.6e-6 at T = 1)
     "modes": 4096,
     # heatkernel: two grid-points x x-nodes complex density arrays; at 4096,
-    # 0.3-0.4 s and 50 MB peak RSS; 58 s and 415 MB with --grid-points 1024
+    # 0.2 s and 34 MB peak RSS; 58 s and 415 MB with --grid-points 1024
     "x_nodes": 4096,
     # every subcommand but greens: a (2N + 1)-function basis.  At 100, gram
     # --quadrature 10 s and 108 MB peak RSS (its long-double Gram has no BLAS;
@@ -70,7 +70,7 @@ SIZE_LIMITS = {
     # writing 16 MB of JSON
     "steps": 10000,
     # greens: one row of 2 * windings + 1 terms per point, in blocks; at
-    # 100,000, 1.5 s and 38 MB peak RSS
+    # 100,000, 1.0 s and 41 MB peak RSS
     "windings": 100000,
 }
 # --truncation and --windings accept 0, and evolve refuses --steps 0 itself

@@ -6,10 +6,14 @@ so its tangent grid is fixed by the quadrature order alone.  The holomorphic
 basis e^{ikz} (and its normalized variant e^{ikz - k^2/2}) has closed-form
 Gram entries, and the reproducing kernel admits an independent heat-kernel
 integral representation that cross-validates the Gram-inverse construction.
+
+The circle's Green function and its heat kernel, the Green function at ``T = -i t``,
+share one theta-function pair: a mode sum and a winding sum, equal by Poisson summation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,8 +27,6 @@ __all__ = [
     "HeatKernelParams",
     "cylinder_basis",
     "gram_closed",
-    "heat_rho",
-    "heat_rho_winding",
     "heat_kernel_formula",
     "calibrate_heat_kernel",
 ]
@@ -33,9 +35,8 @@ DEFAULT_N = 8
 
 _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
-_TAIL_TOL = 1e-8  # largest accepted mode-sum tail of heat_rho
-_WINDINGS = 20  # heat_rho_winding sums the windings |n| <= _WINDINGS
-_CHUNK_ELEMENTS = 1 << 19  # complex mode-sum terms per w block: 8 MB
+_TAIL_TOL = 1e-8  # largest accepted bound on the omitted terms of a theta sum
+_BLOCK = 2**16  # terms per block of a theta sum; 1 MB complex
 
 
 def gram_closed(p: int, q: int, normalized: bool) -> float:
@@ -107,64 +108,110 @@ class HeatKernelParams:
             raise ValidationError(f"need at least 2 quadrature nodes, got {self.x_quad}")
 
 
-def _tail_bound(params: HeatKernelParams, im_z: float) -> float:
-    M, t = params.M, params.t
-    return 2.0 * math.exp(M * abs(im_z) - M * M * t / 2.0) / (2 * math.pi)
+# The theta-function pair takes angle differences d, real or complex, and T with Im T < 0
+# (else ValidationError).  A sum that is not finite, or whose bound on the omitted terms
+# exceeds _TAIL_TOL, raises QuadratureError (naming the cutoff that passes) ending in where.
 
 
-def heat_rho(params: HeatKernelParams, z, x) -> np.ndarray | complex:
-    """Periodic heat kernel ``(1/2pi) sum_{|k|<=M} e^{ik(x-z) - k^2 t/2}``.
+def _mode_sum(d: np.ndarray, T: complex, M: int, where: str = "") -> np.ndarray:
+    """``(1/2pi) sum_{|k|<=M} e^{ikd - ik^2 T/2}`` at each ``d``.
 
-    ``x`` may be a real scalar or array and ``z`` a complex scalar or array;
-    the result has shape ``z.shape + x.shape``.  For complex ``z`` the mode
-    cutoff must keep the ``e^{k |Im z|}`` growth below ``_TAIL_TOL`` at every
-    point.
+    Mode k has modulus at most ``e^{|k| b - a k^2} / 2pi``, ``b = max |Im d|`` and
+    ``a = -Im T / 2``; from ``|k| = M + 1`` on each bound is at most ``e^{b - a(2M + 3)}``
+    times the one before, and the omitted modes of both signs add twice that series.
     """
-    z = np.asarray(z, dtype=complex)
-    im = float(np.abs(z.imag).max(initial=0.0))
-    if _tail_bound(params, im) > _TAIL_TOL:
-        raise QuadratureError(
-            f"mode-sum tail {_tail_bound(params, im):.3e} above tolerance "
-            f"{_TAIL_TOL:.1e}; increase M beyond {params.M}"
+    T = _check_time_converges(T, "mode sum")
+    k = np.arange(-M, M + 1)
+    b, a = float(np.abs(d.imag).max(initial=0.0)), -T.imag / 2
+
+    def tail(m: int) -> float:
+        return _geometric((m + 1) * b - a * (m + 1) ** 2, b - a * (2 * m + 3)) / math.pi
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ik, phase = 1j * k, 1j * k**2 * T / 2.0
+        g = _row_sums(d, len(k), lambda col: np.exp(ik * col - phase)) / (2 * math.pi)
+    return _checked("mode", g, T, where, tail, M, "M")
+
+
+def _winding_sum(d: np.ndarray, T: complex, n_max: int, where: str = "") -> np.ndarray:
+    """``pref sum_{|n|<=n_max} e^{i(d + 2 pi n)^2 / (2T)}`` at each ``d``, with
+    ``pref = (2 pi i T)^{-1/2}`` the principal root.
+
+    Winding n has modulus at most ``|pref| e^{g(|u|)}``, ``u = Re d + 2 pi n``,
+    ``g(x) = c x^2 + e x - c v^2``, ``c = Im T / 2|T|^2``, ``v = max |Im d|`` and
+    ``e = v |Re T| / |T|^2``.  The omitted windings of each sign have ``|u| >= s + 2 pi j``,
+    ``j >= 0``, ``s = 2 pi (n_max + 1) - max |Re d|``; where g falls from s on, each
+    bound is at most ``e^{g(s + 2 pi) - g(s)}`` times the one before.
+    """
+    T = _check_time_converges(T, "winding sum")
+    n = np.arange(-n_max, n_max + 1)
+    shift, two_T, pref = 2 * math.pi * n, 2 * T, 1.0 / cmath.sqrt(2 * math.pi * 1j * T)
+    u, v = (float(np.abs(part).max(initial=0.0)) for part in (d.real, d.imag))
+    T2 = abs(T) * abs(T)
+    c, e = T.imag / (2 * T2), v * abs(T.real) / T2
+
+    def tail(m: int) -> float:
+        s = 2 * math.pi * (m + 1) - u
+        if s <= 0 or 2 * c * s + e > 0:  # no margin to the omitted windings, or g rises at s
+            return math.inf
+        ratio = 2 * math.pi * (2 * c * s + e) + 4 * math.pi**2 * c
+        return 2 * abs(pref) * _geometric(c * s * s + e * s - c * v * v, ratio)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _row_sums(d, len(n), lambda col: np.exp(1j * (col + shift) ** 2 / two_T))
+        # the steps of the scalar product pref * s: numpy's array product rounds differently
+        g = np.empty_like(s)
+        g.real = pref.real * s.real - pref.imag * s.imag
+        g.imag = pref.real * s.imag + pref.imag * s.real
+    return _checked("winding", g, T, where, tail, n_max, "n_max")
+
+
+def _check_time_converges(T: complex, what: str) -> complex:
+    T = complex(T)
+    if not cmath.isfinite(T):
+        raise ValidationError(f"time parameter must be finite, got T={T}")
+    if T.imag >= 0:
+        raise ValidationError(
+            f"{what} diverges for Im(T) >= 0 (got T={T}); regularize with "
+            "T -> T*(1 - i*epsilon), epsilon > 0"
         )
-    x = np.asarray(x, dtype=float)
-    k = np.arange(-params.M, params.M + 1)
-    zk = z.reshape(z.shape + (1,) * (x.ndim + 1))
-    terms = np.exp(1j * np.multiply.outer(x, k) + (-1j * zk * k - k**2 * params.t / 2.0))
-    vals = terms.sum(axis=-1) / (2 * math.pi)
-    return complex(vals) if vals.ndim == 0 else vals
+    return T
 
 
-def heat_rho_winding(t: float, x) -> np.ndarray | float:
-    """Gaussian winding form ``sum_n (2 pi t)^{-1/2} e^{-(x+2 pi n)^2/(2t)}``
-    over ``|n| <= 20``.
-
-    Independent of the mode sum; the two agree by Poisson summation.
-    """
-    if not 0 < t < math.inf:
-        raise ValidationError(f"diffusion time must be finite and positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    n = np.arange(-_WINDINGS, _WINDINGS + 1)
-    shifts = np.add.outer(x, 2 * math.pi * n)
-    vals = np.exp(-(shifts**2) / (2 * t)).sum(axis=-1) / math.sqrt(2 * math.pi * t)
-    return float(vals) if vals.ndim == 0 else vals
+def _row_sums(d: np.ndarray, width: int, terms) -> np.ndarray:
+    """``terms`` of each entry of ``d``, a row of ``width``, summed in blocks of at most
+    ``_BLOCK`` terms; ``sum(axis=-1)`` gives each row the bits of its own ``row.sum()``."""
+    flat, out = d.reshape(-1, 1), np.empty(d.size, dtype=complex)
+    step = max(1, _BLOCK // width)
+    for i in range(0, len(flat), step):
+        out[i : i + step] = terms(flat[i : i + step]).sum(axis=-1)
+    return out.reshape(d.shape)
 
 
-def _x_grid(params: HeatKernelParams) -> tuple[np.ndarray, float]:
-    # Uniform periodic grid: the trapezoid rule is spectrally accurate for
-    # smooth periodic integrands.
-    nx = params.x_quad
-    return -math.pi + 2 * math.pi * np.arange(nx) / nx, 2 * math.pi / nx
+def _geometric(first: float, ratio: float) -> float:
+    """Bound on a series of terms at most ``e^first``, then each at most ``e^ratio`` times
+    the one before: ``e^first / (1 - e^ratio)``, inf unless ``ratio < 0``."""
+    return math.exp(first) / -math.expm1(ratio) if ratio < 0 and first < 700 else math.inf
 
 
-def _densities(params: HeatKernelParams, v: np.ndarray, x: np.ndarray, step: int) -> np.ndarray:
-    """``heat_rho`` of every point of ``v`` on ``x``, one row each, built
-    ``step`` points at a time."""
-    flat = v.ravel()
-    out = np.empty((flat.size, x.size), dtype=complex)
-    for i in range(0, flat.size, step):
-        out[i : i + step] = heat_rho(params, flat[i : i + step], x)
-    return out
+def _checked(what: str, g: np.ndarray, T: complex, where: str, tail, n: int, name: str):
+    if not np.isfinite(g).all():
+        raise QuadratureError(f"{what} sum not finite at T={T}{where}: its terms overflow")
+    bound = tail(n)
+    if bound <= _TAIL_TOL:
+        return g
+    lo, hi = n, 2 * n + 1  # the smallest passing cutoff, by doubling and bisection
+    while tail(hi) > _TAIL_TOL and hi < 2**62:
+        lo, hi = hi, 2 * hi + 1
+    advice = f"no {name} below 2^62 bounds it"
+    if tail(hi) <= _TAIL_TOL:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if tail(mid) > _TAIL_TOL else (lo, mid)
+        advice = f"increase {name} to {hi}"
+    raise QuadratureError(
+        f"{what}-sum tail {bound:.3e} above tolerance {_TAIL_TOL:.1e} at T={T}{where}; {advice}"
+    )
 
 
 def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
@@ -177,17 +224,18 @@ def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
     are built once.  Returned uncalibrated; see :func:`calibrate_heat_kernel` for
     the single scalar relating it to the Gram-inverse kernel.
     """
-    x, dx = _x_grid(params)
-    denom = heat_rho(params, 0.0, x)
+    nx = params.x_quad  # a uniform grid: the trapezoid rule is spectral for periodic integrands
+    x, dx = -math.pi + 2 * math.pi * np.arange(nx) / nx, 2 * math.pi / nx
+    T = complex(0.0, -params.t)  # the heat kernel is the Green function at T = -i t
+    denom = _mode_sum(x, T, params.M)
     if np.min(np.abs(denom)) < _DIVISION_GUARD:
         i = int(np.argmin(np.abs(denom)))
         raise QuadratureError(
             f"denominator density below guard at x={x[i]:.6f} (|rho|={abs(denom[i]):.3e})"
         )
-    z = np.asarray(z, dtype=complex)
-    w_bar = np.conj(np.asarray(w, dtype=complex))
-    step = max(1, _CHUNK_ELEMENTS // (x.size * (2 * params.M + 1)))  # bounds the mode-sum terms
-    rho_z, rho_w = _densities(params, z, x, step), _densities(params, w_bar, x, step)
+    z, w_bar = np.asarray(z, dtype=complex), np.conj(np.asarray(w, dtype=complex))
+    rho_z, rho_w = (_mode_sum(x - v.reshape(-1, 1), T, params.M) for v in (z, w_bar))
+    step = max(1, _BLOCK // x.size)  # w points per block of products
     vals = np.empty((len(rho_z), len(rho_w)), dtype=complex)
     for a, rz in enumerate(rho_z):
         for i in range(0, len(rho_w), step):

@@ -10,11 +10,11 @@ the end-to-end validation of the scheme.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
+from .cylinder import _mode_sum, _winding_sum
 from .errors import QuadratureError, ValidationError
 from .hilbert import BasisSpec, HoloState, gram_matrix
 from .quadrature import tangent_nodes
@@ -31,8 +31,6 @@ DIVISION_GUARD = 1e-12  # a summed node pair needs |K| >= DIVISION_GUARD * |K_H|
 DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
-_TAIL_TOL = 1e-8  # largest accepted mode-sum tail of greens_spectral
-_GREENS_BLOCK = 2**16  # terms per block of a Green sum over thetas; 1 MB complex
 
 
 def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np.ndarray:
@@ -215,20 +213,6 @@ def evolve_exact(state: HoloState, H: np.ndarray, t: float) -> HoloState:
     return HoloState(state.basis, phases * state.coeffs)
 
 
-def _check_time_converges(T: complex, what: str) -> complex:
-    T = complex(T)
-    if not cmath.isfinite(T):
-        raise ValidationError(f"time parameter must be finite, got T={T}")
-    if T == 0:
-        raise ValidationError("time parameter must be nonzero")
-    if T.imag >= 0:
-        raise ValidationError(
-            f"{what} diverges for Im(T) >= 0 (got T={T}); regularize with "
-            "T -> T*(1 - i*epsilon), epsilon > 0"
-        )
-    return T
-
-
 def greens_winding(
     theta: float | np.ndarray, theta0: float, T: complex, n_max: int
 ) -> complex | np.ndarray:
@@ -238,19 +222,12 @@ def greens_winding(
     Uses the principal square root.  Requires ``Im(T) < 0`` so the terms
     decay; evaluate at complexified time ``T*(1 - i*epsilon)`` for real T.
     A float ``theta`` gives a complex, an array one value per entry.  A non-finite
-    angle raises ValidationError, and a value that is not finite QuadratureError.
+    angle raises ValidationError; a value that is not finite, or omitted windings
+    whose bound exceeds the tail tolerance, QuadratureError.
     """
-    T = _check_time_converges(T, "winding sum")
     if n_max < 0:
         raise ValidationError(f"n_max must be nonnegative, got {n_max}")
-    n = np.arange(-n_max, n_max + 1)
-    pref = 1.0 / cmath.sqrt(2 * math.pi * 1j * T)
-
-    def row_sums(th: np.ndarray) -> list:
-        terms = np.exp(1j * (th - theta0 + 2 * math.pi * n) ** 2 / (2 * T))
-        return [pref * row.sum() for row in terms]
-
-    return _per_theta(theta, theta0, T, len(n), row_sums, "winding sum")
+    return _per_theta(_winding_sum, theta, theta0, T, n_max)
 
 
 def greens_spectral(
@@ -259,48 +236,20 @@ def greens_spectral(
     """Free-particle Green function on the circle as a mode sum:
     ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
 
-    Equal to the winding sum by Poisson summation whenever both converge.
-    A float ``theta`` gives a complex, an array one value per entry.  A non-finite
-    angle raises ValidationError, and a value that is not finite QuadratureError.
+    Equal to the winding sum by Poisson summation whenever both converge; values and
+    refusals as in ``greens_winding``.
     """
-    T = _check_time_converges(T, "mode sum")
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
-    tail = 2.0 * math.exp((M + 1) ** 2 * T.imag / 2.0) / (2 * math.pi)
-    if tail > _TAIL_TOL:
-        raise ValidationError(
-            f"mode-sum tail {tail:.3e} above tolerance {_TAIL_TOL:.1e}; "
-            "increase M or the regularization epsilon"
-        )
-    k = np.arange(-M, M + 1)
-
-    def row_sums(th: np.ndarray) -> list:
-        terms = np.exp(1j * k * (th - theta0) - 1j * k**2 * T / 2.0)
-        return [row.sum() / (2 * math.pi) for row in terms]
-
-    return _per_theta(theta, theta0, T, len(k), row_sums, "mode sum")
+    return _per_theta(_mode_sum, theta, theta0, T, M)
 
 
-def _per_theta(
-    theta, theta0: float, T: complex, width: int, row_sums, what: str
-) -> complex | np.ndarray:
-    """``row_sums`` of blocks of the thetas as a column, so that no block's terms
-    exceed ``_GREENS_BLOCK`` entries; a float ``theta`` gives a complex.
-
-    Each row of terms is summed on its own: ``sum(axis=1)`` rounds differently,
-    and the values would move from those of one scalar call per theta.  A
-    non-finite angle raises ValidationError, and a non-finite value of the sum
-    ``what`` (its terms overflow) QuadratureError."""
+def _per_theta(theta_sum, theta, theta0: float, T: complex, n: int) -> complex | np.ndarray:
+    """``theta_sum`` cut at ``n`` at the differences ``theta - theta0``, each value with
+    the bits of a scalar call; a float ``theta`` gives a complex.  A non-finite angle
+    raises ValidationError."""
     theta = np.asarray(theta, dtype=float)
     if not (math.isfinite(theta0) and np.isfinite(theta).all()):
         raise ValidationError(f"theta and theta0 must be finite, got theta0={theta0}")
-    column = theta.reshape(-1, 1)
-    step = max(1, _GREENS_BLOCK // width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.array(
-            [s for i in range(0, len(column), step) for s in row_sums(column[i : i + step])],
-            dtype=complex,
-        ).reshape(theta.shape)
-    if not np.isfinite(g).all():
-        raise QuadratureError(f"{what} not finite at T={T}, theta0={theta0}: its terms overflow")
+    g = theta_sum(theta - theta0, T, n, f", theta0={theta0}")
     return complex(g) if theta.ndim == 0 else g

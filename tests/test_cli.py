@@ -199,8 +199,8 @@ class TestGreens:
             (2, 0.0, 1.0, 0.0),
             (4096, 0.3, 1.0, -0.2),
             (65536, 0.0, 1.0, 0.0),  # the --points cap
-            (3, 1e-05, 1e18, 0.0),  # floats printed with exponents: theta0, T and values
-            (5, -3.3e20, 2.5e-05, -0.75),
+            (3, 1e-05, 0.05001, -1.0),  # floats printed with exponents: theta0, T and values
+            (5, -3.3e-20, 2.5e-05, -0.75),
         ],
     )
     def test_json_equals_indent_encoder(self, points, theta0, T_real, T_imag, tmp_path):
@@ -225,6 +225,22 @@ class TestGreens:
         ]
         payload = {"T": [T.real, T.imag], "theta0": theta0, "rows": rows}
         assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "flags, need",
+        [
+            (["--T-real=1000"], "increase n_max to 128"),
+            (["--theta0=1e-05", "--T-real=1e18"], "increase n_max to 4046322068"),
+            (["--theta0=-3.3e20", "--T-real=2.5e-05", "--T-imag=-0.75"], "no n_max below 2^62"),
+        ],
+        ids=["T-real-1000", "T-real-1e18", "theta0-3.3e20"],
+    )
+    def test_unconverged_winding_sum_exit_1(self, flags, need, tmp_path, capsys):
+        # 40 windings missed the Green function by 3.5e-3, 0.16 and 0.07 here, and exited 0
+        assert run(["greens", "--points", "4", *flags, "--output", str(tmp_path / "g")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: winding-sum tail ") and need in line
+        assert os.listdir(tmp_path) == []
 
     def test_divergent_inputs_exit_1(self, capsys):
         assert run(["greens", "--T-real", "1", "--epsilon", "0"]) == 1
@@ -530,8 +546,13 @@ class TestPlumbing:
         assert run(argv) == 1
         assert capsys.readouterr().err == message
 
-    def test_zero_windings_and_truncation_valid(self, tmp_path):
-        assert run(["greens", "--windings", "0", "--output", str(tmp_path / "g")]) == 0
+    def test_zero_windings_and_truncation_valid(self, tmp_path, capsys):
+        # at T = -0.05i one winding converges; at the default T = 1 the tail refuses zero
+        # windings, not the size cap
+        argv = ["greens", "--windings", "0", "--output", str(tmp_path / "g")]
+        assert run(argv + ["--T-real", "0", "--T-imag=-0.05"]) == 0
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: winding-sum tail ")
         assert run(["gram", "--truncation", "0", "--output", str(tmp_path / "t")]) == 0
 
     def test_size_limits_admit_the_limit(self):

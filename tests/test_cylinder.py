@@ -14,8 +14,6 @@ from holoflat import (
     gram_closed,
     gram_matrix,
     heat_kernel_formula,
-    heat_rho,
-    heat_rho_winding,
     reproducing_kernel,
     tangent_nodes,
 )
@@ -77,42 +75,56 @@ class TestCylinderBasis:
             assert norm == pytest.approx(math.exp(k**2 / 2), rel=1e-10)
 
 
+def heat_rho(t, M, x, z=0.0):
+    """The periodic heat kernel as the mode sum at T = -i t."""
+    return cylinder._mode_sum(np.asarray(x) - z, complex(0.0, -t), M)
+
+
 class TestHeatRho:
     def test_large_time_only_zero_mode(self):
-        params = HeatKernelParams(t=50.0, M=4)
         for x in (0.0, 1.0, -2.5):
-            assert heat_rho(params, 0.0, x) == pytest.approx(1 / (2 * math.pi), abs=1e-10)
+            assert heat_rho(50.0, 4, x) == pytest.approx(1 / (2 * math.pi), abs=1e-10)
 
     def test_evenness(self):
-        params = HeatKernelParams()
         xs = np.linspace(0.1, 3.0, 7)
-        assert np.allclose(heat_rho(params, 0.0, xs), heat_rho(params, 0.0, -xs))
+        assert np.allclose(heat_rho(1.0, 12, xs), heat_rho(1.0, 12, -xs))
 
     def test_poisson_value_at_origin(self):
-        params = HeatKernelParams(t=1.0, M=12)
         winding = sum(
             math.exp(-((2 * math.pi * n) ** 2) / 2) for n in range(-10, 11)
         ) / math.sqrt(2 * math.pi)
-        assert np.real(heat_rho(params, 0.0, 0.0)) == pytest.approx(winding, abs=1e-12)
+        assert np.real(heat_rho(1.0, 12, 0.0)) == pytest.approx(winding, abs=1e-12)
         assert winding == pytest.approx(0.39894228, abs=1e-8)
+        shared = cylinder._winding_sum(np.array(0.0), -1j, 10)
+        assert shared == pytest.approx(winding, abs=1e-15)
 
     def test_real_for_real_arguments(self):
-        params = HeatKernelParams()
-        val = heat_rho(params, 0.5, 1.2)
+        val = heat_rho(1.0, 12, 1.2, 0.5)
         assert abs(complex(val).imag) < 1e-12
+        assert abs(complex(cylinder._winding_sum(np.array(0.7), -1j, 20)).imag) < 1e-15
 
     def test_tail_guard(self):
-        params = HeatKernelParams(t=0.01, M=2)
-        with pytest.raises(QuadratureError, match="increase M"):
-            heat_rho(params, 0.0, 0.0)
+        # the named cutoff is the smallest that passes
+        for M in (2, 59):
+            with pytest.raises(QuadratureError, match="mode-sum tail .* increase M to 60$"):
+                heat_rho(0.01, M, 0.0)
+        assert heat_rho(0.01, 60, 0.0) == pytest.approx(heat_rho(0.01, 200, 0.0), abs=1e-8)
 
     def test_theta_identity(self):
         xs = np.linspace(-math.pi, math.pi, 16, endpoint=False)
         for t in (0.5, 1.0, 2.0):
-            params = HeatKernelParams(t=t, M=24)
-            mode = np.real(heat_rho(params, 0.0, xs))
-            winding = heat_rho_winding(t, xs)
+            mode = np.real(heat_rho(t, 24, xs))
+            winding = np.real(cylinder._winding_sum(xs, complex(0.0, -t), 20))
             assert np.abs(mode - winding).max() < 1e-12
+
+    @pytest.mark.parametrize("theta_sum", [cylinder._mode_sum, cylinder._winding_sum])
+    def test_array_equals_scalar_calls(self, theta_sum):
+        # complex differences, as the heat-kernel densities pass them
+        d = np.linspace(-3, 3, 12).reshape(3, 4) + 0.4j * np.cos(np.arange(12)).reshape(3, 4)
+        for T in (complex(0.0, -0.7), 1.3 - 0.4j):
+            vals = theta_sum(d, T, 30)
+            assert vals.shape == d.shape
+            assert vals.ravel().tolist() == [complex(theta_sum(v, T, 30)) for v in d.ravel()]
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +163,12 @@ class TestHeatKernelFormula:
         [
             (HeatKernelParams(), 5, 1),
             (HeatKernelParams(), 16, 1),
-            # 5,000 x-nodes bound a block to 4 points, so 6 w-points take two blocks
-            (HeatKernelParams(x_quad=5000), 6, 2),
+            # 16,384 x-nodes bound a block of products to 4 points, so 6 w-points take two
+            (HeatKernelParams(x_quad=16384), 6, 2),
         ],
     )
     def test_array_z_equals_row_calls(self, params, points, blocks):
-        step = cylinder._CHUNK_ELEMENTS // (params.x_quad * (2 * params.M + 1))
+        step = cylinder._BLOCK // params.x_quad
         assert -(-points // step) == blocks
         grid = np.linspace(-math.pi, math.pi, points, endpoint=False) + 0.1j
         rows = np.array([heat_kernel_formula(params, z, grid) for z in grid])
@@ -168,17 +180,22 @@ class TestHeatKernelFormula:
     def test_mode_sums_stay_in_blocks(self, monkeypatch):
         params = HeatKernelParams()
         terms = []
-        heat_rho = cylinder.heat_rho
+        row_sums = cylinder._row_sums
 
-        def recording(p, z, x):
-            terms.append(np.size(z) * np.size(x) * (2 * p.M + 1))
-            return heat_rho(p, z, x)
+        def recording(d, width, block_terms):
+            def record(col):
+                out = block_terms(col)
+                terms.append(out.size)
+                return out
 
-        monkeypatch.setattr(cylinder, "heat_rho", recording)
+            return row_sums(d, width, record)
+
+        monkeypatch.setattr(cylinder, "_row_sums", recording)
         grid = np.linspace(-math.pi, math.pi, 200, endpoint=False)
         heat_kernel_formula(params, grid, grid)
-        assert len(terms) == 1 + 3 + 3  # the base point, then 200 z and 200 w in blocks of 81
-        assert max(terms) <= cylinder._CHUNK_ELEMENTS
+        # the base point, then 200 z and 200 w times 256 x-nodes in blocks of 2,621 rows
+        assert len(terms) == 1 + 20 + 20
+        assert max(terms) <= cylinder._BLOCK
 
     def test_calibration_scalar(self, kernel):
         params = HeatKernelParams()
@@ -222,5 +239,5 @@ class TestHeatKernelFormula:
         for t in (math.inf, math.nan, 0.0, -math.inf):  # t = inf would give nan kernel values
             with pytest.raises(ValidationError, match="finite and positive"):
                 HeatKernelParams(t=t)
-            with pytest.raises(ValidationError, match="finite and positive"):
-                heat_rho_winding(t, 0.3)
+            with pytest.raises(ValidationError, match="time parameter must be finite|diverges"):
+                cylinder._winding_sum(np.array(0.3), complex(0.0, -t), 20)

@@ -58,8 +58,8 @@ PUBLIC = {
     "BasisSpec", "GramData", "KernelRep", "HoloState", "bargmann_monomial_basis",
     "inner_product", "gram_matrix", "orthonormalize", "alternating_ordering",
     "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
-    "DEFAULT_N", "HeatKernelParams", "cylinder_basis", "gram_closed", "heat_rho",
-    "heat_rho_winding", "heat_kernel_formula", "calibrate_heat_kernel",
+    "DEFAULT_N", "HeatKernelParams", "cylinder_basis", "gram_closed",
+    "heat_kernel_formula", "calibrate_heat_kernel",
     "ladder_lower", "ladder_raise", "hamiltonian_free", "to_orthonormal_frame",
     "adjointness_residual",
     "step_matrix", "evolve", "evolve_exact", "greens_winding", "greens_spectral",
@@ -69,7 +69,7 @@ PUBLIC = {
 
 def test_public_surface():
     exported = importlib.import_module("holoflat").__all__
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert len(exported) == len(set(exported))
     assert set(exported) == PUBLIC
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from holoflat import (
     BasisSpec,
-    HeatKernelParams,
     HoloState,
     QuadratureError,
     ValidationError,
@@ -23,12 +22,11 @@ from holoflat import (
     greens_spectral,
     greens_winding,
     hamiltonian_free,
-    heat_rho,
     ladder_lower,
     state_norm,
     step_matrix,
 )
-from holoflat import propagator
+from holoflat import cylinder, propagator
 from holoflat.quadrature import tangent_nodes
 
 N = 8
@@ -463,7 +461,7 @@ class TestEvolveExact:
 
 class TestGreensWinding:
     def test_single_term(self):
-        T = 1 - 0.1j
+        T = 0.05 - 0.05j  # short enough that the nearest other windings add below 1e-80
         val = greens_winding(0.3, 0.3, T, n_max=0)
         assert val == pytest.approx(1 / cmath.sqrt(2 * math.pi * 1j * T))
 
@@ -474,9 +472,9 @@ class TestGreensWinding:
         assert abs(a - b) < 1e-8
 
     def test_heat_regime_matches_theta(self):
-        # T = -i: the winding sum equals the t = 1 periodic heat kernel at 0
+        # T = -i: the winding sum equals the t = 1 periodic heat kernel at 0, the mode sum
         val = greens_winding(0.0, 0.0, -1j, n_max=10)
-        ref = np.real(heat_rho(HeatKernelParams(t=1.0, M=12), 0.0, 0.0))
+        ref = np.real(cylinder._mode_sum(np.array(0.0), complex(0.0, -1.0), 12))
         assert abs(val - ref) < 1e-12
 
     def test_divergent_regime_error(self):
@@ -548,6 +546,36 @@ def test_green_sums_on_theta_array_equal_scalar_loop(theta0, T):
         assert type(scalar) is complex and scalar == got[5]
 
 
+@pytest.mark.parametrize(
+    "sums, name, T, need",
+    [
+        (greens_spectral, "M", 1 - 0.001j, 194),
+        (greens_spectral, "M", 1 - 0.05j, 26),
+        (greens_winding, "n_max", 1000 * (1 - 0.05j), 128),
+        (greens_winding, "n_max", 1 - 0.05j, 4),
+    ],
+)
+def test_green_sum_tail_bound_from_both_sides(sums, name, T, need):
+    # refused one below the named cutoff, accepted at it, and then within the tolerance
+    # of the converged sum
+    thetas = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+    message = f"tail .* above tolerance .*; increase {name} to {need}$"
+    with pytest.raises(QuadratureError, match=message):
+        sums(thetas, 0.3, T, need - 1)
+    converged = sums(thetas, 0.3, T, 4 * need)
+    assert np.abs(sums(thetas, 0.3, T, need) - converged).max() <= cylinder._TAIL_TOL
+
+
+def test_winding_tail_counts_complex_differences():
+    # Im d = 0.5 makes the bound on the windings rise up to |u| = 0.5 |Re T| / |Im T| = 10,
+    # beyond the one winding of n_max = 0; at the named cutoff the sum meets the mode sum
+    T, d = 1 - 0.05j, np.array([0.3 + 0.5j])
+    with pytest.raises(QuadratureError, match="winding-sum tail inf .*; increase n_max to 6$"):
+        cylinder._winding_sum(d, T, 0)
+    winding = cylinder._winding_sum(d, T, 6)
+    assert abs(winding - cylinder._mode_sum(d, T, 40))[0] <= 2 * cylinder._TAIL_TOL
+
+
 class TestGreensSpectral:
     def test_matches_winding(self):
         T = 1 - 0.05j
@@ -565,7 +593,7 @@ class TestGreensSpectral:
         assert integral == pytest.approx(1.0, abs=1e-10)
 
     def test_tail_error(self):
-        with pytest.raises(ValidationError, match="increase M"):
+        with pytest.raises(QuadratureError, match="increase M"):
             greens_spectral(0.0, 0.0, 1 - 0.001j, M=5)
 
     def test_single_mode_phase_consistency(self):

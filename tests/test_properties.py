@@ -1,5 +1,6 @@
 """Property tests over random truncations, points and states."""
 
+import cmath
 import json
 import math
 import os
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from holoflat import (
     HoloState,
+    QuadratureError,
     bargmann_monomial_basis,
     cylinder_basis,
     gram_matrix,
     reproducing_kernel,
 )
+from holoflat import cylinder
 from holoflat.cli import run
 
 # fixed examples, no example database, no per-example deadline
@@ -43,6 +46,34 @@ def test_kernel_hermitian_and_reproducing(N, z, w, data):
     pairing = np.conj(zeta.coeffs) @ gram.matrix @ f.coeffs
     bound = np.sum(np.abs(c)) * np.abs(basis.design_matrix([w])).max()
     assert abs(pairing - f.evaluate(w)) <= 1e-11 * max(bound, 1.0)
+
+
+# T with Im T < 0, T = -i t (the heat kernel) among them
+lower_half_plane = st.one_of(
+    st.floats(0.05, 20.0).map(lambda t: complex(0.0, -t)),
+    st.builds(cmath.rect, st.floats(0.05, 20.0), st.floats(-math.pi + 0.05, -0.05)),
+)
+angle_difference = st.one_of(
+    st.floats(-math.pi, math.pi), st.builds(complex, st.floats(-math.pi, math.pi), finite)
+)
+
+
+@SETTINGS
+@given(T=lower_half_plane, d=angle_difference, M=st.integers(1, 80), n_max=st.integers(0, 80))
+def test_mode_and_winding_sums_agree_where_both_tails_pass(T, d, M, n_max):
+    d = np.array(d)
+    try:
+        mode = cylinder._mode_sum(d, T, M)
+        winding = cylinder._winding_sum(d, T, n_max)
+    except QuadratureError as exc:
+        assert "tail" in str(exc)
+        return
+    # each sum is within its tail bound of the theta function, up to round-off
+    k, n = np.arange(-M, M + 1), np.arange(-n_max, n_max + 1)
+    terms = np.abs(np.exp(1j * k * d - 1j * k**2 * T / 2)).sum() / (2 * math.pi)
+    windings = np.abs(np.exp(1j * (d + 2 * math.pi * n) ** 2 / (2 * T))).sum()
+    terms += windings / abs(2 * math.pi * T) ** 0.5
+    assert abs(mode - winding) <= 2 * cylinder._TAIL_TOL + 1e-13 * terms
 
 
 @SETTINGS
