@@ -96,7 +96,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--truncation", type=int, default=DEFAULT_N)
     p.add_argument("--raw", action="store_true", help="raw e^{ikz} basis, not e^{ikz - k^2/2}")
     p.add_argument("--quadrature", action="store_true", help="integrate instead of closed form")
-    p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--quad-order", type=int, help=f"--quadrature order (default {DEFAULT_ORDER})")
     _add_common(p)
 
     p = sub.add_parser("orthonormalize", help="Gram-Schmidt coefficient matrix")
@@ -191,8 +191,13 @@ def _check_sizes(args: argparse.Namespace) -> None:
 
 
 def _cmd_gram(args) -> int:
+    if args.quad_order is not None and not args.quadrature:
+        raise ValidationError(
+            "--quad-order needs --quadrature; without it gram prints the closed form"
+        )
+    order = DEFAULT_ORDER if args.quad_order is None else args.quad_order
     basis = cylinder_basis(args.truncation, normalized=not args.raw)
-    g = gram_matrix(basis, args.quad_order if args.quadrature else None)
+    g = gram_matrix(basis, order if args.quadrature else None)
     labels = list(basis.labels)
     if args.format == "json":
         text = render_json({"labels": labels, "matrix": g.matrix})

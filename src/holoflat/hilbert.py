@@ -140,36 +140,24 @@ def _orthonormal_inner(p, q):
 
 
 @lru_cache(maxsize=1)
-def _grid_values(basis: BasisSpec, order: int):
-    """Nodes, weights and the read-only design matrix of ``basis`` on the
-    order-``order`` tangent grid.  The last (basis, order) pair is kept, so a
-    run of Gaussian integrals over one basis evaluates it once."""
+def _grid_values(basis: BasisSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and design matrix of ``basis`` on the order-``order`` tangent grid, both
+    read-only.  The last (basis, order) pair is kept, so a run of Gaussian integrals
+    over one basis builds the grid and evaluates the basis once."""
     z, w = tangent_nodes(order)
     Phi = basis.design_matrix(z)
-    Phi.flags.writeable = False
-    return z, w, Phi
+    w.flags.writeable = Phi.flags.writeable = False
+    return w, Phi
 
 
-def _on_grid(f, order: int) -> np.ndarray:
-    """Values of ``f`` on the order-``order`` tangent grid: a state as
-    ``Phi @ coeffs`` from the cached design matrix of its basis (what
-    ``HoloState.evaluate`` computes), a callable called on the nodes."""
-    if isinstance(f, HoloState):
-        return _grid_values(f.basis, order)[2] @ f.coeffs
-    if callable(f):
-        return f(tangent_nodes(order)[0])
-    raise ValidationError(f"expected HoloState or callable, got {type(f)}")
-
-
-def inner_product(f, g, order: int) -> complex:
-    """Normalized Gaussian scalar product, conjugate-linear in ``f``, by the
-    quadrature of order ``order``.
-
-    Arguments may be states or plain callables of the holomorphic coordinate.
-    """
-    fz, gz = _on_grid(f, order), _on_grid(g, order)
-    _, w = tangent_nodes(order)
-    return complex(np.sum(w * np.conj(fz) * gz))
+def inner_product(f: HoloState, g: HoloState, order: int) -> complex:
+    """Normalized Gaussian scalar product of two states on one basis, conjugate-linear
+    in ``f``, by the quadrature of order ``order``.  States on different bases raise
+    ValidationError."""
+    if g.basis != f.basis:
+        raise ValidationError("the two states lie on different bases")
+    w, Phi = _grid_values(f.basis, order)
+    return complex(np.sum(w * np.conj(Phi @ f.coeffs) * (Phi @ g.coeffs)))
 
 
 def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
@@ -287,16 +275,18 @@ def orthonormal_series_kernel(gram: GramData, ordering: Sequence[int] | None = N
     return KernelRep(gram.basis, C @ np.conj(C).T)
 
 
-def project(f, kernel: KernelRep, order: int) -> HoloState:
-    """Kernel-weighted projection of ``f`` onto the span of ``kernel.basis``.
+def project(f: HoloState, kernel: KernelRep, order: int) -> HoloState:
+    """Kernel-weighted projection of the state ``f`` onto the span of ``kernel.basis``,
+    the basis of ``f`` (else ValidationError).
 
     For the reproducing kernel this is the orthogonal projection onto the
     truncated span; for an operator kernel it is the operator applied to
     that projection.  The integral runs on the order-``order`` grid.
     """
-    fz = _on_grid(f, order)
-    _, w, Phi = _grid_values(kernel.basis, order)
-    return HoloState(kernel.basis, kernel.mid @ (np.conj(Phi).T @ (w * fz)))
+    if f.basis != kernel.basis:
+        raise ValidationError("state basis differs from the basis of the kernel")
+    w, Phi = _grid_values(kernel.basis, order)
+    return HoloState(kernel.basis, kernel.mid @ (np.conj(Phi).T @ (w * (Phi @ f.coeffs))))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

@@ -87,25 +87,17 @@ def tangent_nodes(order: int, extended: bool = False) -> tuple[np.ndarray, np.nd
 
     Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``, so the node
     array read backwards is its own negative.  With ``extended=True`` the grid
-    is built in long double for cancellation-sensitive consumers.  Each grid
-    is built once per (order, precision) and the same arrays are returned to
-    every caller, so they are read-only: copy before writing.
+    is built in long double for cancellation-sensitive consumers.  Every call builds
+    fresh arrays; the costly part, the Hermite rule, is cached.
     """
-    return _tangent_grid(int(order), bool(extended))
-
-
-@lru_cache(maxsize=8)
-def _tangent_grid(order: int, extended: bool) -> tuple[np.ndarray, np.ndarray]:
     # normalization 1/pi: the plane Gaussian e^{-|z|^2} has total mass pi
     if extended:
         # a float64 rule costs ~1e-10 relative error on strongly cancelling
         # integrands; long double gives 5e-13 on criterion 1's Gram entries
-        u, wu = _hermite_rule_cached(order)
+        u, wu = _hermite_rule_cached(int(order))
         normalization = np.pi ** -np.longdouble(1)
     else:
         u, wu = hermite_rule(order)
         normalization = math.pi**-1.0
     U1, U2 = np.meshgrid(u, u, indexing="ij")
-    z, w = U1.ravel() - 1j * U2.ravel(), normalization * np.outer(wu, wu).ravel()
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
+    return U1.ravel() - 1j * U2.ravel(), normalization * np.outer(wu, wu).ravel()

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (
-    HeatKernelParams,
-    _mode_sum,
-    _winding_sum,
-    calibrate_heat_kernel,
-    cylinder_basis,
-    gram_closed,
-    heat_kernel_formula,
-)
+from .cylinder import HeatKernelParams, calibrate_heat_kernel, cylinder_basis, heat_kernel_formula
 from .hilbert import (
     HoloState,
     bargmann_monomial_basis,
@@ -70,11 +62,8 @@ def criterion_gram_closed_forms() -> CriterionResult:
     worst = 0.0
     for normalized in (False, True):
         basis = cylinder_basis(4, normalized=normalized)
-        g = gram_matrix(basis, 64)
-        for i, p in enumerate(basis.labels):
-            for j, q in enumerate(basis.labels):
-                exact = gram_closed(p, q, normalized)
-                worst = max(worst, abs(g.matrix[i, j] - exact) / abs(exact))
+        exact = gram_matrix(basis).matrix
+        worst = max(worst, np.max(np.abs(gram_matrix(basis, 64).matrix - exact) / np.abs(exact)))
     return _result(
         "gram-closed-forms", worst <= 1e-10, f"max relative error {worst:.3e} (tol 1e-10)"
     )
@@ -210,8 +199,8 @@ def criterion_theta_identity() -> CriterionResult:
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         T = complex(0.0, -t)
-        mode = np.real(_mode_sum(xs, T, 24))
-        winding = np.real(_winding_sum(xs, T, 20))
+        mode = np.real(greens_spectral(xs, 0.0, T, 24))
+        winding = np.real(greens_winding(xs, 0.0, T, 20))
         worst = max(worst, float(np.abs(mode - winding).max()))
     return _result(
         "theta-identity", worst <= 1e-12, f"max abs difference {worst:.3e} (tol 1e-12)"

@@ -143,7 +143,6 @@ def test_criterion_11_bargmann_sanity():
 )
 def test_cached_grids_keep_results(criterion):
     # a cold run builds every grid and basis evaluation, the warm rerun reuses them
-    quadrature._tangent_grid.cache_clear()
     hilbert._grid_values.cache_clear()
     cold = criterion()
     assert criterion() == cold

@@ -81,6 +81,28 @@ class TestGram:
         assert run(["gram", "--quadrature", "--quad-order", "0"]) == 1
         assert capsys.readouterr().err == "error: quadrature order must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_quad_order_without_quadrature(self, source, tmp_path, capsys):
+        # without --quadrature the closed form is printed, so an order would be ignored
+        argv = ["gram", "--truncation", "1", "--output", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--quad-order", "3"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"quad-order": 3}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --quad-order needs --quadrature; without it gram prints the closed form\n"
+        )
+        assert os.listdir(tmp_path) == (["cfg.json"] if source == "config" else [])
+
+    def test_quadrature_alone_takes_default_order(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["gram", "--quadrature", "--output", str(a)]) == 0
+        order = str(holoflat.DEFAULT_ORDER)
+        assert run(["gram", "--quadrature", "--quad-order", order, "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_normalized_flag_removed(self):
         # the normalized basis is the only default; there is no flag to ask for it
         with pytest.raises(SystemExit) as exc:
@@ -666,10 +688,14 @@ def test_defaults_have_one_owner():
     }
     _, subparsers = cli._build_parser()
     defaults = {name: {a.dest: a.default for a in p._actions} for name, p in subparsers.items()}
-    for name, owner in [("truncation", holoflat.DEFAULT_N), ("quad_order", holoflat.DEFAULT_ORDER)]:
-        assert {d[name] for d in defaults.values() if name in d} == {owner}, name
+    assert {d["truncation"] for d in defaults.values() if "truncation" in d} == {holoflat.DEFAULT_N}
     assert [c for c in defaults if "truncation" not in defaults[c]] == ["greens", "validate"]
     assert [c for c in defaults if "quad_order" in defaults[c]] == ["gram", "evolve"]
+    # gram's --quad-order has no parser default, so it can tell when it is given without
+    # --quadrature; _cmd_gram then takes the owner's value
+    assert (defaults["gram"]["quad_order"], defaults["evolve"]["quad_order"]) == (
+        None, holoflat.DEFAULT_ORDER
+    )
     heat = defaults["heatkernel"]
     assert (heat["t"], heat["modes"], heat["x_nodes"]) == (params.t, params.M, params.x_quad)
     assert defaults["greens"]["epsilon"] == propagator.DEFAULT_EPSILON

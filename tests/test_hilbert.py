@@ -36,39 +36,46 @@ def setup_n4():
     return basis, gram
 
 
-def basis_state(N, k):
+def basis_state(N, k, normalized=True):
     c = np.zeros(2 * N + 1, dtype=complex)
     c[k + N] = 1.0
-    return HoloState(cylinder_basis(N), c)
+    return HoloState(cylinder_basis(N, normalized=normalized), c)
 
 
 class TestInnerProduct:
     def test_raw_phi1_phi1(self):
-        f = lambda z: np.exp(1j * z)
+        f = basis_state(1, 1, normalized=False)  # e^{iz}
         assert inner_product(f, f, ORDER) == pytest.approx(math.e, rel=1e-10)
 
     def test_raw_phi0_phi0(self):
-        one = lambda z: np.ones_like(z)
+        one = basis_state(1, 0, normalized=False)
         assert inner_product(one, one, ORDER) == pytest.approx(1.0, rel=1e-12)
 
     def test_normalized_cross(self):
-        f = lambda z: np.exp(1j * z - 0.5)
-        g = lambda z: np.exp(2j * z - 2.0)
+        f, g = basis_state(2, 1), basis_state(2, 2)  # e^{iz - 1/2}, e^{2iz - 2}
         assert inner_product(f, g, ORDER) == pytest.approx(
             math.exp(-0.5), rel=1e-10
         )
 
     def test_conjugate_linear_first_slot(self):
-        f = lambda z: np.exp(1j * z)
-        g = lambda z: z**2
+        f = basis_state(2, 1, normalized=False)
+        g = HoloState(f.basis, np.arange(5) - 1j * np.arange(5)[::-1])
         a = 0.7 - 0.2j
-        lhs = inner_product(lambda z: a * f(z), g, ORDER)
+        lhs = inner_product(HoloState(f.basis, a * f.coeffs), g, ORDER)
         rhs = np.conj(a) * inner_product(f, g, ORDER)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_accepts_states(self):
         f = basis_state(2, 1)
         assert inner_product(f, f, ORDER) == pytest.approx(1.0, rel=1e-10)
+
+    def test_rejects_states_on_two_bases(self):
+        # same size, other basis: the integral would pair values of different functions
+        f, g = basis_state(3, 1), basis_state(3, 1, normalized=False)
+        with pytest.raises(ValidationError, match="different bases"):
+            inner_product(f, g, ORDER)
+        with pytest.raises(ValidationError, match="different bases"):
+            inner_product(g, f, ORDER)
 
 
 class TestInnerProductExponential:
@@ -81,13 +88,15 @@ class TestInnerProductExponential:
                 assert g.matrix[i, j] == pytest.approx(math.exp(p * q), rel=1e-14)
 
     def test_constants(self):
-        one = lambda z: 1.0
+        one = basis_state(0, 0)  # the normalized e^{i 0 z} = 1
         assert inner_product(one, one, ORDER) == pytest.approx(1.0, rel=1e-14)
 
     def test_against_quadrature(self):
-        # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) under the unit Gaussian measure
+        # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) under the unit Gaussian measure;
+        # no basis holds e^{z}, so the integral is summed over the nodes directly
         alpha, beta = 1.0, 1j
-        val = inner_product(lambda z: np.exp(alpha * z), lambda z: np.exp(beta * z), ORDER)
+        z, w = tangent_nodes(ORDER)
+        val = np.sum(w * np.conj(np.exp(alpha * z)) * np.exp(beta * z))
         assert val == pytest.approx(np.exp(np.conj(alpha) * beta), abs=1e-12)
 
 
@@ -348,12 +357,6 @@ class TestProject:
         Pf = project(f, kernel, ORDER)
         assert np.abs(Pf.coeffs - f.coeffs).max() < 1e-10
 
-    def test_antiholomorphic_projects_to_zero(self):
-        basis = bargmann_monomial_basis(6)
-        kernel = reproducing_kernel(gram_matrix(basis))
-        coeffs = project(lambda z: np.conj(z), kernel, ORDER).coeffs
-        assert np.abs(coeffs).max() < 1e-12
-
     def test_idempotent(self, setup_n4):
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram)
@@ -362,6 +365,12 @@ class TestProject:
         P1 = project(f, kernel, ORDER)
         P2 = project(P1, kernel, ORDER)
         assert np.abs(P2.coeffs - P1.coeffs).max() < 1e-10
+
+    def test_rejects_state_on_other_basis(self, setup_n4):
+        # the kernel's basis is normalized; the same labels unnormalized are another basis
+        _, gram = setup_n4
+        with pytest.raises(ValidationError, match="basis of the kernel"):
+            project(basis_state(4, 2, normalized=False), reproducing_kernel(gram), ORDER)
 
     def test_parseval(self, setup_n4):
         basis, gram = setup_n4
@@ -420,23 +429,24 @@ class TestDesignMatrix:
 
 
 class TestGridValues:
-    """The basis values on a tangent grid are evaluated once and shared."""
+    """The weights and basis values on a tangent grid are built once and shared."""
 
     def test_matches_fresh_design_matrix(self):
         basis = cylinder_basis(4)
-        z, w, Phi = hilbert._grid_values(basis, ORDER)
-        nodes, weights = tangent_nodes(ORDER)
-        assert z is nodes and w is weights
-        assert np.array_equal(Phi, basis.design_matrix(z.copy()))
-        assert hilbert._grid_values(basis, ORDER)[2] is Phi
-        with pytest.raises(ValueError):
-            Phi[0, 0] = 0.0
+        w, Phi = hilbert._grid_values(basis, ORDER)
+        z, weights = tangent_nodes(ORDER)
+        assert np.array_equal(w, weights)
+        assert np.array_equal(Phi, basis.design_matrix(z))
+        assert hilbert._grid_values(basis, ORDER)[1] is Phi
+        for array in (w, Phi):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_equal_bases_share_values(self):
         # separate calls build equal bases, so the second lookup is a cache hit
         hilbert._grid_values.cache_clear()
-        Phi = hilbert._grid_values(cylinder_basis(4), ORDER)[2]
-        assert hilbert._grid_values(cylinder_basis(4), ORDER)[2] is Phi
+        Phi = hilbert._grid_values(cylinder_basis(4), ORDER)[1]
+        assert hilbert._grid_values(cylinder_basis(4), ORDER)[1] is Phi
         assert hilbert._grid_values.cache_info().hits == 1
         assert bargmann_monomial_basis(5) == bargmann_monomial_basis(5)
 
@@ -445,18 +455,17 @@ class TestGridValues:
         z, _ = tangent_nodes(ORDER)
         for _ in range(2):
             for basis in (a, b):
-                Phi = hilbert._grid_values(basis, ORDER)[2]
-                assert np.array_equal(Phi, basis.design_matrix(z.copy()))
+                Phi = hilbert._grid_values(basis, ORDER)[1]
+                assert np.array_equal(Phi, basis.design_matrix(z))
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_states_integrate_as_before(self, order):
-        # the old path evaluated each state on a writable copy of the nodes
+        # the cached values give the bits of each state evaluated on the nodes
         basis = cylinder_basis(8)
         kernel = reproducing_kernel(gram_matrix(basis))
         rng = np.random.default_rng(order)
         f, g = (HoloState(basis, rng.normal(size=17) + 1j * rng.normal(size=17)) for _ in range(2))
         z, w = tangent_nodes(order)
-        z = z.copy()
         old_inner = complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
         old_project = kernel.mid @ (np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z)))
         assert inner_product(f, g, order) == old_inner
