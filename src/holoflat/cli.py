@@ -39,6 +39,7 @@ from .propagator import (
     evolve,
     greens_spectral,
     greens_winding,
+    step_matrix,
 )
 from .quadrature import DEFAULT_ORDER
 from .validation import run_criteria
@@ -73,8 +74,8 @@ SIZE_LIMITS = {
     # 100,000, 1.0 s and 41 MB peak RSS
     "windings": 100000,
 }
-# --truncation and --windings accept 0, and evolve refuses --steps 0 itself
-_OWN_LOWER_BOUND = {"truncation", "steps", "windings"}
+# --truncation and --windings accept 0
+_OWN_LOWER_BOUND = {"truncation", "windings"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -342,18 +343,20 @@ def _cmd_evolve(args) -> int:
     if not 0 < norm < math.inf:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
-    trajectory = evolve(state, hamiltonian_free(N), args.t, args.steps, args.quad_order)
     delta = args.t / args.steps
+    S = step_matrix(basis, hamiltonian_free(N), delta, args.quad_order)
+    trajectory = evolve(state, S, args.steps)
+    times = [i * delta or 0.0 for i in range(args.steps + 1)]  # no -0.0 at step 0
     if args.format == "json":
         history = [
-            {"step": i, "time": i * delta, "norm": state_norm(s, gram), **_state_json(s)}
+            {"step": i, "time": times[i], "norm": state_norm(s, gram), **_state_json(s)}
             for i, s in enumerate(trajectory)
         ]
         text = render_json({"t": args.t, "steps": args.steps, "history": history})
     else:
         header = ["step", "time", "norm"] + [f"c_{k}" for k in range(-N, N + 1)]
         rows = [
-            [str(i), f"{i * delta:.12g}", repr(state_norm(s, gram))]
+            [str(i), f"{times[i]:.12g}", repr(state_norm(s, gram))]
             + [complex(c) for c in s.coeffs]
             for i, s in enumerate(trajectory)
         ]

@@ -33,7 +33,7 @@ _TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
 
 
-def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np.ndarray:
+def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarray:
     """Coefficient-space matrix of one short-time step of length ``delta`` under the
     Hamiltonian matrix ``H`` on ``basis``, integrated on the order-``order`` tangent grid.
 
@@ -45,10 +45,11 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     are summed in ``_TILE`` blocks through buffers allocated once, projections included
     (memory O(order^2 * basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|``
     raises QuadratureError, and so does a non-finite sum.  Only the Pade factor below
-    depends on ``delta``, so ``_step_matrices`` shares the grid, folds, pruning and each
-    tile's ``K``, ``K_H`` and guard among several deltas, bit for bit as one call each.
-    Orders above ``MAX_STEP_ORDER`` raise QuadratureError, and an ``H`` that is not a
-    finite square matrix of the basis size ValidationError, before any grid is built.
+    depends on ``delta``: a 1-D array of deltas shares the grid, folds, pruning and each
+    tile's ``K``, ``K_H`` and guard, and gives the stacked matrices, each bit for bit its
+    float call's.  A ``delta`` not finite, empty or above 1-D, and an ``H`` not a finite
+    square matrix of the basis size, raise ValidationError, an order above
+    ``MAX_STEP_ORDER`` QuadratureError, before any grid is built.
 
     Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
     conjugation sigma: z -> -conj(z).  J applies if weights and basis are exactly even
@@ -73,11 +74,11 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta: float, order: int) -> np
     QuadratureError.  At N = 8 order 64 computes 2,075,216 pairs and order 128
     14,774,016.
     """
-    return _step_matrices(basis, H, (delta,), order)[0]
-
-
-def _step_matrices(basis: BasisSpec, H: np.ndarray, deltas, order: int) -> list[np.ndarray]:
-    """``step_matrix`` at each of ``deltas``, bit for bit, from one pass over the tiles."""
+    deltas = np.asarray(delta, dtype=float)
+    if deltas.ndim > 1 or not deltas.size:
+        raise ValidationError(f"delta must be a float or 1-D and nonempty, got shape {deltas.shape}")
+    if not np.isfinite(deltas).all():
+        raise ValidationError(f"evolution time must be finite, got time step delta={delta}")
     if order > MAX_STEP_ORDER:
         raise QuadratureError(
             f"quadrature order {order} above the step-matrix limit {MAX_STEP_ORDER} "
@@ -132,7 +133,8 @@ def _step_matrices(basis: BasisSpec, H: np.ndarray, deltas, order: int) -> list[
     K, KH, E, D = (np.empty(_TILE, dtype=complex) for _ in range(4))
     absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
     P, Q = np.empty((_TILE[0], nb), dtype=complex), np.empty((nb, nb), dtype=complex)
-    b, bimg = (np.zeros((len(deltas), nb, nb), dtype=complex) for _ in range(2))  # per delta
+    steps = deltas.reshape(-1).tolist()
+    b, bimg = (np.zeros((len(steps), nb, nb), dtype=complex) for _ in range(2))  # per delta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i0 in range(0, len(rows), _TILE[0]):
             n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
@@ -148,15 +150,15 @@ def _step_matrices(basis: BasisSpec, H: np.ndarray, deltas, order: int) -> list[
                         f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
                         f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
                     )
-                for n, delta in enumerate(deltas):
+                for n, dt in enumerate(steps):
                     # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
                     # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
                     # O(x^3) from the exponential, and bounded where x blows up near kernel
                     # zeros (the continuum phase integral diverges; the exponential overflows).
                     # the last scales K_H in place: one delta never writes D, so its
                     # 1 MB is never paged in (evolve-128 peak RSS +0.65 MB otherwise)
-                    d = D[t] if n < len(deltas) - 1 else kh
-                    np.multiply(kh, 0.5j * delta, out=d)
+                    d = D[t] if n < len(steps) - 1 else kh
+                    np.multiply(kh, 0.5j * dt, out=d)
                     np.subtract(k, d, out=e)
                     d += k
                     e /= d
@@ -168,36 +170,30 @@ def _step_matrices(basis: BasisSpec, H: np.ndarray, deltas, order: int) -> list[
         b += np.conj(bimg)
         if mirror:
             b += b[:, J][:, :, J]  # the rows not summed are mirror images of summed ones
-    for delta, bd in zip(deltas, b):
+    for dt, bd in zip(steps, b):
         if not np.isfinite(bd).all():
-            raise QuadratureError(f"step matrix not finite at time step delta={delta:.3e}")
-    return [gram.solve(bd) for bd in b]
+            raise QuadratureError(f"step matrix not finite at time step delta={dt:.3e}")
+    return np.array([gram.solve(bd) for bd in b]) if deltas.ndim else gram.solve(b[0])
 
 
-def evolve(state: HoloState, H: np.ndarray, t: float, n_steps: int, order: int) -> list[HoloState]:
-    """The trajectory of ``n_steps`` short-time steps of ``H`` over total time ``t``,
-    each integrated on the order-``order`` tangent grid of ``state.basis``: ``n_steps
-    + 1`` states, the first holding the coefficients of ``state``.
-
-    The step matrix is built once and applied repeatedly; the error against
-    the exact spectral evolution decreases like ``1/n_steps``.
-    """
-    if not math.isfinite(t):
-        raise ValidationError(f"evolution time must be finite, got {t}")
+def evolve(state: HoloState, S: np.ndarray, n_steps: int) -> list[HoloState]:
+    """The holomorphic Feynman product: ``state`` and ``n_steps`` applications of the step
+    matrix ``S`` of its basis, ``n_steps + 1`` states.  With ``S`` the step of length ``t /
+    n_steps``, the error against the exact evolution to ``t`` falls like ``1/n_steps``.  An
+    ``S`` not square of the basis size raises ValidationError, a non-finite state
+    QuadratureError."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    return _trajectory(state, step_matrix(state.basis, H, t / n_steps, order), n_steps)
-
-
-def _trajectory(state: HoloState, S: np.ndarray, n_steps: int) -> list[HoloState]:
-    """``state`` and ``n_steps`` applications of ``S``; a non-finite one raises QuadratureError."""
+    if np.shape(S) != (state.basis.size,) * 2:
+        raise ValidationError(f"step matrix shape {np.shape(S)} is not {(state.basis.size,) * 2}")
     c = state.coeffs
     trajectory = [HoloState(state.basis, c)]
-    for step in range(n_steps):
-        c = S @ c
-        if not np.all(np.isfinite(c)):
-            raise QuadratureError(f"evolution diverged at step {step + 1}")
-        trajectory.append(HoloState(state.basis, c))
+    with np.errstate(over="ignore", invalid="ignore"):  # one error, no warning first
+        for step in range(n_steps):
+            c = S @ c
+            if not np.all(np.isfinite(c)):
+                raise QuadratureError(f"evolution diverged at step {step + 1}")
+            trajectory.append(HoloState(state.basis, c))
     return trajectory
 
 

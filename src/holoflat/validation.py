@@ -26,7 +26,7 @@ from .hilbert import (
     state_norm,
 )
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
-from .propagator import _step_matrices, _trajectory, evolve_exact, greens_spectral, greens_winding
+from .propagator import evolve, evolve_exact, greens_spectral, greens_winding, step_matrix
 from .quadrature import tangent_nodes
 
 __all__ = ["CriterionResult", "run_criteria"]
@@ -286,9 +286,9 @@ def criterion_trotter_convergence() -> CriterionResult:
     t = 0.5
     exact = evolve_exact(phi, H, t)
     errs = {}
-    counts = (8, 16, 32, 64)  # evolve(phi, H, t, n, 64) for each n, steps from one pass
-    for n, S in zip(counts, _step_matrices(basis, H, [t / n for n in counts], 64)):
-        approx = _trajectory(phi, S, n)[-1]
+    counts = (8, 16, 32, 64)  # the four step matrices from one pass over the tiles
+    for n, S in zip(counts, step_matrix(basis, H, [t / n for n in counts], 64)):
+        approx = evolve(phi, S, n)[-1]
         errs[n] = state_norm(HoloState(basis, approx.coeffs - exact.coeffs), gram)
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ratio_ok = all(1.7 <= r <= 2.3 for r in ratios)

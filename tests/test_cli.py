@@ -376,6 +376,27 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: step matrix not finite at time step delta=1.000e+308"]
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_refused_before_work(self, steps, monkeypatch, capsys):
+        # the time step is --t / --steps, so the size check refuses --steps 0 first
+        monkeypatch.setitem(cli._COMMANDS, "evolve", lambda args: pytest.fail("subcommand ran"))
+        assert run(["evolve", "--steps", steps]) == 1
+        assert capsys.readouterr().err == f"error: --steps must be >= 1, got {steps}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_time_starts_at_zero(self, fmt, tmp_path):
+        # step 0 is at time 0, not -0; the later steps keep their sign
+        out = tmp_path / f"e.{fmt}"
+        argv = ["evolve", "--t=-0.5", "--steps", "2", "--truncation", "1", "--quad-order", "8"]
+        assert run(argv + ["--format", fmt, "--output", str(out)]) == 0
+        if fmt == "csv":
+            times = [row[1] for row in read_csv(str(out))[1:]]
+            assert times == ["0", "-0.25", "-0.5"]
+        else:
+            times = [h["time"] for h in json.loads(out.read_text())["history"]]
+            assert times == [0.0, -0.25, -0.5]
+            assert math.copysign(1.0, times[0]) == 1.0
+
     def test_quad_order_above_step_limit(self, capsys):
         # the step matrix costs O(order^4); the limit is checked before any node pair
         assert run(["evolve", "--quad-order", "257", "--steps", "1"]) == 1
@@ -560,7 +581,6 @@ class TestPlumbing:
         [
             (["gram", "--truncation", "-1"], "error: truncation must be nonnegative, got -1\n"),
             (["greens", "--windings", "-1"], "error: n_max must be nonnegative, got -1\n"),
-            (["evolve", "--steps", "0"], "error: n_steps must be >= 1, got 0\n"),
         ],
     )
     def test_own_lower_bounds_keep_their_messages(self, argv, message, capsys):

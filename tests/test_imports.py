@@ -81,8 +81,6 @@ def test_public_surface():
 PRIVATE_IMPORTS = {
     ("propagator", "cylinder", "_mode_sum"),
     ("propagator", "cylinder", "_winding_sum"),
-    ("validation", "propagator", "_step_matrices"),
-    ("validation", "propagator", "_trajectory"),
 }
 
 

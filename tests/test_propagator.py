@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,7 +52,7 @@ DELTAS = (0.1, 0.05, 0.025, 0.0125)
 def steps():
     """Step matrices S(delta) of the free Hamiltonian at N = 8, order 64, from one pass."""
     basis, H = cylinder_basis(N), hamiltonian_free(N)
-    return dict(zip(DELTAS, propagator._step_matrices(basis, H, DELTAS, ORDER)))
+    return dict(zip(DELTAS, step_matrix(basis, H, DELTAS, ORDER)))
 
 
 def column_norms(M, gram):
@@ -110,9 +111,10 @@ class TestInfinitesimalStep:
             assert drift[d1][e1] / drift[d2][e1] > 3.0  # and the e_1 drift scales as delta^2
 
     def test_matches_step_matrix_column(self, steps):
-        # one evolution step from e_1 is the e_1 column of S(delta)
-        out = evolve(basis_state(1), hamiltonian_free(N), 0.05, 1, ORDER)[-1]
-        assert np.abs(steps[0.05][:, N + 1] - out.coeffs).max() < 1e-12
+        # one evolution step from e_1 is the e_1 column of S(delta), as its own float call
+        S = step_matrix(cylinder_basis(N), hamiltonian_free(N), 0.05, ORDER)
+        out = evolve(basis_state(1), S, 1)[-1]
+        assert np.array_equal(steps[0.05][:, N + 1], out.coeffs)
 
 
 def dense_step(gram, H, delta, order):
@@ -278,8 +280,6 @@ class TestStepMatrix:
         monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
         with pytest.raises(QuadratureError, match="below guard"):
             step_matrix(cylinder_basis(N), H, 0.05, ORDER)
-        with pytest.raises(QuadratureError, match="below guard"):
-            evolve(basis_state(0), H, 0.5, 4, ORDER)
 
     def test_order_limit(self, monkeypatch):
         H = hamiltonian_free(N)
@@ -305,6 +305,16 @@ class TestStepMatrix:
         with pytest.raises(ValidationError, match=message):
             step_matrix(cylinder_basis(N), H, 0.05, ORDER)
 
+    @pytest.mark.parametrize(
+        "delta", [math.nan, math.inf, -math.inf, [0.05, math.nan]],
+        ids=["nan", "inf", "-inf", "array-with-nan"],
+    )
+    def test_rejects_nonfinite_delta(self, delta, monkeypatch):
+        # refused before the grid, not after the O(order^4) pair sum and a QuadratureError
+        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        with pytest.raises(ValidationError, match="evolution time must be finite, got time step"):
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), delta, ORDER)
+
     def test_memory_bounded(self):
         # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
         tracemalloc.start()
@@ -317,7 +327,7 @@ class TestStepMatrix:
 
 
 class TestStepMatrices:
-    """``_step_matrices``: the steps of several deltas from one pass over the tiles."""
+    """``step_matrix`` on a 1-D array of deltas: their steps from one pass over the tiles."""
 
     @pytest.mark.parametrize("order, tile", [(11, (7, 50)), (12, (40, 30)), (33, None)])
     @pytest.mark.parametrize("case", CASES)
@@ -328,20 +338,37 @@ class TestStepMatrices:
             monkeypatch.setattr(propagator, "_TILE", tile)
         basis, H = step_case(case)
         deltas = (0.1, 0.0, -0.05, 0.025)
-        shared = propagator._step_matrices(basis, H, deltas, order)
-        assert len(shared) == len(deltas)
+        shared = step_matrix(basis, H, deltas, order)
+        assert shared.shape == (len(deltas), basis.size, basis.size)
         for delta, S in zip(deltas, shared):
             assert np.array_equal(S, step_matrix(basis, H, delta, order)), delta
+
+    def test_float_gives_one_matrix(self):
+        # a float, a 0-d array and a one-entry array: (nb, nb), (nb, nb) and (1, nb, nb)
+        basis, H = cylinder_basis(N), hamiltonian_free(N)
+        S = step_matrix(basis, H, 0.05, 12)
+        assert S.shape == (2 * N + 1, 2 * N + 1)
+        assert np.array_equal(step_matrix(basis, H, np.float64(0.05), 12), S)
+        assert np.array_equal(step_matrix(basis, H, np.array(0.05), 12), S)
+        assert np.array_equal(step_matrix(basis, H, [0.05], 12), S[None])
+
+    @pytest.mark.parametrize("deltas", [[[0.05, 0.1]], [[0.05], [0.1]], []])
+    def test_rejects_other_shapes(self, deltas, monkeypatch):
+        # only a float or a nonempty 1-D array, refused before the grid
+        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        shape = re.escape(str(np.shape(deltas)))
+        with pytest.raises(ValidationError, match=f"nonempty, got shape {shape}$"):
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), deltas, ORDER)
 
     def test_division_guard_raises(self, monkeypatch):
         monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e3)
         with pytest.raises(QuadratureError, match="below guard"):
-            propagator._step_matrices(cylinder_basis(N), hamiltonian_free(N), DELTAS, 12)
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), DELTAS, 12)
 
     @pytest.mark.parametrize("deltas", [(0.05, 1e308), (1e308, 0.05)])
     def test_nonfinite_sum_names_its_delta(self, deltas):
         with pytest.raises(QuadratureError, match=r"not finite at time step delta=1\.000e\+308"):
-            propagator._step_matrices(cylinder_basis(N), hamiltonian_free(N), deltas, 12)
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), deltas, 12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -354,16 +381,21 @@ def test_pruned_step_matches_full_grid(delta, n, case):
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def trajectory(phi, H, t, n, order=ORDER):
+    """``n`` steps of length ``t / n`` under ``H`` from ``phi``."""
+    return evolve(phi, step_matrix(phi.basis, H, t / n, order), n)
+
+
 class TestEvolve:
     def test_zero_time_identity(self):
         phi = basis_state(2)
-        out = evolve(phi, hamiltonian_free(N), 0.0, 4, ORDER)[-1]
+        out = trajectory(phi, hamiltonian_free(N), 0.0, 4)[-1]
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_zero_hamiltonian_identity(self):
         H = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
         phi = basis_state(1)
-        out = evolve(phi, H, 2.0, 4, ORDER)[-1]
+        out = trajectory(phi, H, 2.0, 4)[-1]
         assert np.abs(out.coeffs - phi.coeffs).max() < 1e-11
 
     def test_first_order_convergence(self, gram):
@@ -374,42 +406,50 @@ class TestEvolve:
         exact = evolve_exact(phi, H, 0.5)
         errs = []
         for n in (16, 32):
-            out = evolve(phi, H, 0.5, n, ORDER)[-1]
+            out = trajectory(phi, H, 0.5, n)[-1]
             errs.append(state_norm(HoloState(phi.basis, out.coeffs - exact.coeffs), gram))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
     def test_history(self, steps):
         # n_steps + 1 states: the input coefficients, then S @ the previous state, bit for bit
         state = HoloState(cylinder_basis(N), np.arange(2 * N + 1) * (1 - 0.5j))
-        trajectory = evolve(state, hamiltonian_free(N), 0.2, 4, ORDER)
-        assert len(trajectory) == 5
-        assert np.array_equal(trajectory[0].coeffs, state.coeffs)
-        for before, after in zip(trajectory, trajectory[1:]):
+        history = evolve(state, steps[0.05], 4)
+        assert len(history) == 5
+        assert np.array_equal(history[0].coeffs, state.coeffs)
+        for before, after in zip(history, history[1:]):
             assert after.basis is state.basis
             assert np.array_equal(after.coeffs, steps[0.05] @ before.coeffs)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_steps must be >= 1, got 0"):
-            evolve(basis_state(0), hamiltonian_free(N), 1.0, 0, ORDER)
+            evolve(basis_state(0), np.eye(2 * N + 1), 0)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_time(self, t):
-        # checked before n_steps, so a non-finite time with no steps names the time
-        with pytest.raises(ValidationError, match="evolution time must be finite"):
-            evolve(basis_state(0), hamiltonian_free(N), t, 0, ORDER)
-
-    def test_rejects_state_size_mismatch(self, monkeypatch):
-        # step_matrix refuses the Hamiltonian of another basis size before any grid
-        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+    def test_rejects_state_size_mismatch(self, steps):
+        # the step matrix of another basis size is refused before any step
         state = HoloState(cylinder_basis(N - 1), np.ones(2 * N - 1))
-        with pytest.raises(ValidationError, match=r"Hamiltonian shape \(17, 17\) is not \(15, 15\)"):
-            evolve(state, hamiltonian_free(N), 0.5, 4, ORDER)
+        with pytest.raises(ValidationError, match=r"step matrix shape \(17, 17\) is not \(15, 15\)"):
+            evolve(state, steps[0.05], 4)
+
+    @pytest.mark.parametrize(
+        "shape", [(2 * N + 1, 2 * N), (2 * N + 1,), (1, 2 * N + 1, 2 * N + 1)],
+        ids=["not-square", "vector", "stacked"],
+    )
+    def test_rejects_step_matrix_shape(self, shape):
+        # a stack from an array of deltas is not one step matrix
+        with pytest.raises(ValidationError, match=f"step matrix shape {re.escape(str(shape))} "):
+            evolve(basis_state(0), np.ones(shape), 2)
+
+    def test_divergence_names_its_step(self):
+        # one error, and no numpy overflow warning before it
+        S = 1e200 * np.eye(2 * N + 1)
+        with pytest.raises(QuadratureError, match="evolution diverged at step 2$"):
+            evolve(basis_state(0), S, 3)
 
     def test_accepts_state_on_equal_basis(self, steps):
         # a state built on its own cylinder_basis(N) call, as basis_state does, is stepped
-        # with the step matrix of that basis
+        # with a step matrix built on another call
         state = basis_state(1)
-        out = evolve(state, hamiltonian_free(N), 0.1, 2, ORDER)[-1]
+        out = evolve(state, steps[0.05], 2)[-1]
         assert out.basis is state.basis
         assert np.abs(out.coeffs - steps[0.05] @ steps[0.05] @ state.coeffs).max() < 1e-12
 
@@ -429,7 +469,7 @@ def test_method_bound_error():
     exact = evolve_exact(phi, H, 0.5)
     errs = {}
     for order, expected in METHOD_ERROR.items():
-        out = evolve(phi, H, 0.5, 16, order)[-1]
+        out = trajectory(phi, H, 0.5, 16, order)[-1]
         errs[order] = state_norm(HoloState(gram.basis, out.coeffs - exact.coeffs), gram)
         assert errs[order] == pytest.approx(expected, rel=0.01), order
     assert errs[64] == pytest.approx(errs[96], rel=0.01)
