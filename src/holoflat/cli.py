@@ -64,7 +64,7 @@ SIZE_LIMITS = {
     "x_nodes": 4096,
     # every subcommand but greens: a (2N + 1)-function basis.  At 100, gram
     # --quadrature 10 s and 108 MB peak RSS (its long-double Gram has no BLAS;
-    # exit 1, the order-64 Gram is singular), evolve 2.6 s and 86 MB, the rest
+    # exit 1, the order-64 Gram is singular), evolve 2.0 s and 83 MB, the rest
     # under 0.8 s and 52 MB
     "truncation": 100,
     # evolve keeps and writes every state; at 10,000, 3.1 s and 139 MB peak RSS,

@@ -63,16 +63,20 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     guard: its |K| and |K_H| are those of the pair it mirrors.  Other inputs sum all M
     node rows.
 
-    Pruning.  Only pairs with ``s_i s_j > thr = 2^-53 / M^2 * max_k s_k^2`` are summed,
+    Pruning.  Only pairs with ``s_i s_j > thr = 2^-53 / M^2 * (sum_k s_k)^2`` are summed,
     ``s_i = w_i |Phi_i|^2`` maximised over the orbit of ``i`` and ``M = order^2``
     (pruned Gauss-Hermite quadrature, by pair).  A pair ``(i, j)`` adds at most
     ``s_i s_j ||mid||_2 |R_ij|`` to each entry of the pair sum before the Gram solve,
     ``R_ij`` the Pade factor below (unimodular for real arguments); so the at most
-    ``M^2`` dropped pairs and their images add less than one unit round-off of the
-    largest pair's bound.  Rows and columns run in decreasing ``s``, and each row tile
-    sums the column prefix that its first row needs.  A non-finite ``s_i`` raises
-    QuadratureError.  At N = 8 order 64 computes 2,075,216 pairs and order 128
-    14,774,016.
+    ``M^2`` dropped pairs and their images add less than
+    ``2^-53 (sum_k s_k)^2 ||mid||_2 |R|``, one unit round-off of the sum of all pairs'
+    bounds.  That is the scale of the pair sum's own rounding error: recursive summation
+    errs by up to about ``2^-53 sum |x_i|`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2).  The rule is scale-free, so ``s`` is divided by its
+    largest entry first and ``thr`` cannot overflow.  Rows and columns run in decreasing
+    ``s``, and each row tile sums the column prefix that its first row needs.  A
+    non-finite ``s_i`` raises QuadratureError.  At N = 8 order 64 computes 1,695,072 pairs
+    and order 128 10,814,552.
     """
     deltas = np.asarray(delta, dtype=float)
     if deltas.ndim > 1 or not deltas.size:
@@ -121,7 +125,8 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     orbit = np.sort(group, axis=0)
     weight = (1 + np.count_nonzero(np.diff(orbit, axis=0), axis=0)) / len(group)
     s = s[orbit].max(axis=0)
-    thr = 2.0**-53 / M**2 * s.max() ** 2
+    s /= s.max()  # in [0, 1], so the threshold cannot overflow
+    thr = 2.0**-53 / M**2 * s.sum() ** 2
     cols = np.argsort(-s, kind="stable")
     cols = cols[s[cols] * s[cols[0]] > thr]  # the nodes in some summed pair, decreasing s
     rows = np.flatnonzero(orbit[0, cols] == cols)  # one per orbit, as positions in cols

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import os
 import re
 import tracemalloc
 
@@ -32,6 +33,7 @@ from holoflat.quadrature import tangent_nodes
 
 N = 8
 ORDER = 64
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,21 @@ def no_grid(*args, **kwargs):
     raise RuntimeError("grid built")
 
 
+def guarded_pairs(monkeypatch, basis, H, order):
+    """The node pairs the division guard sees in one ``step_matrix`` call: it compares
+    |K| with guard * |K_H| on every node pair that is summed."""
+    guarded, less = [], np.less
+
+    def spy(a, b, out):
+        guarded.append(out.size)
+        return less(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "less", spy)
+        step_matrix(basis, H, 0.05, order)
+    return sum(guarded)
+
+
 class TestStepMatrix:
     @pytest.mark.parametrize("tile", [(7, 50), (50, 7), (144, 144), (256, 1024), (40, 30)])
     def test_matches_dense_reference(self, tile, monkeypatch):
@@ -184,10 +201,13 @@ class TestStepMatrix:
             S = step_matrix(basis, H, 0.05, order)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), (order, case)
 
-    @pytest.mark.parametrize("order", [32, 48])
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize(
+        "case, order", [(case, order) for order in (32, 48) for case in CASES] + [("free", 64)]
+    )
     def test_pruned_matches_full_grid(self, case, order):
-        # 988 of 1,024 and 1,920 of 2,304 nodes are summed; dense_step sums them all
+        # 960 of 1,024, 1,824 of 2,304 and 2,808 of 4,096 nodes are summed; dense_step sums
+        # them all.  The threshold, scaled by the sum of all pair bounds, drops few more
+        # pairs than one scaled by the largest at orders 32 and 48, and 18% more at 64
         basis, H = step_case(case)
         ref = dense_step(gram_matrix(basis), H, 0.05, order)
         S = step_matrix(basis, H, 0.05, order)
@@ -200,36 +220,31 @@ class TestStepMatrix:
             ("free", 11, 36 * 121),  # 121 nodes in 36 orbits
             ("skew-H", 12, 144 * 144),
             ("skew-gram", 12, 144 * 144),
-            ("free", 24, 80960),  # of 144 * 576: pairs of two small nodes are dropped
-            ("free", 23, 74704),
-            ("free", 64, 2075216),  # 3,088 of 4,096 nodes in a summed pair, still folded
-            ("skew-H", 64, 7918400),
+            ("free", 24, 79872),  # of 144 * 576: pairs of two small nodes are dropped
+            ("free", 23, 73296),
+            ("free", 64, 1695072),  # 2,808 of 4,096 nodes in a summed pair, still folded
+            ("skew-H", 64, 6390848),
         ],
     )
     def test_guarded_pairs_halved_when_even(self, case, order, pairs, monkeypatch):
-        # the guard compares |K| with guard * |K_H| on every node pair that is summed
-        guarded, less = [], np.less
+        assert guarded_pairs(monkeypatch, *step_case(case), order) == pairs
 
-        def spy(a, b, out):
-            guarded.append(out.size)
-            return less(a, b, out=out)
-
-        monkeypatch.setattr(np, "less", spy)
-        basis, H = step_case(case)
-        step_matrix(basis, H, 0.05, order)
-        assert sum(guarded) == pairs
+    def test_quoted_pair_counts(self, monkeypatch):
+        # the order-64 and order-128 counts quoted in step_matrix's docstring and in
+        # README's Performance section are the guard's at N = 8
+        with open(README) as fh:
+            performance = fh.read().split("## Performance", 1)[1]
+        basis, H = step_case("free")
+        counts = [guarded_pairs(monkeypatch, basis, H, order) for order in (64, 128)]
+        for text in (step_matrix.__doc__, performance):
+            quoted = re.search(r"order 64 computes ([\d,]+) pairs\s+and order 128\s+([\d,]+)", text)
+            assert [int(q.replace(",", "")) for q in quoted.groups()] == counts
 
     @pytest.mark.parametrize("order", [32, 33])
     @pytest.mark.parametrize("case", CASES)
     def test_guarded_pairs_brute_force(self, case, order, monkeypatch):
         # one node row per tile: the guard then sees exactly the pairs (orbit
         # representative a, node c) with sbar_a sbar_c > thr, counted here from w and Phi
-        guarded, less = [], np.less
-
-        def spy(a, b, out):
-            guarded.append(out.size)
-            return less(a, b, out=out)
-
         basis, H = step_case(case)
         z, w = tangent_nodes(order)
         Phi = basis.design_matrix(z)
@@ -243,14 +258,13 @@ class TestStepMatrix:
             images += [(order - 1 - x) * order + y] + [x * order + order - 1 - y] * ("J" in FOLDS[case])
         images = np.array(images)
         sbar = s[images].max(axis=0)
+        sbar /= sbar.max()
         representative = images.min(axis=0) == np.arange(M)
-        thr = 2.0**-53 / M**2 * s.max() ** 2
+        thr = 2.0**-53 / M**2 * sbar.sum() ** 2
         pairs = np.count_nonzero(np.outer(sbar[representative], sbar) > thr)
 
         monkeypatch.setattr(propagator, "_TILE", (1, M))
-        monkeypatch.setattr(np, "less", spy)
-        step_matrix(basis, H, 0.05, order)
-        assert sum(guarded) == pairs
+        assert guarded_pairs(monkeypatch, basis, H, order) == pairs
 
     @pytest.mark.parametrize("order", [32, 33])
     def test_basis_without_closed_form(self, order):
@@ -274,6 +288,21 @@ class TestStepMatrix:
         overflowing = BasisSpec(basis.labels, eval_fn, basis.closed_form_inner)
         with pytest.raises(QuadratureError, match="not finite"):
             step_matrix(overflowing, hamiltonian_free(1), 0.05, 12)
+
+    def test_large_basis_values(self):
+        # values 1e80 and Gram entries 1e160 times the circle's, all finite, but the
+        # largest scale squared overflows: a threshold formed from it drops every pair
+        # and gives S = 0.  The step is scale-invariant; a warning fails this test
+        base = cylinder_basis(2)
+        large = BasisSpec(
+            base.labels,
+            lambda k, z: 1e80 * np.exp(1j * k * z - k * k / 2),
+            lambda p, q: 1e160 * math.exp(-((p - q) ** 2) / 2),
+        )
+        H = hamiltonian_free(2)
+        ref = step_matrix(base, H, 0.05, 16)
+        S = step_matrix(large, H, 0.05, 16)
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_division_guard_raises(self, monkeypatch):
         H = hamiltonian_free(N)
