@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_N",
     "HeatKernelParams",
     "cylinder_basis",
-    "gram_closed",
     "heat_kernel_formula",
     "calibrate_heat_kernel",
 ]
@@ -37,17 +36,6 @@ _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
 _TAIL_TOL = 1e-8  # largest accepted bound on the omitted terms of a theta sum
 _BLOCK = 2**16  # terms per block of a theta sum; 1 MB complex
-
-
-def gram_closed(p: int, q: int, normalized: bool) -> float:
-    """Closed-form Gram entry: ``e^{pq}`` raw or ``e^{-(p-q)^2/2}`` normalized."""
-    if normalized:
-        return math.exp(-((p - q) ** 2) / 2.0)
-    if abs(p * q) > 700:
-        raise ValidationError(
-            f"raw Gram entry e^{{{p * q}}} overflows double precision (|p*q| > 700)"
-        )
-    return math.exp(p * q)
 
 
 def cylinder_basis(N: int, normalized: bool = True) -> BasisSpec:
@@ -76,7 +64,7 @@ def _normalized_mode(k, z):
 
 
 def _normalized_inner(p, q):
-    return complex(gram_closed(p, q, True))
+    return complex(math.exp(-((p - q) ** 2) / 2.0))
 
 
 def _raw_mode(k, z):
@@ -84,7 +72,7 @@ def _raw_mode(k, z):
 
 
 def _raw_inner(p, q):
-    return complex(gram_closed(p, q, False))
+    return complex(math.exp(p * q))
 
 
 @dataclass(frozen=True)

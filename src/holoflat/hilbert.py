@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FactorizationError, ValidationError
-from .quadrature import tangent_nodes
+from .quadrature import tangent_grid
 
 __all__ = [
     "BasisSpec",
@@ -27,7 +27,6 @@ __all__ = [
     "inner_product",
     "gram_matrix",
     "orthonormalize",
-    "alternating_ordering",
     "reproducing_kernel",
     "orthonormal_series_kernel",
     "project",
@@ -144,8 +143,8 @@ def _grid_values(basis: BasisSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights and design matrix of ``basis`` on the order-``order`` tangent grid, both
     read-only.  The last (basis, order) pair is kept, so a run of Gaussian integrals
     over one basis builds the grid and evaluates the basis once."""
-    z, w = tangent_nodes(order)
-    Phi = basis.design_matrix(z)
+    grid = tangent_grid(order)
+    w, Phi = grid.w, basis.design_matrix(grid.z)
     w.flags.writeable = Phi.flags.writeable = False
     return w, Phi
 
@@ -160,7 +159,7 @@ def inner_product(f: HoloState, g: HoloState, order: int) -> complex:
     return complex(np.sum(w * np.conj(Phi @ f.coeffs) * (Phi @ g.coeffs)))
 
 
-def alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
+def _alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
     """Orthonormalization order 0, 1, -1, 2, -2, ... for a symmetric label
     range; identity order otherwise."""
     labels = list(labels)
@@ -183,9 +182,9 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
         # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
         # summand magnitudes; extended-precision accumulation keeps the
         # cancellation error below the closed forms' 1e-10 target.
-        z, w = tangent_nodes(order, extended=True)
-        Phi = basis.design_matrix(z)
-        G = (np.conj(Phi).T @ (w[:, None] * Phi)).astype(complex)
+        grid = tangent_grid(order, extended=True)
+        Phi = basis.design_matrix(grid.z)
+        G = (np.conj(Phi).T @ (grid.w[:, None] * Phi)).astype(complex)
     elif basis.closed_form_inner is not None:
         G = np.array(
             [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
@@ -204,7 +203,7 @@ def orthonormalize(gram: GramData, ordering: Sequence[int] | None = None) -> np.
     ``C^H @ gram.matrix @ C = I``.
     """
     if ordering is None:
-        ordering = alternating_ordering(gram.basis.labels)
+        ordering = _alternating_ordering(gram.basis.labels)
     perm = np.asarray(ordering, dtype=int)
     nb = gram.basis.size
     if sorted(perm.tolist()) != list(range(nb)):

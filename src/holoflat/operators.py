@@ -19,7 +19,6 @@ __all__ = [
     "ladder_lower",
     "ladder_raise",
     "hamiltonian_free",
-    "to_orthonormal_frame",
     "adjointness_residual",
 ]
 
@@ -56,11 +55,6 @@ def hamiltonian_free(N: int) -> np.ndarray:
     return np.diag((k**2 / 2.0).astype(complex))
 
 
-def to_orthonormal_frame(op: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Matrix of the operator in the orthonormal frame ``beta_j = sum_k C[k,j] phi~_k``."""
-    return np.linalg.solve(C, op @ C)
-
-
 def adjointness_residual(N: int) -> float:
     """Max deviation of the raising matrix from the conjugate transpose of the
     lowering matrix, in the orthonormal frame of ``cylinder_basis(N)``, after
@@ -73,8 +67,8 @@ def adjointness_residual(N: int) -> float:
     if N < ADJOINT_BUFFER:
         raise ValidationError(f"adjointness needs truncation N >= {ADJOINT_BUFFER}, got N={N}")
     C = orthonormalize(gram_matrix(cylinder_basis(N)))
-    R = to_orthonormal_frame(ladder_raise(N), C)
-    L = to_orthonormal_frame(ladder_lower(N), C)
+    # each operator in the orthonormal frame beta_j = sum_k C[k,j] phi~_k
+    R, L = (np.linalg.solve(C, op @ C) for op in (ladder_raise(N), ladder_lower(N)))
     m = 2 * N + 1 - 2 * ADJOINT_BUFFER
     D = R[:m, :m] - np.conj(L[:m, :m]).T
     return float(np.abs(D).max())

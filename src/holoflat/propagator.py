@@ -17,7 +17,7 @@ import numpy as np
 from .cylinder import _mode_sum, _winding_sum
 from .errors import QuadratureError, ValidationError
 from .hilbert import BasisSpec, HoloState, gram_matrix
-from .quadrature import tangent_nodes
+from .quadrature import tangent_grid
 
 __all__ = [
     "step_matrix",
@@ -52,7 +52,8 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     ``MAX_STEP_ORDER`` QuadratureError, before any grid is built.
 
     Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
-    conjugation sigma: z -> -conj(z).  J applies if weights and basis are exactly even
+    conjugation sigma: z -> -conj(z), and the grid declares both as node permutations
+    (``grid.mirror``, ``grid.conj``).  J applies if weights and basis are exactly even
     under it (labels k -> -k), and ``mid`` and ``H`` to 1e-14; sigma applies if
     ``w[sigma] == w`` and ``Phi[sigma] == conj(Phi)`` exactly, and ``mid`` and
     ``H @ mid`` are real to 1e-14.  The applicable reflections generate a group of 1, 2
@@ -94,8 +95,8 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     if not np.isfinite(H).all():
         raise ValidationError("Hamiltonian entries must be finite")
     gram = gram_matrix(basis, order if basis.closed_form_inner is None else None)
-    z, w = tangent_nodes(order)
-    Phi = basis.design_matrix(z)
+    grid = tangent_grid(order)
+    w, Phi = grid.w, basis.design_matrix(grid.z)
     s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
     if not np.isfinite(s).all():
         raise QuadratureError(
@@ -104,24 +105,23 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     M, nb = Phi.shape
     mid = gram.inverse()
     Hmid = H @ mid
-    # J maps label k to -k, and node i to M-1-i; sigma maps node (i, j) to (order-1-i, j).
+    # J maps label k to -k; the grid declares the node permutations of J and sigma.
     # Phi is compared column by column, so no second M x nb array
     J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
     mirror = (
         None not in J
-        and np.array_equal(w[::-1], w)
-        and all(np.array_equal(Phi[::-1, a], Phi[:, j]) for a, j in enumerate(J))
+        and np.array_equal(w[grid.mirror], w)
+        and all(np.array_equal(Phi[grid.mirror, a], Phi[:, j]) for a, j in enumerate(J))
         and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (mid, H))
     )
-    node = np.arange(M)
-    sigma = (order - 1 - node // order) * order + node % order
     conj = (
-        np.array_equal(w[sigma], w)
-        and all(np.array_equal(Phi[sigma, a], np.conj(Phi[:, a])) for a in range(nb))
+        np.array_equal(w[grid.conj], w)
+        and all(np.array_equal(Phi[grid.conj, a], np.conj(Phi[:, a])) for a in range(nb))
         and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (mid, Hmid))
     )
     # the images of every node under the group the applicable reflections generate
-    group = [node] + [M - 1 - node] * mirror + [sigma, M - 1 - sigma][: 1 + mirror] * conj
+    images = [grid.mirror] * mirror + [grid.conj, grid.mirror[grid.conj]][: 1 + mirror] * conj
+    group = [np.arange(M)] + images
     orbit = np.sort(group, axis=0)
     weight = (1 + np.count_nonzero(np.diff(orbit, axis=0), axis=0)) / len(group)
     s = s[orbit].max(axis=0)

@@ -3,7 +3,10 @@
 The measure is ``e^{-|z|^2} dz`` on the tangent plane of the circle (period
 2*pi, unit metric), scaled so the constant function integrates to exactly 1.
 One Gauss-Hermite rule of the same order on each real axis; the grid is one
-flat array of nodes, fixed by the order alone.
+flat array of nodes, fixed by the order alone.  This module alone knows its
+layout: the grid value declares its reflections z -> -z and z -> -conj(z)
+as node permutations, under which its exactly even rule leaves the weights
+unchanged.
 
 The paper integrates each path-integral step in the tangent space and maps
 it to the manifold by the exponential map.  Here that map stays implicit:
@@ -15,13 +18,14 @@ in ``Re z``, so composing it with the exponential map changes nothing
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
 
-__all__ = ["DEFAULT_ORDER", "hermite_rule", "tangent_nodes"]
+__all__ = ["DEFAULT_ORDER", "tangent_grid"]
 
 DEFAULT_ORDER = 64
 _MAX_ORDER = 740  # hermgauss overflows float64 at its outer nodes from order 741 on
@@ -72,32 +76,42 @@ def _hermite_rule_cached(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the weight ``e^{-x^2}`` on the real line.
+@dataclass(frozen=True)
+class TangentGrid:
+    """A tensor grid on the tangent plane: holomorphic coordinates ``z = x - i y``,
+    normalized weights ``w`` (summing to 1) and its two reflections as node permutations,
+    ``mirror[i]`` the node at ``-z[i]`` and ``conj[i]`` the node at ``-conj(z[i])``."""
 
-    Exact for polynomials up to degree ``2*order - 1``.
-    """
-    nodes, weights = _hermite_rule_cached(int(order))
-    return nodes.astype(np.float64), weights.astype(np.float64)
+    z: np.ndarray
+    w: np.ndarray
+    mirror: np.ndarray
+    conj: np.ndarray
 
 
-def tangent_nodes(order: int, extended: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Holomorphic coordinates ``z = x - i y`` and normalized weights ``w``
-    (summing to 1) of the order-``order`` tensor grid on the tangent plane.
+def tangent_grid(order: int, extended: bool = False) -> TangentGrid:
+    """The tangent plane's order-``order`` grid, in long double with ``extended=True``
+    for cancellation-sensitive consumers.
 
-    Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``, so the node
-    array read backwards is its own negative.  With ``extended=True`` the grid
-    is built in long double for cancellation-sensitive consumers.  Every call builds
-    fresh arrays; the costly part, the Hermite rule, is cached.
+    Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``.  The rule is exactly
+    even, so the node array read backwards is its own negative, and ``(u_i, u_j)`` maps
+    to ``(-u_i, u_j)`` under ``conj``.  Every call builds fresh arrays; the costly part,
+    the Hermite rule, is cached.
     """
     # normalization 1/pi: the plane Gaussian e^{-|z|^2} has total mass pi
+    u, wu = _hermite_rule_cached(int(order))
     if extended:
         # a float64 rule costs ~1e-10 relative error on strongly cancelling
         # integrands; long double gives 5e-13 on criterion 1's Gram entries
-        u, wu = _hermite_rule_cached(int(order))
         normalization = np.pi ** -np.longdouble(1)
     else:
-        u, wu = hermite_rule(order)
+        u, wu = u.astype(np.float64), wu.astype(np.float64)
         normalization = math.pi**-1.0
     U1, U2 = np.meshgrid(u, u, indexing="ij")
-    return U1.ravel() - 1j * U2.ravel(), normalization * np.outer(wu, wu).ravel()
+    n = len(u)
+    node = np.arange(n * n, dtype=np.int32)  # orders stop at 740: half the bytes of int64
+    return TangentGrid(
+        U1.ravel() - 1j * U2.ravel(),
+        normalization * np.outer(wu, wu).ravel(),
+        node[::-1],
+        (n - 1 - node // n) * n + node % n,
+    )

@@ -177,7 +177,8 @@ def test_array_criteria_match_point_loops():
     kernel = _gram_inverse_kernel(8)
     rng = np.random.default_rng(validation._SEED + 2)
     z, w = validation._sample_points(8, rng), validation._sample_points(8, rng)
-    nodes, wt = quadrature.tangent_nodes(128)
+    tangent = quadrature.tangent_grid(128)
+    nodes, wt = tangent.z, tangent.w
     comp = 0.0
     for zi, ui in zip(z[:5], w[:5]):
         total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])

@@ -11,27 +11,22 @@ from holoflat import (
     ValidationError,
     calibrate_heat_kernel,
     cylinder_basis,
-    gram_closed,
     gram_matrix,
     heat_kernel_formula,
     reproducing_kernel,
-    tangent_nodes,
+    tangent_grid,
 )
 
 
 class TestGramClosed:
     def test_raw_e(self):
-        assert gram_closed(1, 1, normalized=False) == pytest.approx(math.e)
+        assert cylinder_basis(1, normalized=False).closed_form_inner(1, 1) == pytest.approx(math.e)
 
     def test_normalized_diagonal(self):
-        assert gram_closed(3, 3, normalized=True) == 1.0
+        assert cylinder_basis(3).closed_form_inner(3, 3) == 1.0
 
     def test_normalized_off_diagonal(self):
-        assert gram_closed(1, -1, normalized=True) == pytest.approx(math.exp(-2))
-
-    def test_raw_overflow_guard(self):
-        with pytest.raises(ValidationError, match="overflow"):
-            gram_closed(27, 27, normalized=False)
+        assert cylinder_basis(1).closed_form_inner(1, -1) == pytest.approx(math.exp(-2))
 
 
 class TestCylinderBasis:
@@ -145,7 +140,7 @@ class TestHeatKernelFormula:
 
     def test_array_w_equals_scalar_calls(self):
         params = HeatKernelParams(M=24)
-        nodes, _ = tangent_nodes(8)
+        nodes = tangent_grid(8).z
         w = nodes.reshape(8, 8)
         vals = heat_kernel_formula(params, -1.2 + 0.5j, w)
         scalar = [heat_kernel_formula(params, -1.2 + 0.5j, complex(v)) for v in nodes]
@@ -208,7 +203,8 @@ class TestHeatKernelFormula:
         # ~7, so the mode cutoff must be raised to keep the tail bounded
         params = HeatKernelParams(M=24)
         c = calibrate_heat_kernel(params, kernel)
-        nodes, w = tangent_nodes(32)
+        grid = tangent_grid(32)
+        nodes, w = grid.z, grid.w
         for z in (0.3, -1.2 + 0.5j):
             vals = c * heat_kernel_formula(params, z, nodes)
             total = np.sum(w * vals * np.exp(1j * nodes - 0.5))

@@ -17,11 +17,10 @@ from holoflat import (
     inner_product,
     orthonormal_series_kernel,
     orthonormalize,
-    alternating_ordering,
     project,
     reproducing_kernel,
     state_norm,
-    tangent_nodes,
+    tangent_grid,
 )
 from holoflat import cli, hilbert
 
@@ -95,7 +94,8 @@ class TestInnerProductExponential:
         # <e^{alpha z}, e^{beta z}> = exp(conj(alpha) beta) under the unit Gaussian measure;
         # no basis holds e^{z}, so the integral is summed over the nodes directly
         alpha, beta = 1.0, 1j
-        z, w = tangent_nodes(ORDER)
+        grid = tangent_grid(ORDER)
+        z, w = grid.z, grid.w
         val = np.sum(w * np.conj(np.exp(alpha * z)) * np.exp(beta * z))
         assert val == pytest.approx(np.exp(np.conj(alpha) * beta), abs=1e-12)
 
@@ -225,10 +225,10 @@ class TestAlternatingOrdering:
     def test_alternating(self):
         basis = cylinder_basis(2)
         # labels (-2,-1,0,1,2); processing order 0, 1, -1, 2, -2
-        assert alternating_ordering(basis.labels) == (2, 3, 1, 4, 0)
+        assert hilbert._alternating_ordering(basis.labels) == (2, 3, 1, 4, 0)
 
     def test_non_symmetric_identity(self):
-        assert alternating_ordering((0, 1, 2)) == (0, 1, 2)
+        assert hilbert._alternating_ordering((0, 1, 2)) == (0, 1, 2)
 
 
 class TestOrthonormalize:
@@ -257,7 +257,8 @@ class TestOrthonormalize:
     def test_orthonormality_by_quadrature(self, setup_n4):
         basis, gram = setup_n4
         C = orthonormalize(gram)
-        z, w = tangent_nodes(ORDER)
+        grid = tangent_grid(ORDER)
+        z, w = grid.z, grid.w
         B = basis.design_matrix(z) @ C
         total = np.conj(B).T @ (w[:, None] * B)
         assert np.abs(total - np.eye(9)).max() < 1e-8
@@ -273,7 +274,7 @@ class TestOrthonormalize:
         # so the rows of C taken in processing order form an upper-triangular matrix
         _, gram = setup_n4
         C = orthonormalize(gram, ordering)
-        order = list(alternating_ordering(gram.basis.labels) if ordering is None else ordering)
+        order = list(hilbert._alternating_ordering(gram.basis.labels) if ordering is None else ordering)
         assert np.all(np.tril(C[order], -1) == 0)
         assert np.all(np.diag(C[order]).real > 0)
 
@@ -344,7 +345,8 @@ class TestKernel:
         basis, gram = setup_n4
         kernel = reproducing_kernel(gram)
         z, u = 0.5 - 0.2j, -1.1 + 0.4j
-        nodes, w = tangent_nodes(ORDER)
+        grid = tangent_grid(ORDER)
+        nodes, w = grid.z, grid.w
         total = np.sum(w * kernel.eval_grid([z], nodes)[0] * kernel.eval_grid(nodes, [u])[:, 0])
         assert abs(total - kernel.eval(z, u)) < 1e-8
 
@@ -434,7 +436,8 @@ class TestGridValues:
     def test_matches_fresh_design_matrix(self):
         basis = cylinder_basis(4)
         w, Phi = hilbert._grid_values(basis, ORDER)
-        z, weights = tangent_nodes(ORDER)
+        grid = tangent_grid(ORDER)
+        z, weights = grid.z, grid.w
         assert np.array_equal(w, weights)
         assert np.array_equal(Phi, basis.design_matrix(z))
         assert hilbert._grid_values(basis, ORDER)[1] is Phi
@@ -452,7 +455,7 @@ class TestGridValues:
 
     def test_bases_in_alternation(self):
         a, b = cylinder_basis(3), cylinder_basis(5, normalized=False)
-        z, _ = tangent_nodes(ORDER)
+        z = tangent_grid(ORDER).z
         for _ in range(2):
             for basis in (a, b):
                 Phi = hilbert._grid_values(basis, ORDER)[1]
@@ -465,7 +468,8 @@ class TestGridValues:
         kernel = reproducing_kernel(gram_matrix(basis))
         rng = np.random.default_rng(order)
         f, g = (HoloState(basis, rng.normal(size=17) + 1j * rng.normal(size=17)) for _ in range(2))
-        z, w = tangent_nodes(order)
+        grid = tangent_grid(order)
+        z, w = grid.z, grid.w
         old_inner = complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
         old_project = kernel.mid @ (np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z)))
         assert inner_product(f, g, order) == old_inner
@@ -475,7 +479,8 @@ class TestGridValues:
 class TestMomentMatrix:
     def test_gram_and_multiplication_moments(self):
         basis = cylinder_basis(2)
-        z, w = tangent_nodes(ORDER)
+        grid = tangent_grid(ORDER)
+        z, w = grid.z, grid.w
         assert np.abs(gram_matrix(basis, ORDER).matrix - gram_matrix(basis).matrix).max() < 1e-10
         Phi = basis.design_matrix(z)
         T = np.conj(Phi).T @ ((w * z)[:, None] * Phi)

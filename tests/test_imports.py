@@ -55,13 +55,13 @@ def test_star_import():
 PUBLIC = {
     "__version__",
     "ValidationError", "QuadratureError", "FactorizationError",
-    "DEFAULT_ORDER", "hermite_rule", "tangent_nodes",
+    "DEFAULT_ORDER", "tangent_grid",
     "BasisSpec", "GramData", "KernelRep", "HoloState", "bargmann_monomial_basis",
-    "inner_product", "gram_matrix", "orthonormalize", "alternating_ordering",
+    "inner_product", "gram_matrix", "orthonormalize",
     "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
-    "DEFAULT_N", "HeatKernelParams", "cylinder_basis", "gram_closed",
+    "DEFAULT_N", "HeatKernelParams", "cylinder_basis",
     "heat_kernel_formula", "calibrate_heat_kernel",
-    "ladder_lower", "ladder_raise", "hamiltonian_free", "to_orthonormal_frame",
+    "ladder_lower", "ladder_raise", "hamiltonian_free",
     "adjointness_residual",
     "step_matrix", "evolve", "evolve_exact", "greens_winding", "greens_spectral",
     "CriterionResult", "run_criteria",
@@ -70,7 +70,7 @@ PUBLIC = {
 
 def test_public_surface():
     exported = importlib.import_module("holoflat").__all__
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 34
     assert len(exported) == len(set(exported))
     assert set(exported) == PUBLIC
 

@@ -19,7 +19,6 @@ from holoflat import (
     cylinder_basis,
     evolve,
     evolve_exact,
-    gram_closed,
     gram_matrix,
     greens_spectral,
     greens_winding,
@@ -29,7 +28,7 @@ from holoflat import (
     step_matrix,
 )
 from holoflat import cylinder, propagator
-from holoflat.quadrature import tangent_nodes
+from holoflat.quadrature import tangent_grid
 
 N = 8
 ORDER = 64
@@ -78,7 +77,8 @@ class TestInfinitesimalStep:
         # S(0) = (G^-1 G_q)^2, G_q the grid's own Gram matrix: exact even where the
         # rule does not resolve the basis (N = 12 at order 64)
         S0, gram, basis = zero_step(n, order)
-        z, w = tangent_nodes(order)
+        grid = tangent_grid(order)
+        z, w = grid.z, grid.w
         Phi = basis.design_matrix(z)
         A = gram.solve(np.conj(Phi).T @ (w[:, None] * Phi))
         assert np.abs(S0 - A @ A).max() < 1e-12
@@ -122,7 +122,8 @@ class TestInfinitesimalStep:
 def dense_step(gram, H, delta, order):
     # every node pair of the full grid: no tiles, no mirror fold and no pruning
     # (256 node rows at a time: about 50 MB at order 48 instead of 400)
-    z, w = tangent_nodes(order)
+    grid = tangent_grid(order)
+    z, w = grid.z, grid.w
     Phi = gram.basis.design_matrix(z)
     mid = gram.inverse()
     b = 0
@@ -140,8 +141,9 @@ SKEW = {(0, 1): 0.1j, (1, 0): -0.1j}
 
 
 def skew_inner(p, q):
-    """The normalized circle's Gram entries, +0.1i at labels (0, 1) and -0.1i at (1, 0)."""
-    return complex(gram_closed(p, q, True)) + SKEW.get((p, q), 0)
+    """The normalized circle's Gram entries e^{-(p-q)^2/2}, +0.1i at labels (0, 1) and
+    -0.1i at (1, 0)."""
+    return complex(math.exp(-((p - q) ** 2) / 2.0)) + SKEW.get((p, q), 0)
 
 
 def step_case(case, n=N):
@@ -246,7 +248,8 @@ class TestStepMatrix:
         # one node row per tile: the guard then sees exactly the pairs (orbit
         # representative a, node c) with sbar_a sbar_c > thr, counted here from w and Phi
         basis, H = step_case(case)
-        z, w = tangent_nodes(order)
+        grid = tangent_grid(order)
+        z, w = grid.z, grid.w
         Phi = basis.design_matrix(z)
         s = w * np.sum(np.abs(Phi) ** 2, axis=1)
         M = len(s)
@@ -312,7 +315,7 @@ class TestStepMatrix:
 
     def test_order_limit(self, monkeypatch):
         H = hamiltonian_free(N)
-        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        monkeypatch.setattr(propagator, "tangent_grid", no_grid)
         assert propagator.MAX_STEP_ORDER == 256
         with pytest.raises(QuadratureError, match="above the step-matrix limit 256"):
             step_matrix(cylinder_basis(N), H, 0.05, 257)
@@ -330,7 +333,7 @@ class TestStepMatrix:
     )
     def test_rejects_bad_hamiltonian(self, H, message, monkeypatch):
         # refused before the grid, not after the O(order^4) pair sum
-        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        monkeypatch.setattr(propagator, "tangent_grid", no_grid)
         with pytest.raises(ValidationError, match=message):
             step_matrix(cylinder_basis(N), H, 0.05, ORDER)
 
@@ -340,7 +343,7 @@ class TestStepMatrix:
     )
     def test_rejects_nonfinite_delta(self, delta, monkeypatch):
         # refused before the grid, not after the O(order^4) pair sum and a QuadratureError
-        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        monkeypatch.setattr(propagator, "tangent_grid", no_grid)
         with pytest.raises(ValidationError, match="evolution time must be finite, got time step"):
             step_matrix(cylinder_basis(N), hamiltonian_free(N), delta, ORDER)
 
@@ -384,7 +387,7 @@ class TestStepMatrices:
     @pytest.mark.parametrize("deltas", [[[0.05, 0.1]], [[0.05], [0.1]], []])
     def test_rejects_other_shapes(self, deltas, monkeypatch):
         # only a float or a nonempty 1-D array, refused before the grid
-        monkeypatch.setattr(propagator, "tangent_nodes", no_grid)
+        monkeypatch.setattr(propagator, "tangent_grid", no_grid)
         shape = re.escape(str(np.shape(deltas)))
         with pytest.raises(ValidationError, match=f"nonempty, got shape {shape}$"):
             step_matrix(cylinder_basis(N), hamiltonian_free(N), deltas, ORDER)

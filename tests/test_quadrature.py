@@ -7,46 +7,52 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holoflat import QuadratureError, ValidationError, hermite_rule, tangent_nodes
+from holoflat import QuadratureError, ValidationError, tangent_grid
 import holoflat
 from holoflat.quadrature import _hermite_rule_cached
 
 
+def rule64(order):
+    """The float64 rule of the float grid: the cached long-double rule, rounded."""
+    x, w = _hermite_rule_cached(order)
+    return x.astype(np.float64), w.astype(np.float64)
+
+
 class TestHermiteRule:
     def test_order_one(self):
-        x, w = hermite_rule(1)
+        x, w = rule64(1)
         assert x[0] == pytest.approx(0.0, abs=1e-15)
         assert w[0] == pytest.approx(math.sqrt(math.pi))
 
     def test_order_two(self):
-        x, w = hermite_rule(2)
+        x, w = rule64(2)
         assert sorted(x) == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)])
         assert w == pytest.approx([math.sqrt(math.pi) / 2] * 2)
 
     def test_second_moment(self):
-        x, w = hermite_rule(2)
+        x, w = rule64(2)
         assert np.sum(w * x**2) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
 
     def test_polynomial_exactness(self):
         # degree 2*order - 1 exactness: moments of e^{-x^2}
-        x, w = hermite_rule(6)
+        x, w = rule64(6)
         for k in range(0, 12, 2):
             exact = math.gamma((k + 1) / 2)
             assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-13)
 
     def test_nodes_increasing_weights_positive(self):
-        x, w = hermite_rule(32)
+        x, w = rule64(32)
         assert np.all(np.diff(x) > 0)
         assert np.all(w > 0)
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValidationError):
-            hermite_rule(0)
+            tangent_grid(0)
 
     def test_rejects_order_with_nonfinite_nodes(self):
-        assert np.all(np.isfinite(hermite_rule(740)[0]))
+        assert np.all(np.isfinite(rule64(740)[0]))
         with pytest.raises(QuadratureError, match="not finite"):
-            hermite_rule(741)
+            tangent_grid(741)
 
     def test_refuses_large_order_before_hermgauss(self, monkeypatch):
         # hermgauss builds an order x order companion matrix: 80 GB at order 100,000
@@ -57,10 +63,11 @@ class TestHermiteRule:
         for order in (741, 10**6):
             msg = f"nodes of order {order} are not finite; lower the quadrature order"
             with pytest.raises(QuadratureError, match=msg):
-                hermite_rule(order)
+                tangent_grid(order)
 
     def test_extended_matches_double(self):
-        x, w = hermite_rule(16)
+        # the long-double rule against numpy's eigenvalue rule in float64
+        x, w = np.polynomial.hermite.hermgauss(16)
         xe, we = _hermite_rule_cached(16)
         assert np.allclose(x, xe.astype(float))
         assert np.allclose(w, we.astype(float))
@@ -104,7 +111,7 @@ class TestHermiteReference:
     @pytest.mark.parametrize("order", [1, 2, 5, 16, 32, 64, 128])
     def test_matches_multiprecision_newton(self, order):
         ref_x, ref_w = mpmath_hermite_rule(order)
-        x, w = hermite_rule(order)
+        x, w = rule64(order)
         assert np.array_equal(x, [float(v) for v in ref_x])
         ref_w64 = np.array([float(v) for v in ref_w])
         assert np.all(np.abs(w - ref_w64) <= np.spacing(ref_w64))
@@ -118,8 +125,9 @@ class TestHermiteReference:
         code = (
             "import math, sys; sys.modules['mpmath'] = None\n"
             "import holoflat\n"
-            "x, w = holoflat.hermite_rule(128)\n"
+            "x, w = holoflat.quadrature._hermite_rule_cached(128)\n"
             "assert abs(w.sum() - math.sqrt(math.pi)) < 1e-13\n"
+            "assert abs(holoflat.tangent_grid(128).w.sum() - 1) < 1e-13\n"
             "basis = holoflat.cylinder_basis(2)\n"
             "g = holoflat.gram_matrix(basis, 32)\n"
             "assert abs(g.matrix[2, 2] - 1) < 1e-12\n"
@@ -144,14 +152,13 @@ class TestHermiteReference:
 
 def integrate(order, f):
     """Integral of ``f`` against the normalized Gaussian measure on the node set."""
-    z, w = tangent_nodes(order)
-    return complex(np.sum(w * f(z)))
+    grid = tangent_grid(order)
+    return complex(np.sum(grid.w * f(grid.z)))
 
 
 class TestGaussianRule:
     def test_weights_normalized(self):
-        _, w = tangent_nodes(24)
-        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+        assert np.sum(tangent_grid(24).w) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestTangentNodes:
@@ -159,49 +166,58 @@ class TestTangentNodes:
         # node i * order + j sits at Hermite nodes (u_i, u_j): z = u_i - i u_j
         for order in (23, 24):
             for extended in (False, True):
-                u, wu = (_hermite_rule_cached if extended else hermite_rule)(order)
-                z, w = tangent_nodes(order, extended)
+                u, wu = (_hermite_rule_cached if extended else rule64)(order)
+                grid = tangent_grid(order, extended)
                 ref_z = [u[i] - 1j * u[j] for i in range(order) for j in range(order)]
                 ref_w = [wu[i] * wu[j] for i in range(order) for j in range(order)]
-                assert np.array_equal(z, ref_z)
-                assert np.allclose(w, np.array(ref_w) / np.pi, rtol=1e-15, atol=0)
-                assert np.array_equal(z[::-1], -z)  # the mirror fold of step_matrix needs this
+                assert np.array_equal(grid.z, ref_z)
+                assert np.allclose(grid.w, np.array(ref_w) / np.pi, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("order", [23, 24])
+    def test_declared_reflections(self, order, extended):
+        # step_matrix folds node pairs under these permutations, so each must hold exactly
+        grid = tangent_grid(order, extended)
+        z, w = grid.z, grid.w
+        assert np.array_equal(z[grid.mirror], -z)
+        assert np.array_equal(z[grid.conj], -np.conj(z))
+        for perm in (grid.mirror, grid.conj):
+            assert np.array_equal(w[perm], w)
+            assert np.array_equal(perm[perm], np.arange(order**2))
 
     def test_equals_concatenated_blocks(self):
         # the flat grid is one block of `order` nodes per outer Hermite node u_i,
         # each block running over the whole inner axis
         order = 24
         for extended in (False, True):
-            u, wu = (_hermite_rule_cached if extended else hermite_rule)(order)
-            z, w = tangent_nodes(order, extended)
+            u, wu = (_hermite_rule_cached if extended else rule64)(order)
+            grid = tangent_grid(order, extended)
             blocks = [(u[i] - 1j * u, wu[i] * wu) for i in range(order)]
-            assert np.array_equal(z, np.concatenate([zb for zb, _ in blocks]))
-            assert np.allclose(w, np.concatenate([wb for _, wb in blocks]) / np.pi, rtol=1e-15, atol=0)
+            assert np.array_equal(grid.z, np.concatenate([zb for zb, _ in blocks]))
+            assert np.allclose(grid.w, np.concatenate([wb for _, wb in blocks]) / np.pi, rtol=1e-15, atol=0)
 
     def test_weights_sum_to_one(self):
-        _, w = tangent_nodes(24)
-        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+        assert np.sum(tangent_grid(24).w) == pytest.approx(1.0, rel=1e-12)
 
     def test_extended_precision(self):
-        z, w = tangent_nodes(16, extended=True)
-        assert z.dtype == np.clongdouble
-        assert w.dtype == np.longdouble
+        grid = tangent_grid(16, extended=True)
+        assert grid.z.dtype == np.clongdouble
+        assert grid.w.dtype == np.longdouble
 
     def test_order_and_precision_get_their_own_grid(self):
-        z, w = tangent_nodes(12)
-        z_order, _ = tangent_nodes(13)
-        z_ext, w_ext = tangent_nodes(12, extended=True)
+        z = tangent_grid(12).z
+        z_order = tangent_grid(13).z
+        ext = tangent_grid(12, extended=True)
         assert z_order.size == 13**2
-        assert z_ext.dtype == np.clongdouble and w_ext.dtype == np.longdouble
-        assert np.array_equal(z_ext.astype(complex), z)
+        assert ext.z.dtype == np.clongdouble and ext.w.dtype == np.longdouble
+        assert np.array_equal(ext.z.astype(complex), z)
 
     def test_calls_build_fresh_writable_arrays(self):
         for extended in (False, True):
-            z, w = tangent_nodes(6, extended)
-            z2, w2 = tangent_nodes(6, extended)
-            assert z2 is not z and w2 is not w
-            z[0], w[0] = 0.0, 0.0
-            assert z2[0] != 0.0 and w2[0] != 0.0
+            a, b = tangent_grid(6, extended), tangent_grid(6, extended)
+            assert b.z is not a.z and b.w is not a.w
+            a.z[0], a.w[0] = 0.0, 0.0
+            assert b.z[0] != 0.0 and b.w[0] != 0.0
 
 
 class TestIntegrateTangent:
