@@ -19,7 +19,6 @@ from . import __version__
 from .cylinder import (
     DEFAULT_N,
     HeatKernelParams,
-    calibrate_heat_kernel,
     cylinder_basis,
     heat_kernel_formula,
 )
@@ -252,9 +251,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_heatkernel(args) -> int:
     kernel, grid = _kernel_grid(args)
     params = HeatKernelParams(t=args.t, M=args.modes, x_quad=args.x_nodes)
-    c = calibrate_heat_kernel(params, kernel)
-    values = c * heat_kernel_formula(params, grid, grid)
-    _emit_grid(values, grid, args)
+    _emit_grid(heat_kernel_formula(params, kernel, grid, grid), grid, args)
     return 0
 
 

@@ -5,7 +5,8 @@ unit metric.  It is the only configuration space the package integrates on,
 so its tangent grid is fixed by the quadrature order alone.  The holomorphic
 basis e^{ikz} (and its normalized variant e^{ikz - k^2/2}) has closed-form
 Gram entries, and the reproducing kernel admits an independent heat-kernel
-integral representation that cross-validates the Gram-inverse construction.
+integral representation that cross-validates the Gram-inverse construction;
+one scalar, fixed at the base point (0, 0), calibrates the first against the second.
 
 The circle's Green function and its heat kernel, the Green function at ``T = -i t``,
 share one theta-function pair: a mode sum and a winding sum, equal by Poisson summation.
@@ -27,7 +28,6 @@ __all__ = [
     "HeatKernelParams",
     "cylinder_basis",
     "heat_kernel_formula",
-    "calibrate_heat_kernel",
 ]
 
 DEFAULT_N = 8
@@ -202,15 +202,15 @@ def _checked(what: str, g: np.ndarray, T: complex, where: str, tail, n: int, nam
     )
 
 
-def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
-    """Heat-kernel integral form of the reproducing kernel:
-    ``(1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^0(x) dx``.
+def heat_kernel_formula(params: HeatKernelParams, kernel: KernelRep, z, w) -> np.ndarray | complex:
+    """Heat-kernel integral form of the reproducing kernel,
+    ``c (1/2pi) int rho_t^z(x) rho_t^{conj(w)}(x) / rho_t^0(x) dx``, with the scalar ``c``
+    that makes it equal ``kernel`` at the base point (0, 0).
 
     ``z`` and ``w`` may be complex scalars or arrays; the result has shape
     ``z.shape + w.shape``, element for element equal to the scalar calls.
-    The densities of the base point 0, of each ``z`` and of each ``conj(w)``
-    are built once.  Returned uncalibrated; see :func:`calibrate_heat_kernel` for
-    the single scalar relating it to the Gram-inverse kernel.
+    The base point's densities are the denominator ``rho_t^0`` itself, so the
+    denominator and the densities of each ``z`` and each ``conj(w)`` are built once.
     """
     nx = params.x_quad  # a uniform grid: the trapezoid rule is spectral for periodic integrands
     x, dx = -math.pi + 2 * math.pi * np.arange(nx) / nx, 2 * math.pi / nx
@@ -221,6 +221,8 @@ def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
         raise QuadratureError(
             f"denominator density below guard at x={x[i]:.6f} (|rho|={abs(denom[i]):.3e})"
         )
+    base = complex(np.sum(denom * denom / denom) * dx / (2 * math.pi))  # at (0, 0) both are rho_t^0
+    c = kernel.eval(0.0, 0.0) / base
     z, w_bar = np.asarray(z, dtype=complex), np.conj(np.asarray(w, dtype=complex))
     rho_z, rho_w = (_mode_sum(x - v.reshape(-1, 1), T, params.M) for v in (z, w_bar))
     step = max(1, _BLOCK // x.size)  # w points per block of products
@@ -229,13 +231,5 @@ def heat_kernel_formula(params: HeatKernelParams, z, w) -> np.ndarray | complex:
         for i in range(0, len(rho_w), step):
             num = rz * rho_w[i : i + step]
             vals[a, i : i + step] = np.sum(num / denom, axis=-1) * dx / (2 * math.pi)
-    vals = vals.reshape(z.shape + w_bar.shape)
+    vals = c * vals.reshape(z.shape + w_bar.shape)
     return complex(vals) if vals.ndim == 0 else vals
-
-
-def calibrate_heat_kernel(params: HeatKernelParams, kernel: KernelRep) -> complex:
-    """Scalar ``c`` such that ``c * heat_kernel_formula`` matches the
-    Gram-inverse kernel, fixed by comparison at the base point (0, 0)."""
-    ref = kernel.eval(0.0, 0.0)
-    raw = heat_kernel_formula(params, 0.0, 0.0)
-    return complex(ref) / complex(raw)

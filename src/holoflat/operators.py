@@ -31,22 +31,16 @@ def ladder_lower(N: int) -> np.ndarray:
     return np.diag(1j * k.astype(complex))
 
 
-def _multiplication_moments_closed(labels) -> np.ndarray:
-    """T[l, k] = <phi~_l, z phi~_k> = -i l e^{-(l-k)^2/2}.
-
-    Obtained by differentiating the exponential closed form
-    <e^{alpha z}, e^{beta z}> = e^{conj(alpha) beta} with respect to beta at
-    alpha = il, beta = ik (the extra z down-shifts the exponent).
-    """
-    l = np.array(labels)[:, None]
-    return -1j * l * np.exp(-((l - l.T) ** 2) / 2.0)
-
-
 def ladder_raise(N: int) -> np.ndarray:
-    """Projection of multiplication by z: ``M = G^{-1} T`` with the
-    closed-form moments ``T[l, k] = <phi~_l, z phi~_k>`` of ``cylinder_basis(N)``."""
+    """Projection of multiplication by z: ``M = G^{-1} T`` on ``cylinder_basis(N)``.
+
+    The moments ``T[l, k] = <phi~_l, z phi~_k> = -i l e^{-(l-k)^2/2} = -i l G[l, k]``
+    come from differentiating the closed form ``<e^{alpha z}, e^{beta z}> =
+    e^{conj(alpha) beta}`` in ``beta`` at ``alpha = il``, ``beta = ik``.
+    """
     gram = gram_matrix(cylinder_basis(N))
-    return gram.solve(_multiplication_moments_closed(gram.basis.labels))
+    l = np.array(gram.basis.labels)[:, None]
+    return gram.solve(-1j * l * gram.matrix)
 
 
 def hamiltonian_free(N: int) -> np.ndarray:

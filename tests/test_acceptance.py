@@ -19,7 +19,6 @@ import pytest
 from holoflat import hilbert, quadrature, validation
 from holoflat.cylinder import (
     HeatKernelParams,
-    calibrate_heat_kernel,
     cylinder_basis,
     heat_kernel_formula,
 )
@@ -90,8 +89,7 @@ def test_criterion_06_heat_kernel_formula():
 
     converged = _max_rel(ref, k28.eval(Z, W))
 
-    c = calibrate_heat_kernel(params, k24)
-    formula = np.array([[c * heat_kernel_formula(params, z, w) for w in grid] for z in grid])
+    formula = np.array([[heat_kernel_formula(params, k24, z, w) for w in grid] for z in grid])
     formula_dev = _max_rel(formula, ref)
 
     r = validation.criterion_heat_kernel_formula()
@@ -186,11 +184,10 @@ def test_array_criteria_match_point_loops():
     assert f"composition {comp:.3e} " in validation.criterion_kernel_properties().detail
 
     params = HeatKernelParams(t=1.0, M=12, x_quad=256)
-    c = calibrate_heat_kernel(params, kernel)
     grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
     worst = 0.0
     for zv in grid:
-        vals = c * heat_kernel_formula(params, zv, grid)
+        vals = heat_kernel_formula(params, kernel, zv, grid)
         for wv, val in zip(grid, vals):
             ref = kernel.eval(zv, wv)
             worst = max(worst, abs(val - ref) / abs(ref))

@@ -185,6 +185,15 @@ class TestKernelCommands:
         assert "error: diffusion time must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_heatkernel_denominator_guard(self, tmp_path, capsys):
+        # at t = 0.05 the base point's density cancels to round-off near x = +-pi
+        out = tmp_path / "h.csv"
+        assert run(["heatkernel", "--t", "0.05", "--modes", "200", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: denominator density below guard at x=2.454369 (|rho|=0.000e+00)\n"
+        )
+        assert not out.exists()
+
 
 class TestGreens:
     def test_equivalence_column(self, tmp_path):

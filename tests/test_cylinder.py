@@ -9,7 +9,6 @@ from holoflat import (
     HoloState,
     QuadratureError,
     ValidationError,
-    calibrate_heat_kernel,
     cylinder_basis,
     gram_matrix,
     heat_kernel_formula,
@@ -129,29 +128,37 @@ def kernel():
 
 
 class TestHeatKernelFormula:
-    def test_hermitian_symmetry(self):
+    def test_hermitian_symmetry(self, kernel):
         params = HeatKernelParams()
         pts = [0.3, -1.0 + 0.4j, 2.1 - 0.2j]
         for z in pts:
             for w in pts:
-                a = heat_kernel_formula(params, z, w)
-                b = heat_kernel_formula(params, w, z)
+                a = heat_kernel_formula(params, kernel, z, w)
+                b = heat_kernel_formula(params, kernel, w, z)
                 assert a == pytest.approx(np.conj(b), abs=1e-12 * abs(a))
 
-    def test_array_w_equals_scalar_calls(self):
+    def test_array_w_equals_scalar_calls(self, kernel):
         params = HeatKernelParams(M=24)
         nodes = tangent_grid(8).z
         w = nodes.reshape(8, 8)
-        vals = heat_kernel_formula(params, -1.2 + 0.5j, w)
-        scalar = [heat_kernel_formula(params, -1.2 + 0.5j, complex(v)) for v in nodes]
+        vals = heat_kernel_formula(params, kernel, -1.2 + 0.5j, w)
+        scalar = [heat_kernel_formula(params, kernel, -1.2 + 0.5j, complex(v)) for v in nodes]
         assert vals.shape == w.shape
         assert np.array_equal(vals.ravel(), np.array(scalar))
         assert isinstance(scalar[0], complex)
 
-    def test_array_w_checks_every_tail(self):
+    def test_array_w_checks_every_tail(self, kernel):
         # the default M = 12 cannot bound e^{k |Im w|} at |Im w| = 7
         with pytest.raises(QuadratureError, match="mode-sum tail"):
-            heat_kernel_formula(HeatKernelParams(), 0.3, np.array([0.1, 2.0 + 7j, -0.4]))
+            heat_kernel_formula(HeatKernelParams(), kernel, 0.3, np.array([0.1, 2.0 + 7j, -0.4]))
+
+    def test_denominator_guard(self, kernel):
+        # rho_t^0 is about e^{-pi^2 / 2t} = 4e-22 at x = +-pi, and its mode sum
+        # cancels to round-off there, below the 1e-12 guard
+        with pytest.raises(
+            QuadratureError, match=r"denominator density below guard at x=2\.724350 "
+        ):
+            heat_kernel_formula(HeatKernelParams(t=0.1, M=100), kernel, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "params, points, blocks",
@@ -162,17 +169,17 @@ class TestHeatKernelFormula:
             (HeatKernelParams(x_quad=16384), 6, 2),
         ],
     )
-    def test_array_z_equals_row_calls(self, params, points, blocks):
+    def test_array_z_equals_row_calls(self, kernel, params, points, blocks):
         step = cylinder._BLOCK // params.x_quad
         assert -(-points // step) == blocks
         grid = np.linspace(-math.pi, math.pi, points, endpoint=False) + 0.1j
-        rows = np.array([heat_kernel_formula(params, z, grid) for z in grid])
-        vals = heat_kernel_formula(params, grid, grid)
+        rows = np.array([heat_kernel_formula(params, kernel, z, grid) for z in grid])
+        vals = heat_kernel_formula(params, kernel, grid, grid)
         assert vals.shape == (points, points)
         assert np.array_equal(vals, rows)
-        assert vals[2, 3] == heat_kernel_formula(params, grid[2], grid[3])
+        assert vals[2, 3] == heat_kernel_formula(params, kernel, grid[2], grid[3])
 
-    def test_mode_sums_stay_in_blocks(self, monkeypatch):
+    def test_mode_sums_stay_in_blocks(self, kernel, monkeypatch):
         params = HeatKernelParams()
         terms = []
         row_sums = cylinder._row_sums
@@ -187,26 +194,25 @@ class TestHeatKernelFormula:
 
         monkeypatch.setattr(cylinder, "_row_sums", recording)
         grid = np.linspace(-math.pi, math.pi, 200, endpoint=False)
-        heat_kernel_formula(params, grid, grid)
-        # the base point, then 200 z and 200 w times 256 x-nodes in blocks of 2,621 rows
+        heat_kernel_formula(params, kernel, grid, grid)
+        # the denominator, which is also the base point's density (the calibration
+        # adds no sum), then 200 z and 200 w times 256 x-nodes in blocks of 2,621 rows
         assert len(terms) == 1 + 20 + 20
         assert max(terms) <= cylinder._BLOCK
 
-    def test_calibration_scalar(self, kernel):
-        params = HeatKernelParams()
-        c = calibrate_heat_kernel(params, kernel)
-        assert c == pytest.approx(2 * math.pi, rel=1e-3)
+    def test_calibrated_at_base_point(self, kernel):
+        value, ref = heat_kernel_formula(HeatKernelParams(), kernel, 0.0, 0.0), kernel.eval(0.0, 0.0)
+        assert abs(value - ref) <= 1e-15 * abs(ref)
 
     def test_reproduction_through_formula(self, kernel):
         # the calibrated formula kernel reproduces a basis state under the
         # Gaussian measure; the integration visits nodes with |Im w| up to
         # ~7, so the mode cutoff must be raised to keep the tail bounded
         params = HeatKernelParams(M=24)
-        c = calibrate_heat_kernel(params, kernel)
         grid = tangent_grid(32)
         nodes, w = grid.z, grid.w
         for z in (0.3, -1.2 + 0.5j):
-            vals = c * heat_kernel_formula(params, z, nodes)
+            vals = heat_kernel_formula(params, kernel, z, nodes)
             total = np.sum(w * vals * np.exp(1j * nodes - 0.5))
             ref = np.exp(1j * z - 0.5)
             assert abs(total - ref) / abs(ref) < 1e-4
@@ -216,15 +222,12 @@ class TestHeatKernelFormula:
         # x-integration or the mode cutoff; test_acceptance.py's
         # test_criterion_06_heat_kernel_formula verifies that decomposition
         params = HeatKernelParams()
-        c = calibrate_heat_kernel(params, kernel)
         grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
         worst = 0.0
         for zv in grid:
             for wv in grid:
                 ref = kernel.eval(zv, wv)
-                worst = max(
-                    worst, abs(c * heat_kernel_formula(params, zv, wv) - ref) / abs(ref)
-                )
+                worst = max(worst, abs(heat_kernel_formula(params, kernel, zv, wv) - ref) / abs(ref))
         assert worst < 5e-3
 
     def test_params_validation(self):

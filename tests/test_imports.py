@@ -60,7 +60,7 @@ PUBLIC = {
     "inner_product", "gram_matrix", "orthonormalize",
     "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
     "DEFAULT_N", "HeatKernelParams", "cylinder_basis",
-    "heat_kernel_formula", "calibrate_heat_kernel",
+    "heat_kernel_formula",
     "ladder_lower", "ladder_raise", "hamiltonian_free",
     "adjointness_residual",
     "step_matrix", "evolve", "evolve_exact", "greens_winding", "greens_spectral",
@@ -70,9 +70,29 @@ PUBLIC = {
 
 def test_public_surface():
     exported = importlib.import_module("holoflat").__all__
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert len(exported) == len(set(exported))
     assert set(exported) == PUBLIC
+
+
+def readme_code_figures() -> tuple[int, int]:
+    """The README's two figures of the code: the library's line count and the number
+    of names the package exports."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    lines = re.search(r"The library itself\s+is ([\d,]+) lines", text).group(1)
+    names = re.search(r"exports exactly\s+its (\d+) listed names", text).group(1)
+    return int(lines.replace(",", "")), int(names)
+
+
+def test_readme_code_figures():
+    package = os.path.join(ROOT, "src", "holoflat")
+    count = 0
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename)) as fh:
+                count += len(fh.readlines())
+    assert readme_code_figures() == (count, len(PUBLIC))
 
 
 # Private names one module takes from another.  The benchmark's tracer wraps only the

@@ -67,6 +67,15 @@ class TestLadderRaise:
         closed = -1j * l * np.exp(-((l - k) ** 2) / 2.0)
         assert np.abs(T - closed).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 20])
+    def test_moments_read_off_gram_keep_bytes(self, n):
+        # -i l G has the bits of numpy's closed form -i l e^{-(l-k)^2/2}, signed zeros
+        # included, so the raising matrix and the `ladder` output keep theirs
+        gram = gram_matrix(cylinder_basis(n))
+        l = np.arange(-n, n + 1)[:, None]
+        closed = gram.solve(-1j * l * np.exp(-((l - l.T) ** 2) / 2.0))
+        assert ladder_raise(n).tobytes() == closed.tobytes()
+
 
 class TestAdjointness:
     def test_central_block(self):
