@@ -151,6 +151,11 @@ def _config_value_fits(action: argparse.Action, value) -> bool:
         return isinstance(value, bool)
     if action.nargs == "*":
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if isinstance(value, str) and action.type is not None:  # argparse would exit 2 on a misfit
+        try:
+            action.type(value)
+        except (ValueError, TypeError):
+            return False
     kinds = (str, action.type, int if action.type is float else str)
     return type(value) in kinds and (action.choices is None or value in action.choices)
 

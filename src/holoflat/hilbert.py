@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,12 +43,12 @@ class BasisSpec:
     ``eval_fn(k, z)`` must be vectorized over a complex array ``z``, in
     double or long double precision (quadrature Gram matrices evaluate the
     basis on long-double nodes).
-    ``closed_form_inner(p, q)``, when given, supplies analytic Gram entries.
+    ``closed_form_inner(p, q)`` gives the analytic Gram entry of labels ``p``, ``q``.
     """
 
     labels: tuple[int, ...]
     eval_fn: Callable[[int, np.ndarray], np.ndarray]
-    closed_form_inner: Optional[Callable[[int, int], complex]] = None
+    closed_form_inner: Callable[[int, int], complex]
 
     def __post_init__(self):
         labels = tuple(int(k) for k in self.labels)
@@ -175,8 +175,8 @@ def _alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
 def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
     """Gram data of the basis (``GramData`` checks and factors the matrix).
 
-    With an ``order``, integrates every pair on the tensor grid of that
-    order; otherwise uses ``closed_form_inner``.
+    Uses ``closed_form_inner``; with an ``order``, integrates every pair on the
+    tensor grid of that order instead, the check on the closed form.
     """
     if order is not None:
         # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
@@ -185,12 +185,10 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
         grid = tangent_grid(order, extended=True)
         Phi = basis.design_matrix(grid.z)
         G = (np.conj(Phi).T @ (grid.w[:, None] * Phi)).astype(complex)
-    elif basis.closed_form_inner is not None:
+    else:
         G = np.array(
             [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
         )
-    else:
-        raise ValidationError("basis has no closed-form Gram entries; give a quadrature order")
     return GramData(basis, G)
 
 

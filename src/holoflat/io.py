@@ -25,7 +25,6 @@ from .errors import ValidationError
 
 __all__ = [
     "format_complex",
-    "parse_complex",
     "matrix_csv",
     "rows_csv",
     "atomic_write",
@@ -37,13 +36,6 @@ __all__ = [
 def format_complex(c: complex) -> str:
     c = complex(c)
     return f"{c.real!r},{c.imag!r}"
-
-
-def parse_complex(cell: str) -> complex:
-    parts = cell.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"expected 're,im' cell, got {cell!r}")
-    return complex(float(parts[0]), float(parts[1]))
 
 
 def matrix_csv(m: np.ndarray, row_labels, col_labels) -> str:

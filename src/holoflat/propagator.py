@@ -37,14 +37,14 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     """Coefficient-space matrix of one short-time step of length ``delta`` under the
     Hamiltonian matrix ``H`` on ``basis``, integrated on the order-``order`` tangent grid.
 
-    The kernel ``K`` has ``mid = G^-1``, G the Gram matrix of ``basis`` (closed form, else
-    by quadrature at ``order``), and ``K_H`` has ``H @ mid``.  Column ``k`` is the projection
-    of the step applied to basis element ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``,
-    ``G_q`` the grid's Gram matrix: the identity only where the rule resolves the basis
-    (max ``|G^-1 G_q - I|`` is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs
-    are summed in ``_TILE`` blocks through buffers allocated once, projections included
-    (memory O(order^2 * basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|``
-    raises QuadratureError, and so does a non-finite sum.  Only the Pade factor below
+    The kernel ``K`` has ``mid = G^-1``, G the closed-form Gram matrix of ``basis``, and
+    ``K_H`` has ``H @ mid``.  Column ``k`` is the projection of the step applied to basis
+    element ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram
+    matrix: the identity only where the rule resolves the basis (max ``|G^-1 G_q - I|``
+    is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs are summed in ``_TILE``
+    blocks through buffers allocated once, projections included (memory
+    O(order^2 * basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises
+    QuadratureError, and so does a non-finite sum.  Only the Pade factor below
     depends on ``delta``: a 1-D array of deltas shares the grid, folds, pruning and each
     tile's ``K``, ``K_H`` and guard, and gives the stacked matrices, each bit for bit its
     float call's.  A ``delta`` not finite, empty or above 1-D, and an ``H`` not a finite
@@ -94,7 +94,7 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
         raise ValidationError(f"Hamiltonian shape {H.shape} is not ({basis.size}, {basis.size})")
     if not np.isfinite(H).all():
         raise ValidationError("Hamiltonian entries must be finite")
-    gram = gram_matrix(basis, order if basis.closed_form_inner is None else None)
+    gram = gram_matrix(basis)
     grid = tangent_grid(order)
     w, Phi = grid.w, basis.design_matrix(grid.z)
     s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real

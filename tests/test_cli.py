@@ -17,12 +17,17 @@ from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, r
 from holoflat import greens_spectral, greens_winding
 from holoflat import ValidationError, cli, propagator
 from holoflat.cli import _read_state, _state_json, run
-from holoflat.io import parse_complex
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def parse_cell(text):
+    """The complex number in a quoted "re,im" cell of a CSV output."""
+    re_part, im_part = text.split(",")
+    return complex(float(re_part), float(im_part))
 
 
 # --format json outputs of small runs, recorded before the basis became the only
@@ -49,7 +54,7 @@ class TestGram:
         assert run(["gram", "--truncation", "2", "--output", str(out)]) == 0
         rows = read_csv(str(out))
         assert len(rows) == 6  # header + 5 rows
-        center = parse_complex(rows[3][3])  # label 0 row/column
+        center = parse_cell(rows[3][3])  # label 0 row/column
         assert center == pytest.approx(1.0)
 
     def test_json(self, tmp_path):
@@ -66,7 +71,7 @@ class TestGram:
         ra, rb = read_csv(str(a)), read_csv(str(b))
         for i in range(1, 6):
             for j in range(1, 6):
-                va, vb = parse_complex(ra[i][j]), parse_complex(rb[i][j])
+                va, vb = parse_cell(ra[i][j]), parse_cell(rb[i][j])
                 assert abs(va - vb) < 1e-10
 
     def test_raw_guard(self, capsys):
@@ -125,7 +130,7 @@ class TestKernelCommands:
         assert run(["kernel", "--truncation", "4", "--grid-points", "3", "--output", str(out)]) == 0
         rows = read_csv(str(out))
         assert len(rows) == 4
-        diag = parse_complex(rows[1][1])
+        diag = parse_cell(rows[1][1])
         assert diag.imag == pytest.approx(0.0, abs=1e-12)
         assert diag.real > 0
 
@@ -139,7 +144,7 @@ class TestKernelCommands:
         rk, rh = read_csv(str(k)), read_csv(str(h))
         for i in range(1, 4):
             for j in range(1, 4):
-                va, vb = parse_complex(rk[i][j]), parse_complex(rh[i][j])
+                va, vb = parse_cell(rk[i][j]), parse_cell(rh[i][j])
                 assert abs(va - vb) / abs(va) < 5e-3
 
     def test_ladder_json(self, tmp_path):
@@ -528,6 +533,11 @@ class TestPlumbing:
             ("validate", {"only": "theta"}),
             ("gram", {"format": "xml"}),
             ("evolve", {"initial": 3}),
+            # strings the flag's type rejects: argparse would exit 2 on them
+            ("kernel", {"truncation": "abc"}),
+            ("gram", {"truncation": "7.0"}),
+            ("kernel", {"grid_points": "0x10"}),
+            ("greens", {"epsilon": "x"}),
         ],
     )
     def test_config_value_of_wrong_type_or_choice(self, command, config, tmp_path, capsys):
@@ -536,6 +546,23 @@ class TestPlumbing:
         assert run([command, "--config", str(cfg)]) == 1
         key = next(iter(config))
         assert f"error: config key {key!r} has an invalid value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "error: cannot read config {path}: [Errno 2] "),
+            ('{"raw": true "t": 1}', "error: cannot read config {path}: Expecting ',' delimiter"),
+            ("[1, 2]", "error: config file must hold a JSON object\n"),
+        ],
+        ids=["missing", "malformed", "array"],
+    )
+    def test_unreadable_config(self, content, message, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["gram", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message.format(path=cfg))
+        assert not out.exists()
 
     def test_config_values_of_the_flag_types(self, tmp_path, capsys):
         # JSON values that fit the flag: a bool switch, an int for a float flag,

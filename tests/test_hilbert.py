@@ -135,13 +135,8 @@ class TestGramMatrix:
         basis = cylinder_basis(3)
         assert np.abs(gram_matrix(basis, 4).matrix - gram_matrix(basis).matrix).max() > 0.1
 
-    def test_quadrature_needs_order(self):
-        basis = BasisSpec(labels=(0, 1), eval_fn=lambda k, z: z**k)
-        with pytest.raises(ValidationError):
-            gram_matrix(basis)
-
     def test_dependent_basis_fails(self):
-        basis = BasisSpec(labels=(0, 1), eval_fn=lambda k, z: np.ones_like(z))
+        basis = BasisSpec((0, 1), lambda k, z: np.ones_like(z), lambda p, q: 1.0)
         with pytest.raises(FactorizationError, match="dependent"):
             gram_matrix(basis, ORDER)
 

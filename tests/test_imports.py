@@ -127,6 +127,43 @@ def test_private_imports_are_listed():
     assert _private_imports() == PRIVATE_IMPORTS
 
 
+def _loads_outside_definitions() -> set[str]:
+    """Every name the package's modules load, as a name or an attribute, outside the
+    top-level statement of the module that binds it."""
+    loaded = set()
+    package = os.path.join(ROOT, "src", "holoflat")
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename)) as fh:
+                tree = ast.parse(fh.read())
+            for statement in tree.body:
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                bound = {getattr(statement, "name", None)}
+                bound |= {target.id for target in targets if isinstance(target, ast.Name)}
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name not in bound:
+                        loaded.add(name)
+    return loaded
+
+
+def test_every_export_has_a_caller():
+    # a public name that no program path uses is API that only tests call
+    loaded = _loads_outside_definitions()
+    unused = [
+        f"{m}.{name}"
+        for m in MODULES
+        for name in importlib.import_module(f"holoflat.{m}").__all__
+        if name not in loaded
+    ]
+    assert not unused, unused
+
+
 def _declared_distributions() -> set[str]:
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]

@@ -269,16 +269,6 @@ class TestStepMatrix:
         monkeypatch.setattr(propagator, "_TILE", (1, M))
         assert guarded_pairs(monkeypatch, basis, H, order) == pairs
 
-    @pytest.mark.parametrize("order", [32, 33])
-    def test_basis_without_closed_form(self, order):
-        # no closed-form Gram entries: the step takes G from the order-``order`` quadrature
-        base = cylinder_basis(N)
-        basis = BasisSpec(base.labels, base.eval_fn)
-        H = hamiltonian_free(N)
-        ref = dense_step(gram_matrix(basis, order), H, 0.05, order)
-        S = step_matrix(basis, H, 0.05, order)
-        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
-
     def test_nonfinite_scale_raises(self):
         # e^{400 k z} overflows at the outer nodes; an infinite or NaN largest scale
         # would drop every node and return S = 0
