@@ -10,7 +10,12 @@ the end-to-end validation of the scheme.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -29,7 +34,8 @@ __all__ = [
 
 DIVISION_GUARD = 1e-12  # a summed node pair needs |K| >= DIVISION_GUARD * |K_H|
 DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
-_TILE = (128, 512)  # node-pair rows x columns per tile; 1 MB per complex buffer
+_TILE = (64, 512)  # node-pair rows x columns per tile; 0.5 MB per complex buffer
+_MAX_WORKERS = 8  # threads summing row strips, each with its own 2.1 MB of tile buffers
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
 
 
@@ -42,13 +48,18 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     element ``k``.  At ``delta = 0`` it is ``(G^-1 G_q)^2``, ``G_q`` the grid's Gram
     matrix: the identity only where the rule resolves the basis (max ``|G^-1 G_q - I|``
     is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs are summed in ``_TILE``
-    blocks through buffers allocated once, projections included (memory
-    O(order^2 * basis size)); a summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises
-    QuadratureError, and so does a non-finite sum.  Only the Pade factor below
-    depends on ``delta``: a 1-D array of deltas shares the grid, folds, pruning and each
-    tile's ``K``, ``K_H`` and guard, and gives the stacked matrices, each bit for bit its
-    float call's.  A ``delta`` not finite, empty or above 1-D, and an ``H`` not a finite
-    square matrix of the basis size, raise ValidationError, an order above
+    blocks, one strip of ``_TILE[0]`` node rows at a time, by W workers: the calling thread
+    and W - 1 threads, W the usable CPUs, at most the strips and ``_MAX_WORKERS`` = 8, and 1
+    where the loaded BLAS is not an OpenBLAS whose thread count can be held to one during
+    the sum.  Each strip keeps its own sums, and they are added in strip order, so the
+    result has the same bits for every W.  Each worker has its own buffers, projections
+    included, allocated once: memory O(order^2 * basis size) plus 2.1 MB per worker.  A
+    summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError (the first
+    strip's to fail, as in a serial sum), and so does a non-finite sum.  Only the Pade
+    factor below depends on ``delta``: a 1-D array of deltas shares the grid, folds,
+    pruning and each tile's ``K``, ``K_H`` and guard, and gives the stacked matrices, each
+    bit for bit its float call's.  A ``delta`` not finite, empty or above 1-D, and an ``H``
+    not a finite square matrix of the basis size, raise ValidationError, an order above
     ``MAX_STEP_ORDER`` QuadratureError, before any grid is built.
 
     Symmetry.  The Gaussian measure is even under the mirror J: z -> -z and the
@@ -76,8 +87,8 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     Algorithms, 2002, section 4.2).  The rule is scale-free, so ``s`` is divided by its
     largest entry first and ``thr`` cannot overflow.  Rows and columns run in decreasing
     ``s``, and each row tile sums the column prefix that its first row needs.  A
-    non-finite ``s_i`` raises QuadratureError.  At N = 8 order 64 computes 1,695,072 pairs
-    and order 128 10,814,552.
+    non-finite ``s_i`` raises QuadratureError.  At N = 8 order 64 computes 1,641,056 pairs
+    and order 128 10,585,092.
     """
     deltas = np.asarray(delta, dtype=float)
     if deltas.ndim > 1 or not deltas.size:
@@ -135,43 +146,53 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     wPhi = w[:, None] * Phi
     wPhiH = np.conj(wPhi[rows]).T * weight[rows]
     PhiT_conj = np.conj(Phi).T
-    K, KH, E, D = (np.empty(_TILE, dtype=complex) for _ in range(4))
-    absK, absKH, bad = np.empty(_TILE), np.empty(_TILE), np.empty(_TILE, dtype=bool)
-    P, Q = np.empty((_TILE[0], nb), dtype=complex), np.empty((nb, nb), dtype=complex)
+    del Phi  # the pruned basis values: A, B, wPhi and PhiT_conj are all the sum reads
     steps = deltas.reshape(-1).tolist()
-    b, bimg = (np.zeros((len(steps), nb, nb), dtype=complex) for _ in range(2))  # per delta
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i0 in range(0, len(rows), _TILE[0]):
-            n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
-            for j0 in range(0, n_cols, _TILE[1]):
-                r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
-                t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
-                k, kh, e, ak, akh, p = K[t], KH[t], E[t], absK[t], absKH[t], P[t[0]]
-                np.matmul(A[r], PhiT_conj[:, c], out=k)
-                np.matmul(B[r], PhiT_conj[:, c], out=kh)
-                np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
-                if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
-                    raise QuadratureError(
-                        f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
-                        f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
-                    )
-                for n, dt in enumerate(steps):
-                    # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
-                    # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
-                    # O(x^3) from the exponential, and bounded where x blows up near kernel
-                    # zeros (the continuum phase integral diverges; the exponential overflows).
-                    # the last scales K_H in place: one delta never writes D, so its
-                    # 1 MB is never paged in (evolve-128 peak RSS +0.65 MB otherwise)
-                    d = D[t] if n < len(steps) - 1 else kh
-                    np.multiply(kh, 0.5j * dt, out=d)
-                    np.subtract(k, d, out=e)
-                    d += k
-                    e /= d
-                    if conj:  # the sigma image: K over this factor is K times the one at -Delta
-                        np.divide(k, e, out=d)
-                        bimg[n] += np.matmul(wPhiH[:, r], np.matmul(d, wPhi[c], out=p), out=Q)
-                    e *= k  # then the step of each basis element, projected
-                    b[n] += np.matmul(wPhiH[:, r], np.matmul(e, wPhi[c], out=p), out=Q)
+
+    def strip(i0, buffers):
+        """Per delta, the sums of b and of its sigma image over the row strip at ``i0``."""
+        K, KH, E, D, absK, absKH, bad, P, Q = buffers
+        sums = np.zeros((2, len(steps), nb, nb), dtype=complex)
+        n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
+        for j0 in range(0, n_cols, _TILE[1]):
+            r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
+            t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
+            k, kh, e, ak, akh, p = K[t], KH[t], E[t], absK[t], absKH[t], P[t[0]]
+            np.matmul(A[r], PhiT_conj[:, c], out=k)
+            np.matmul(B[r], PhiT_conj[:, c], out=kh)
+            np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
+            if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
+                raise QuadratureError(
+                    f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
+                    f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
+                )
+            for n, dt in enumerate(steps):
+                # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
+                # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
+                # O(x^3) from the exponential, and bounded where x blows up near kernel
+                # zeros (the continuum phase integral diverges; the exponential overflows).
+                # the last scales K_H in place: one delta never writes D, so its
+                # memory is never paged in (evolve-128 peak RSS +0.65 MB otherwise)
+                d = D[t] if n < len(steps) - 1 else kh
+                np.multiply(kh, 0.5j * dt, out=d)
+                np.subtract(k, d, out=e)  # overwrites |K| and |K_H|, read only by the guard
+                d += k
+                e /= d
+                if conj:  # the sigma image: K over this factor is K times the one at -Delta
+                    np.divide(k, e, out=d)
+                    sums[1, n] += np.matmul(wPhiH[:, r], np.matmul(d, wPhi[c], out=p), out=Q)
+                e *= k  # then the step of each basis element, projected
+                sums[0, n] += np.matmul(wPhiH[:, r], np.matmul(e, wPhi[c], out=p), out=Q)
+        return sums
+
+    strips = range(0, len(rows), _TILE[0])  # never empty: the largest s heads an orbit
+    total = np.zeros((2, len(steps), nb, nb), dtype=complex)
+    with _one_blas_thread() as found:
+        workers = min(_usable_cpus(), len(strips)) if found else 1
+        pool = [_tile_buffers(nb) for _ in range(workers)]
+        _sum_in_order(strip, strips, pool, total)
+    b, bimg = total
+    with np.errstate(over="ignore", invalid="ignore"):
         b += np.conj(bimg)
         if mirror:
             b += b[:, J][:, :, J]  # the rows not summed are mirror images of summed ones
@@ -179,6 +200,123 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
         if not np.isfinite(bd).all():
             raise QuadratureError(f"step matrix not finite at time step delta={dt:.3e}")
     return np.array([gram.solve(bd) for bd in b]) if deltas.ndim else gram.solve(b[0])
+
+
+def _tile_buffers(nb: int) -> tuple:
+    """One strip worker's buffers: K, K_H, the Pade factor E and D as complex tiles, |K| and
+    |K_H| as the two float planes of E's bytes (E is written only after the guard has read
+    them), the guard's mask and the two projection buffers."""
+    K, KH, E, D = (np.empty(_TILE, dtype=complex) for _ in range(4))
+    absK, absKH = E.view(float).reshape(2, *_TILE)
+    P, Q = np.empty((_TILE[0], nb), dtype=complex), np.empty((nb, nb), dtype=complex)
+    return K, KH, E, D, absK, absKH, np.empty(_TILE, dtype=bool), P, Q
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, at most ``_MAX_WORKERS``."""
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+
+
+def _sum_in_order(strip, strips, pool: list, total: np.ndarray) -> None:
+    """Add ``strip(i, buffers)`` for every ``i`` of ``strips`` into ``total`` in the order of
+    ``strips``, whichever worker computed it, so the sum has the same bits for any number
+    of workers.  The calling thread and ``len(pool) - 1`` threads take strips from a shared
+    counter, each with its own entry of ``pool``; a strip computed ahead of an earlier one
+    waits for it.  A strip that raises stops the workers taking new ones, and after the
+    join the exception of the first strip that failed is raised: every strip before it was
+    taken and finished, so it is the one a serial loop would raise."""
+    lock, taken, done, failed = threading.Lock(), itertools.count(), {}, {}
+    added = 0
+
+    def work(buffers):
+        nonlocal added
+        # numpy's error state is context-local: a thread does not inherit the caller's.
+        # Overflow is not an error here; the caller checks the sum is finite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while not failed:
+                with lock:
+                    n = next(taken)
+                if n >= len(strips):
+                    return
+                try:
+                    part = strip(strips[n], buffers)
+                except BaseException as exc:  # re-raised after the join, interrupts too
+                    failed[n] = exc
+                    return
+                with lock:
+                    done[n] = part
+                    while added in done:
+                        np.add(total, done.pop(added), out=total)
+                        added += 1
+
+    threads = [threading.Thread(target=work, args=(buffers,)) for buffers in pool[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(pool[0])
+    except BaseException as exc:  # a thread that did not start, or an interrupt: stop all
+        failed[-1] = exc
+        raise
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
+# the thread-count getter and setter of each OpenBLAS build numpy wheels load
+_OPENBLAS_THREADS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS mapped into this process, from
+    ``/proc/self/maps``, or None where there is none or no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in _OPENBLAS_THREADS:
+            get, set_ = (getattr(lib, name, None) for name in names)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_BLAS_HELD = threading.Lock()  # one sum at a time holds the count, so each restores it
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block and restore its count after; yield
+    whether its thread-count pair was found.  Idle OpenBLAS threads spin on the cores that
+    the strip workers need: at order 128, two workers took 0.76 s under two BLAS threads
+    and 0.34 s under one.  Concurrent callers take turns: each sum fills the cores alone,
+    and two interleaved holds would restore one thread as the count."""
+    pair = _openblas_threads()
+    if pair is None:
+        yield False
+        return
+    get, set_ = pair
+    with _BLAS_HELD:
+        before = get()
+        set_(1)
+        try:
+            yield True
+        finally:
+            set_(before)
 
 
 def evolve(state: HoloState, S: np.ndarray, n_steps: int) -> list[HoloState]:

@@ -4,6 +4,9 @@ import itertools
 import math
 import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -190,6 +193,43 @@ def guarded_pairs(monkeypatch, basis, H, order):
     return sum(guarded)
 
 
+def blas_pair(monkeypatch):
+    """The OpenBLAS thread-count getter and setter ``step_matrix`` finds; where the loaded
+    BLAS has none, a stand-in pair it is made to find, so a worker count still applies."""
+    pair = propagator._openblas_threads()
+    if pair is None:
+        threads = [4]
+        pair = (lambda: threads[0], lambda n: threads.__setitem__(0, n))
+        monkeypatch.setattr(propagator, "_openblas_threads", lambda: pair)
+    return pair
+
+
+def with_workers(monkeypatch, workers):
+    """Let ``step_matrix`` sum its strips on ``workers`` workers, whatever the host's CPUs,
+    and return the (workers, strips) of each sum it runs."""
+    blas_pair(monkeypatch)
+    monkeypatch.setattr(propagator, "_usable_cpus", lambda: workers)
+    seen, sum_in_order = [], propagator._sum_in_order
+
+    def spy(strip, strips, pool, total):
+        seen.append((len(pool), len(strips)))
+        return sum_in_order(strip, strips, pool, total)
+
+    monkeypatch.setattr(propagator, "_sum_in_order", spy)
+    return seen
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so workers interleave inside each strip."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestStepMatrix:
     @pytest.mark.parametrize("tile", [(7, 50), (50, 7), (144, 144), (256, 1024), (40, 30)])
     def test_matches_dense_reference(self, tile, monkeypatch):
@@ -222,10 +262,10 @@ class TestStepMatrix:
             ("free", 11, 36 * 121),  # 121 nodes in 36 orbits
             ("skew-H", 12, 144 * 144),
             ("skew-gram", 12, 144 * 144),
-            ("free", 24, 79872),  # of 144 * 576: pairs of two small nodes are dropped
+            ("free", 24, 76800),  # of 144 * 576: pairs of two small nodes are dropped
             ("free", 23, 73296),
-            ("free", 64, 1695072),  # 2,808 of 4,096 nodes in a summed pair, still folded
-            ("skew-H", 64, 6390848),
+            ("free", 64, 1641056),  # 2,808 of 4,096 nodes in a summed pair, still folded
+            ("skew-H", 64, 6377760),
         ],
     )
     def test_guarded_pairs_halved_when_even(self, case, order, pairs, monkeypatch):
@@ -337,14 +377,17 @@ class TestStepMatrix:
         with pytest.raises(ValidationError, match="evolution time must be finite, got time step"):
             step_matrix(cylinder_basis(N), hamiltonian_free(N), delta, ORDER)
 
-    def test_memory_bounded(self):
-        # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB
+    def test_memory_bounded(self, monkeypatch):
+        # order 64: M = 4096 nodes, so the full M x M complex pair matrix would be 268 MB;
+        # as many workers as the cap allows, each with its own tile buffers, on any host
+        seen = with_workers(monkeypatch, propagator._MAX_WORKERS)
         tracemalloc.start()
         try:
             step_matrix(cylinder_basis(N), hamiltonian_free(N), 0.05, ORDER)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert seen[0][0] == propagator._MAX_WORKERS == 8
         assert peak < 40e6
 
 
@@ -391,6 +434,138 @@ class TestStepMatrices:
     def test_nonfinite_sum_names_its_delta(self, deltas):
         with pytest.raises(QuadratureError, match=r"not finite at time step delta=1\.000e\+308"):
             step_matrix(cylinder_basis(N), hamiltonian_free(N), deltas, 12)
+
+
+class TestStripWorkers:
+    """The row strips summed on several workers: the same bits, refusals and cleanup."""
+
+    @pytest.mark.parametrize(
+        "order, tile", [(11, None), (12, None), (33, None), (11, (7, 50)), (12, (40, 30))]
+    )
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_for_any_worker_count(self, case, order, tile, monkeypatch, fast_switching):
+        # 8 workers is more than the host's cores; small tiles leave partial strips and
+        # give several strips at these orders.  A lost or reordered strip sum moves bits
+        if tile:
+            monkeypatch.setattr(propagator, "_TILE", tile)
+        basis, H = step_case(case)
+        results = {}
+        for workers in (1, 2, 8):
+            seen = with_workers(monkeypatch, workers)
+            results[workers] = [step_matrix(basis, H, d, order) for d in (0.05, (0.1, 0.0, -0.05))]
+            assert [n for n, strips in seen] == [min(workers, strips) for n, strips in seen]
+        for workers in (2, 8):
+            for S, ref in zip(results[workers], results[1]):
+                assert np.array_equal(S, ref), workers
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_refusal_and_cleanup(self, workers, monkeypatch, fast_switching):
+        # at guard 1e-4 only strip 10 of 11 fails at order 64 (|K| / |K_H| reaches 3.3e-5
+        # there); the message is the serial sum's, every thread is joined and the BLAS
+        # thread count is 1 inside the sum and restored after it, refused or not
+        get, set_ = blas_pair(monkeypatch)
+        threads, blas_threads = threading.active_count(), get()
+        inside, less = [], np.less
+
+        def spy(a, b, out):
+            inside.append(get())
+            return less(a, b, out=out)
+
+        basis, H = cylinder_basis(N), hamiltonian_free(N)
+        monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e-4)
+        with_workers(monkeypatch, 1)
+        with pytest.raises(QuadratureError, match="below guard") as serial:
+            step_matrix(basis, H, 0.05, ORDER)
+        seen = with_workers(monkeypatch, workers)
+        monkeypatch.setattr(np, "less", spy)
+        set_(2)
+        try:
+            with pytest.raises(QuadratureError, match="below guard") as parallel:
+                step_matrix(basis, H, 0.05, ORDER)
+            assert (threading.active_count(), get()) == (threads, 2)
+            monkeypatch.setattr(propagator, "DIVISION_GUARD", 1e-12)
+            step_matrix(basis, H, 0.05, ORDER)
+            assert (threading.active_count(), get()) == (threads, 2)
+        finally:
+            set_(blas_threads)
+        assert seen == [(workers, 11)] * 2
+        assert str(parallel.value) == str(serial.value)
+        assert set(inside) == {1}
+
+    def test_concurrent_calls_restore_blas_threads(self, monkeypatch):
+        # two callers' sums take turns holding the BLAS thread count, so the second does
+        # not read the first's 1 as the count to restore
+        get, set_ = blas_pair(monkeypatch)
+        basis, H = cylinder_basis(N), hamiltonian_free(N)
+        blas_threads = get()
+        set_(2)
+        try:
+            for _ in range(5):
+                callers = [
+                    threading.Thread(target=step_matrix, args=(basis, H, 0.05, 33))
+                    for _ in range(2)
+                ]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+                assert not any(caller.is_alive() for caller in callers)
+                assert get() == 2
+        finally:
+            set_(blas_threads)
+
+    def test_first_failed_strip_is_raised(self):
+        # strip 5 fails while strip 3 is still running; strip 3's exception, the one a
+        # serial loop gives, is raised, and no strip after 5 is taken
+        taken = []
+
+        def strip(i, buffers):
+            taken.append(i)
+            if i == 3:
+                time.sleep(0.05)
+                raise KeyboardInterrupt("strip 3")
+            if i == 5:
+                raise ValueError("strip 5")
+            return np.ones(1)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="strip 3"):
+            propagator._sum_in_order(strip, range(8), [None, None], np.zeros(1))
+        assert sorted(taken) == [0, 1, 2, 3, 4, 5]
+        assert threading.active_count() == threads
+
+    def test_failure_stops_the_other_workers(self):
+        # strip 0 fails at once; the worker still summing strip 1 takes no strip after it
+        taken = []
+
+        def strip(i, buffers):
+            taken.append(i)
+            if i == 0:
+                raise ValueError("strip 0")
+            time.sleep(0.05)
+            return np.ones(1)
+
+        with pytest.raises(ValueError, match="strip 0"):
+            propagator._sum_in_order(strip, range(8), [None, None], np.zeros(1))
+        assert sorted(taken) in ([0], [0, 1])
+
+    def test_without_openblas_one_worker(self, monkeypatch):
+        # no thread-count pair found: the strips run serially, in the calling thread.  The
+        # BLAS is held to one thread here as the sum would hold it: a width-1 column tile
+        # is a matrix-vector product, whose last bits move under two OpenBLAS threads
+        basis, H = cylinder_basis(N), hamiltonian_free(N)
+        get, set_ = blas_pair(monkeypatch)
+        with_workers(monkeypatch, 2)
+        S = step_matrix(basis, H, 0.05, 33)
+        seen = with_workers(monkeypatch, 2)
+        monkeypatch.setattr(propagator, "_openblas_threads", lambda: None)
+        blas_threads = get()
+        set_(1)
+        try:
+            assert np.array_equal(step_matrix(basis, H, 0.05, 33), S)
+        finally:
+            set_(blas_threads)
+        assert seen == [(1, 4)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
