@@ -135,8 +135,8 @@ def _winding_sum(d: np.ndarray, T: complex, n_max: int, where: str = "") -> np.n
     n = np.arange(-n_max, n_max + 1)
     shift, two_T, pref = 2 * math.pi * n, 2 * T, 1.0 / cmath.sqrt(2 * math.pi * 1j * T)
     u, v = (float(np.abs(part).max(initial=0.0)) for part in (d.real, d.imag))
-    T2 = abs(T) * abs(T)
-    c, e = T.imag / (2 * T2), v * abs(T.real) / T2
+    r = abs(T)  # |T|^2 underflows to 0 below |T| ~ 1.5e-162
+    c, e = T.imag / r / r / 2, v * abs(T.real) / r / r
 
     def tail(m: int) -> float:
         s = 2 * math.pi * (m + 1) - u

@@ -14,7 +14,6 @@ import contextlib
 import ctypes
 import itertools
 import math
-import os
 import threading
 
 import numpy as np
@@ -49,9 +48,11 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     matrix: the identity only where the rule resolves the basis (max ``|G^-1 G_q - I|``
     is 4.5e-6 at N = 8 and 1.0 at N = 12, order 64).  Node pairs are summed in ``_TILE``
     blocks, one strip of ``_TILE[0]`` node rows at a time, by W workers: the calling thread
-    and W - 1 threads, W the usable CPUs, at most the strips and ``_MAX_WORKERS`` = 8, and 1
-    where the loaded BLAS is not an OpenBLAS whose thread count can be held to one during
-    the sum.  Each strip keeps its own sums, and they are added in strip order, so the
+    and W - 1 threads.  W is the thread count of the OpenBLAS numpy links (its usable CPUs,
+    or fewer if ``OPENBLAS_NUM_THREADS`` asks: ``OPENBLAS_NUM_THREADS=1`` gives one worker),
+    at most the strips and ``_MAX_WORKERS`` = 8, and 1 where numpy links no OpenBLAS whose
+    count can be held to one during the sum; it is read through numpy's own extension, no
+    ``/proc`` file.  Each strip keeps its own sums, and they are added in strip order, so the
     result has the same bits for every W.  Each worker has its own buffers, projections
     included, allocated once: memory O(order^2 * basis size) plus 2.1 MB per worker.  A
     summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError (the first
@@ -186,12 +187,8 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
         return sums
 
     strips = range(0, len(rows), _TILE[0])  # never empty: the largest s heads an orbit
-    total = np.zeros((2, len(steps), nb, nb), dtype=complex)
-    with _one_blas_thread() as found:
-        workers = min(_usable_cpus(), len(strips)) if found else 1
-        pool = [_tile_buffers(nb) for _ in range(workers)]
-        _sum_in_order(strip, strips, pool, total)
-    b, bimg = total
+    with _one_blas_thread(len(strips)) as workers:
+        b, bimg = _sum_in_order(strip, strips, [_tile_buffers(nb) for _ in range(workers)])
     with np.errstate(over="ignore", invalid="ignore"):
         b += np.conj(bimg)
         if mirror:
@@ -212,24 +209,19 @@ def _tile_buffers(nb: int) -> tuple:
     return K, KH, E, D, absK, absKH, np.empty(_TILE, dtype=bool), P, Q
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, at most ``_MAX_WORKERS``."""
-    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
-
-
-def _sum_in_order(strip, strips, pool: list, total: np.ndarray) -> None:
-    """Add ``strip(i, buffers)`` for every ``i`` of ``strips`` into ``total`` in the order of
-    ``strips``, whichever worker computed it, so the sum has the same bits for any number
-    of workers.  The calling thread and ``len(pool) - 1`` threads take strips from a shared
-    counter, each with its own entry of ``pool``; a strip computed ahead of an earlier one
-    waits for it.  A strip that raises stops the workers taking new ones, and after the
-    join the exception of the first strip that failed is raised: every strip before it was
-    taken and finished, so it is the one a serial loop would raise."""
+def _sum_in_order(strip, strips, pool: list):
+    """The sum of ``strip(i, buffers)`` over ``strips``, added in the order of ``strips``
+    whichever worker computed each, so it has the same bits for any number of workers.
+    The calling thread and ``len(pool) - 1`` threads take strips from a shared counter,
+    each with its own entry of ``pool``; a strip computed ahead of an earlier one waits for
+    it.  A strip that raises stops the workers taking new ones, and after the join the
+    exception of the first strip that failed is raised: every strip before it was taken
+    and finished, so it is the one a serial loop would raise."""
     lock, taken, done, failed = threading.Lock(), itertools.count(), {}, {}
-    added = 0
+    added, total = 0, 0.0
 
     def work(buffers):
-        nonlocal added
+        nonlocal added, total
         # numpy's error state is context-local: a thread does not inherit the caller's.
         # Overflow is not an error here; the caller checks the sum is finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -245,8 +237,8 @@ def _sum_in_order(strip, strips, pool: list, total: np.ndarray) -> None:
                     return
                 with lock:
                     done[n] = part
-                    while added in done:
-                        np.add(total, done.pop(added), out=total)
+                    while added in done:  # 0.0 + the first strip, then in place
+                        total = np.add(total, done.pop(added), out=None if added == 0 else total)
                         added += 1
 
     threads = [threading.Thread(target=work, args=(buffers,)) for buffers in pool[1:]]
@@ -263,9 +255,10 @@ def _sum_in_order(strip, strips, pool: list, total: np.ndarray) -> None:
                 thread.join()
     if failed:
         raise failed[min(failed)]
+    return total
 
 
-# the thread-count getter and setter of each OpenBLAS build numpy wheels load
+# the thread-count getter and setter of each OpenBLAS build numpy wheels link
 _OPENBLAS_THREADS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -274,24 +267,19 @@ _OPENBLAS_THREADS = (
 
 
 def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS mapped into this process, from
-    ``/proc/self/maps``, or None where there is none or no such file."""
+    """The thread-count getter and setter of the OpenBLAS numpy links, or None where it
+    links none: looked up on numpy's linear-algebra extension, already loaded, whose
+    symbol lookup also searches the libraries it links."""
     try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for names in _OPENBLAS_THREADS:
-            get, set_ = (getattr(lib, name, None) for name in names)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    for names in _OPENBLAS_THREADS:
+        get, set_ = (getattr(lib, name, None) for name in names)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -299,22 +287,24 @@ _BLAS_HELD = threading.Lock()  # one sum at a time holds the count, so each rest
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block and restore its count after; yield
-    whether its thread-count pair was found.  Idle OpenBLAS threads spin on the cores that
-    the strip workers need: at order 128, two workers took 0.76 s under two BLAS threads
-    and 0.34 s under one.  Concurrent callers take turns: each sum fills the cores alone,
-    and two interleaved holds would restore one thread as the count."""
+def _one_blas_thread(strips: int):
+    """Hold numpy's OpenBLAS to one thread inside the block and restore its count after;
+    yield the workers for ``strips`` strips: the count it held, at most ``strips`` and
+    ``_MAX_WORKERS``, or 1 where numpy links no OpenBLAS thread-count pair.  Idle OpenBLAS
+    threads spin on the cores that the strip workers need: at order 128, two workers took
+    0.76 s under two BLAS threads and 0.34 s under one.  Concurrent callers take turns:
+    each sum fills the cores alone, and two interleaved holds would restore one thread as
+    the count."""
     pair = _openblas_threads()
     if pair is None:
-        yield False
+        yield 1
         return
     get, set_ = pair
     with _BLAS_HELD:
         before = get()
         set_(1)
         try:
-            yield True
+            yield min(before, strips, _MAX_WORKERS)
         finally:
             set_(before)
 

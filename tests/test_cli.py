@@ -282,6 +282,13 @@ class TestGreens:
         assert run(["greens", "--T-real", "1", "--epsilon", "0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--T-real", "1e-200"], ["--T-imag=-1e-200", "--T-real=0"]])
+    def test_tiny_time_exit_1(self, flags, capsys):
+        # the winding sum's tail bound divided by |T|^2, 0 here: a ZeroDivisionError traceback
+        assert run(["greens", *flags]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: mode-sum tail ") and "no M below 2^62 bounds it" in line
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one(self, points, capsys):
         assert run(["greens", "--points", points]) == 1

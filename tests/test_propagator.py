@@ -1,4 +1,6 @@
+import builtins
 import cmath
+import ctypes
 import functools
 import itertools
 import math
@@ -206,14 +208,31 @@ def blas_pair(monkeypatch):
 
 def with_workers(monkeypatch, workers):
     """Let ``step_matrix`` sum its strips on ``workers`` workers, whatever the host's CPUs,
-    and return the (workers, strips) of each sum it runs."""
-    blas_pair(monkeypatch)
-    monkeypatch.setattr(propagator, "_usable_cpus", lambda: workers)
+    and return the (workers, strips) of each sum it runs.  The thread-count pair it finds
+    reports ``workers`` BLAS threads; its setter passes the hold to one thread, and then
+    the restore of the count the hold read, on to the real pair."""
+    get, set_ = blas_pair(monkeypatch)
+    count, held = [workers], []
+
+    def set_threads(n):
+        if held:
+            set_(held.pop())
+        else:
+            held.append(get())
+            set_(1)
+        count[0] = n
+
+    monkeypatch.setattr(propagator, "_openblas_threads", lambda: (lambda: count[0], set_threads))
+    return sums_run(monkeypatch)
+
+
+def sums_run(monkeypatch):
+    """The (workers, strips) of each strip sum ``step_matrix`` runs from here on."""
     seen, sum_in_order = [], propagator._sum_in_order
 
-    def spy(strip, strips, pool, total):
+    def spy(strip, strips, pool):
         seen.append((len(pool), len(strips)))
-        return sum_in_order(strip, strips, pool, total)
+        return sum_in_order(strip, strips, pool)
 
     monkeypatch.setattr(propagator, "_sum_in_order", spy)
     return seen
@@ -514,6 +533,70 @@ class TestStripWorkers:
         finally:
             set_(blas_threads)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_pair_is_the_mapped_openblas(self):
+        # numpy's extension leads to the same functions as a scan of the mapped libraries
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
+
+        def address(f):
+            return ctypes.cast(f, ctypes.c_void_p).value
+
+        mapped = []
+        for path in sorted(filter(os.path.isfile, libs)):
+            lib = ctypes.CDLL(path)
+            mapped += [
+                [address(getattr(lib, name)) for name in names]
+                for names in propagator._OPENBLAS_THREADS
+                if all(hasattr(lib, name) for name in names)
+            ]
+        pair = propagator._openblas_threads()
+        assert [address(f) for f in pair or ()] == (mapped[0] if mapped else [])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_workers_follow_blas_threads(self, threads, monkeypatch):
+        # W is numpy's OpenBLAS thread count, read with /proc refused; the sum still holds
+        # the count to one thread
+        pair = propagator._openblas_threads()
+        if pair is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = pair
+        inside, less, real_open = [], np.less, builtins.open
+
+        def refuse_proc(file, *args, **kwargs):
+            if str(file).startswith("/proc"):
+                raise PermissionError(f"{file} refused")
+            return real_open(file, *args, **kwargs)
+
+        def spy(a, b, out):
+            inside.append(get())
+            return less(a, b, out=out)
+
+        monkeypatch.setattr(builtins, "open", refuse_proc)
+        monkeypatch.setattr(np, "less", spy)
+        seen = sums_run(monkeypatch)
+        blas_threads = get()
+        set_(threads)
+        try:
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), 0.05, 33)
+            assert get() == threads
+        finally:
+            set_(blas_threads)
+        assert seen == [(threads, 4)]
+        assert set(inside) == {1}
+
+    def test_sum_in_strip_order(self, fast_switching):
+        # the later strips finish first and are still added in strip order: a serial
+        # loop's bits (any other order rounds 1e16 + 1 differently)
+        parts = [1e16, 1.0, -1e16, 1.0, 3.0, -2.5, 1e-3, 7.0]
+
+        def strip(i, buffers):
+            time.sleep(0.01 * (len(parts) - i))
+            return np.array([parts[i]])
+
+        total = propagator._sum_in_order(strip, range(len(parts)), [None] * 3)
+        assert total.tolist() == [functools.reduce(lambda a, b: a + b, parts)]
+
     def test_first_failed_strip_is_raised(self):
         # strip 5 fails while strip 3 is still running; strip 3's exception, the one a
         # serial loop gives, is raised, and no strip after 5 is taken
@@ -530,7 +613,7 @@ class TestStripWorkers:
 
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt, match="strip 3"):
-            propagator._sum_in_order(strip, range(8), [None, None], np.zeros(1))
+            propagator._sum_in_order(strip, range(8), [None, None])
         assert sorted(taken) == [0, 1, 2, 3, 4, 5]
         assert threading.active_count() == threads
 
@@ -546,7 +629,7 @@ class TestStripWorkers:
             return np.ones(1)
 
         with pytest.raises(ValueError, match="strip 0"):
-            propagator._sum_in_order(strip, range(8), [None, None], np.zeros(1))
+            propagator._sum_in_order(strip, range(8), [None, None])
         assert sorted(taken) in ([0], [0, 1])
 
     def test_without_openblas_one_worker(self, monkeypatch):
@@ -717,6 +800,14 @@ class TestGreensWinding:
     def test_divergent_regime_error(self):
         with pytest.raises(ValidationError, match="regularize"):
             greens_winding(0.1, 0.0, 1.0, n_max=10)
+
+    def test_tiny_time(self):
+        # |T|^2 is 0 below |T| ~ 1.5e-162; the tail bound, which divided by it, raised
+        # ZeroDivisionError.  Every winding but the nearest underflows to 0
+        T = 1e-200 * (1 - 0.05j)
+        at, off = greens_winding(np.array([0.0, 0.5]), 0.0, T, n_max=40)
+        assert at == 1 / cmath.sqrt(2 * math.pi * 1j * T)
+        assert abs(at) == pytest.approx(3.99e99, rel=1e-3) and off == 0
 
     @pytest.mark.parametrize("T", [complex(math.nan, -0.05), complex(1, -math.inf), math.inf])
     def test_rejects_nonfinite_time(self, T):
