@@ -62,9 +62,9 @@ SIZE_LIMITS = {
     # 0.2 s and 34 MB peak RSS; 58 s and 415 MB with --grid-points 1024
     "x_nodes": 4096,
     # every subcommand but greens: a (2N + 1)-function basis.  At 100, gram
-    # --quadrature 10 s and 108 MB peak RSS (its long-double Gram has no BLAS;
-    # exit 1, the order-64 Gram is singular), evolve 2.0 s and 83 MB, the rest
-    # under 0.8 s and 52 MB
+    # --quadrature 0.17 s and 35 MB peak RSS (exit 1, the order-64 Gram is singular;
+    # 0.36 s and 50 MB at order 740), evolve 2.0 s and 83 MB, the rest under 0.8 s
+    # and 52 MB
     "truncation": 100,
     # evolve keeps and writes every state; at 10,000, 3.1 s and 139 MB peak RSS,
     # writing 16 MB of JSON

@@ -53,8 +53,8 @@ def cylinder_basis(N: int, normalized: bool = True) -> BasisSpec:
         )
     labels = tuple(range(-N, N + 1))
     if normalized:
-        return BasisSpec(labels, _normalized_mode, _normalized_inner)
-    return BasisSpec(labels, _raw_mode, _raw_inner)
+        return BasisSpec(labels, _normalized_mode, _normalized_inner, plane_wave=True)
+    return BasisSpec(labels, _raw_mode, _raw_inner, plane_wave=True)
 
 
 # Module-level, not per-call closures, so equal arguments give equal (and

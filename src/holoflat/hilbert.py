@@ -4,6 +4,12 @@ Inner products by Gaussian quadrature or closed form, Gram matrices and
 their Cholesky factorization, Gram-Schmidt orthonormalization in the
 alternating index order, reproducing kernels (Gram-inverse and orthonormal
 series forms), and projections.
+
+The Gaussian integrals (``inner_product``, ``project``, ``gram_matrix(basis, order)``)
+read G_q, the Gram matrix on the tangent grid, from the grid's two 1-D sums:
+G_q[p, q] = conj(c_p) c_q X(q - p) Y(p + q), no grid node evaluated.  So they take only
+plane waves ``phi_k(z) = c_k e^{ikz}`` (``BasisSpec.plane_wave``), as both circle bases
+are, and refuse other bases: no program integrates one (monomials have a closed form).
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FactorizationError, ValidationError
-from .quadrature import tangent_grid
+from .errors import FactorizationError, QuadratureError, ValidationError
+from .quadrature import plane_wave_moments
 
 __all__ = [
     "BasisSpec",
@@ -40,15 +46,16 @@ _HERMITICITY_TOL = 1e-12
 class BasisSpec:
     """Ordered holomorphic basis: integer labels and an evaluation map.
 
-    ``eval_fn(k, z)`` must be vectorized over a complex array ``z``, in
-    double or long double precision (quadrature Gram matrices evaluate the
-    basis on long-double nodes).
+    ``eval_fn(k, z)`` must be vectorized over a complex array ``z``.
     ``closed_form_inner(p, q)`` gives the analytic Gram entry of labels ``p``, ``q``.
+    ``plane_wave`` declares ``eval_fn(k, z) = eval_fn(k, 0) e^{ikz}``, with ``eval_fn``
+    taking long double at ``z = 0``: only such a basis has Gaussian integrals.
     """
 
     labels: tuple[int, ...]
     eval_fn: Callable[[int, np.ndarray], np.ndarray]
     closed_form_inner: Callable[[int, int], complex]
+    plane_wave: bool = False
 
     def __post_init__(self):
         labels = tuple(int(k) for k in self.labels)
@@ -62,8 +69,7 @@ class BasisSpec:
 
     def design_matrix(self, z) -> np.ndarray:
         """Evaluate every basis function at ``z``; shape ``(len(z), size)``."""
-        z = np.atleast_1d(np.asarray(z))
-        z = z if z.dtype == np.clongdouble else z.astype(complex, copy=False)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         return np.column_stack([self.eval_fn(k, z) for k in self.labels])
 
 
@@ -139,24 +145,32 @@ def _orthonormal_inner(p, q):
 
 
 @lru_cache(maxsize=1)
-def _grid_values(basis: BasisSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and design matrix of ``basis`` on the order-``order`` tangent grid, both
-    read-only.  The last (basis, order) pair is kept, so a run of Gaussian integrals
-    over one basis builds the grid and evaluates the basis once."""
-    grid = tangent_grid(order)
-    w, Phi = grid.w, basis.design_matrix(grid.z)
-    w.flags.writeable = Phi.flags.writeable = False
-    return w, Phi
+def _grid_gram(basis: BasisSpec, order: int) -> np.ndarray:
+    """G_q of a plane-wave ``basis`` on the order-``order`` grid, read-only, formed in long
+    double from ``c_k = phi_k(0)`` and the grid's 1-D sums.  The last (basis, order)
+    pair is kept, so a run of Gaussian integrals over one basis forms it once."""
+    if not basis.plane_wave:
+        raise ValidationError("Gaussian integrals need a basis of plane waves phi_k(0) e^{ikz}")
+    k = np.array(basis.labels)
+    K = int(np.abs(k).max(initial=0))
+    X, Y = plane_wave_moments(order, K)
+    c = np.array([basis.eval_fn(int(j), np.zeros(1, np.clongdouble))[0] for j in k])
+    with np.errstate(over="ignore", invalid="ignore"):  # past the long-double range
+        G = (np.conj(c)[:, None] * c) * X[k - k[:, None] + 2 * K] * Y[k[:, None] + k + 2 * K]
+    G = G.astype(complex)
+    if not np.isfinite(G).all():
+        raise QuadratureError(f"Gaussian integrals of the basis overflow at order {order}")
+    G.flags.writeable = False
+    return G
 
 
 def inner_product(f: HoloState, g: HoloState, order: int) -> complex:
     """Normalized Gaussian scalar product of two states on one basis, conjugate-linear
-    in ``f``, by the quadrature of order ``order``.  States on different bases raise
-    ValidationError."""
+    in ``f``, by the quadrature of order ``order``: ``f^H G_q g``.  States on different
+    bases raise ValidationError."""
     if g.basis != f.basis:
         raise ValidationError("the two states lie on different bases")
-    w, Phi = _grid_values(f.basis, order)
-    return complex(np.sum(w * np.conj(Phi @ f.coeffs) * (Phi @ g.coeffs)))
+    return complex(np.conj(f.coeffs) @ _grid_gram(f.basis, order) @ g.coeffs)
 
 
 def _alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
@@ -176,20 +190,12 @@ def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
     """Gram data of the basis (``GramData`` checks and factors the matrix).
 
     Uses ``closed_form_inner``; with an ``order``, integrates every pair on the
-    tensor grid of that order instead, the check on the closed form.
+    tangent grid of that order instead, the check on the closed form.
     """
     if order is not None:
-        # Entries like <phi_{-4}, phi_4> = e^{-16} sit 9 orders below the
-        # summand magnitudes; extended-precision accumulation keeps the
-        # cancellation error below the closed forms' 1e-10 target.
-        grid = tangent_grid(order, extended=True)
-        Phi = basis.design_matrix(grid.z)
-        G = (np.conj(Phi).T @ (grid.w[:, None] * Phi)).astype(complex)
-    else:
-        G = np.array(
-            [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
-        )
-    return GramData(basis, G)
+        return GramData(basis, _grid_gram(basis, order))
+    closed = [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
+    return GramData(basis, np.array(closed))
 
 
 def orthonormalize(gram: GramData, ordering: Sequence[int] | None = None) -> np.ndarray:
@@ -237,10 +243,9 @@ class KernelRep:
 
     def eval(self, z, w) -> np.ndarray | complex:
         """Kernel at ``(z, w)`` by ``einsum``; broadcasts over arrays of equal shape.
-        Kept apart from the matmul of :meth:`eval_grid`, as merging moves printed figures:
-        a matmul ``eval`` takes criterion 5's composition 2.161e-14 -> 2.892e-14, its
-        coherent equality 1.198e-15 -> 6.024e-16 and every ``heatkernel`` row; an einsum
-        ``eval_grid`` its hermitian figure 8.882e-15 -> 1.432e-14."""
+        Kept apart from the matmul of :meth:`eval_grid`, as merging moves printed figures: a
+        matmul ``eval`` takes criterion 5's coherent equality 1.198e-15 -> 6.024e-16 and every
+        ``heatkernel`` row, an einsum ``eval_grid`` its hermitian figure 8.882e-15 -> 1.432e-14."""
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         Pz = self.basis.design_matrix(z.ravel())
@@ -278,12 +283,11 @@ def project(f: HoloState, kernel: KernelRep, order: int) -> HoloState:
 
     For the reproducing kernel this is the orthogonal projection onto the
     truncated span; for an operator kernel it is the operator applied to
-    that projection.  The integral runs on the order-``order`` grid.
+    that projection.  The integral runs on the order-``order`` grid: ``mid G_q f``.
     """
     if f.basis != kernel.basis:
         raise ValidationError("state basis differs from the basis of the kernel")
-    w, Phi = _grid_values(kernel.basis, order)
-    return HoloState(kernel.basis, kernel.mid @ (np.conj(Phi).T @ (w * (Phi @ f.coeffs))))
+    return HoloState(kernel.basis, kernel.mid @ (_grid_gram(kernel.basis, order) @ f.coeffs))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

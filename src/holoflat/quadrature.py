@@ -6,7 +6,7 @@ One Gauss-Hermite rule of the same order on each real axis; the grid is one
 flat array of nodes, fixed by the order alone.  This module alone knows its
 layout: the grid value declares its reflections z -> -z and z -> -conj(z)
 as node permutations, under which its exactly even rule leaves the weights
-unchanged.
+unchanged.  ``plane_wave_moments`` integrates plane waves on it as two 1-D sums.
 
 The paper integrates each path-integral step in the tangent space and maps
 it to the manifold by the exponential map.  Here that map stays implicit:
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import QuadratureError, ValidationError
 
-__all__ = ["DEFAULT_ORDER", "tangent_grid"]
+__all__ = ["DEFAULT_ORDER", "plane_wave_moments", "tangent_grid"]
 
 DEFAULT_ORDER = 64
 _MAX_ORDER = 740  # hermgauss overflows float64 at its outer nodes from order 741 on
@@ -88,30 +88,34 @@ class TangentGrid:
     conj: np.ndarray
 
 
-def tangent_grid(order: int, extended: bool = False) -> TangentGrid:
-    """The tangent plane's order-``order`` grid, in long double with ``extended=True``
-    for cancellation-sensitive consumers.
+def tangent_grid(order: int) -> TangentGrid:
+    """The tangent plane's order-``order`` grid, in double precision.
 
     Node ``i * order + j`` sits at Hermite nodes ``(u_i, u_j)``.  The rule is exactly
     even, so the node array read backwards is its own negative, and ``(u_i, u_j)`` maps
     to ``(-u_i, u_j)`` under ``conj``.  Every call builds fresh arrays; the costly part,
     the Hermite rule, is cached.
     """
-    # normalization 1/pi: the plane Gaussian e^{-|z|^2} has total mass pi
     u, wu = _hermite_rule_cached(int(order))
-    if extended:
-        # a float64 rule costs ~1e-10 relative error on strongly cancelling
-        # integrands; long double gives 5e-13 on criterion 1's Gram entries
-        normalization = np.pi ** -np.longdouble(1)
-    else:
-        u, wu = u.astype(np.float64), wu.astype(np.float64)
-        normalization = math.pi**-1.0
+    u, wu = u.astype(np.float64), wu.astype(np.float64)
     U1, U2 = np.meshgrid(u, u, indexing="ij")
     n = len(u)
     node = np.arange(n * n, dtype=np.int32)  # orders stop at 740: half the bytes of int64
     return TangentGrid(
         U1.ravel() - 1j * U2.ravel(),
-        normalization * np.outer(wu, wu).ravel(),
+        math.pi**-1.0 * np.outer(wu, wu).ravel(),  # the plane Gaussian e^{-|z|^2} has mass pi
         node[::-1],
         (n - 1 - node // n) * n + node % n,
     )
+
+
+def plane_wave_moments(order: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``X[m + 2K] = sum_a v_a e^{i m u_a}`` and ``Y[s + 2K] = sum_b v_b e^{s u_b}`` for
+    ``|m|, |s| <= 2K``, ``u, v`` the Hermite rule with weights over sqrt(pi): the grid
+    integrates ``conj(e^{ipz}) e^{iqz}`` to ``X(q - p) Y(p + q)``.  In long double (pi too;
+    overflow gives inf), as ``<e^{-4iz}, e^{4iz}> = e^{-16}`` is 1e-9 of its summands."""
+    u, wu = _hermite_rule_cached(int(order))
+    v = wu / np.sqrt(np.arccos(np.longdouble(-1)))
+    j = np.arange(-2 * K, 2 * K + 1)[:, None]
+    with np.errstate(over="ignore"):
+        return np.exp(1j * j * u) @ v, np.exp(j * u) @ v

@@ -16,6 +16,7 @@ import numpy as np
 from .cylinder import HeatKernelParams, cylinder_basis, heat_kernel_formula
 from .hilbert import (
     HoloState,
+    KernelRep,
     bargmann_monomial_basis,
     gram_matrix,
     inner_product,
@@ -27,7 +28,6 @@ from .hilbert import (
 )
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
 from .propagator import evolve, evolve_exact, greens_spectral, greens_winding, step_matrix
-from .quadrature import tangent_grid
 
 __all__ = ["CriterionResult", "run_criteria"]
 
@@ -137,18 +137,9 @@ def criterion_kernel_properties() -> CriterionResult:
     w = _sample_points(8, rng)
     herm = float(np.abs(kernel.eval_grid(w, z) - np.conj(kernel.eval_grid(z, w)).T).max())
 
-    comp = 0.0
-    grid = tangent_grid(128)
-    # the products kernel.eval_grid forms, on node values built once: one for the columns
-    # K(x, w[a]), and one per point for the rows, since batching them moves the figure
-    # (2.161e-14 -> 2.336e-14)
-    Pn = basis.design_matrix(grid.z)
-    K_nodes_u = (Pn @ kernel.mid) @ np.conj(basis.design_matrix(w[:5])).T
-    PnH = np.conj(Pn).T
-    for a, (zi, ui) in enumerate(zip(z[:5], w[:5])):
-        row = (basis.design_matrix([zi]) @ kernel.mid) @ PnH
-        total = np.sum(grid.w * row[0] * K_nodes_u[:, a])
-        comp = max(comp, abs(total - kernel.eval(zi, ui)))
+    # int K(z, x) K(x, u) dmu(x) on the order-128 grid is the kernel of mid G_q mid
+    composed = KernelRep(basis, kernel.mid @ gram_matrix(basis, 128).matrix @ kernel.mid)
+    comp = float(np.abs(composed.eval(z[:5], w[:5]) - kernel.eval(z[:5], w[:5])).max())
 
     bound_violation = 0.0
     for _ in range(100):

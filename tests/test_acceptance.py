@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from holoflat import hilbert, quadrature, validation
+from holoflat import hilbert, validation
 from holoflat.cylinder import (
     HeatKernelParams,
     cylinder_basis,
@@ -55,8 +55,8 @@ def test_criterion_04_kernel_construction_equivalence():
 
 
 def test_criterion_05_kernel_properties():
-    # the composition figure, pinned exactly: its rows are formed one point at a time
-    assert "composition 2.161e-14 " in _run(validation.criterion_kernel_properties).detail
+    # the composition figure, pinned exactly: the kernel of mid G_q mid at five points
+    assert "composition 1.776e-14 " in _run(validation.criterion_kernel_properties).detail
 
 
 def _gram_inverse_kernel(N):
@@ -140,10 +140,32 @@ def test_criterion_11_bargmann_sanity():
     ],
 )
 def test_cached_grids_keep_results(criterion):
-    # a cold run builds every grid and basis evaluation, the warm rerun reuses them
-    hilbert._grid_values.cache_clear()
+    # a cold run forms every grid Gram matrix, the warm rerun reuses them
+    hilbert._grid_gram.cache_clear()
     cold = criterion()
     assert criterion() == cold
+
+
+def test_grid_criteria_evaluate_no_grid(monkeypatch):
+    # criteria 1, 2, 3, 5 and 8 integrate through G_q from the 1-D sums: no basis is
+    # evaluated on more than a few hundred points, never on an order^2 tensor grid
+    sizes = []
+    design_matrix = hilbert.BasisSpec.design_matrix
+
+    def spy(self, z):
+        sizes.append(np.size(z))
+        return design_matrix(self, z)
+
+    monkeypatch.setattr(hilbert.BasisSpec, "design_matrix", spy)
+    names = [
+        "gram-closed-forms",
+        "orthonormalization",
+        "kernel-reproduction",
+        "kernel-properties",
+        "ladder-adjointness",
+    ]
+    assert [r.name for r in validation.run_criteria(names)] == names
+    assert sizes and max(sizes) <= 256
 
 
 def _bargmann_points():
@@ -175,12 +197,11 @@ def test_array_criteria_match_point_loops():
     kernel = _gram_inverse_kernel(8)
     rng = np.random.default_rng(validation._SEED + 2)
     z, w = validation._sample_points(8, rng), validation._sample_points(8, rng)
-    tangent = quadrature.tangent_grid(128)
-    nodes, wt = tangent.z, tangent.w
+    gq = gram_matrix(kernel.basis, 128).matrix
+    composed = hilbert.KernelRep(kernel.basis, kernel.mid @ gq @ kernel.mid)
     comp = 0.0
     for zi, ui in zip(z[:5], w[:5]):
-        total = np.sum(wt * kernel.eval_grid([zi], nodes)[0] * kernel.eval_grid(nodes, [ui])[:, 0])
-        comp = max(comp, abs(total - kernel.eval(zi, ui)))
+        comp = max(comp, abs(composed.eval(zi, ui) - kernel.eval(zi, ui)))
     assert f"composition {comp:.3e} " in validation.criterion_kernel_properties().detail
 
     params = HeatKernelParams(t=1.0, M=12, x_quad=256)

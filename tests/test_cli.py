@@ -74,6 +74,23 @@ class TestGram:
                 va, vb = parse_cell(ra[i][j]), parse_cell(rb[i][j])
                 assert abs(va - vb) < 1e-10
 
+    @pytest.mark.parametrize(
+        "argv", [["--truncation", "40"], ["--truncation", "100", "--quad-order", "740"]]
+    )
+    def test_quadrature_refuses_dependent_basis(self, argv, tmp_path, capsys):
+        # the grid Gram of these truncations is not positive definite; it comes from the
+        # grid's 1-D sums, so the refusal costs no order^2-node product
+        out = tmp_path / "gram.csv"
+        assert run(["gram", "--quadrature", *argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: basis numerically dependent at this truncation/precision\n"
+        assert not out.exists()
+
+    def test_quadrature_resolves_truncation_30(self, tmp_path):
+        out = tmp_path / "gram.csv"
+        assert run(["gram", "--quadrature", "--truncation", "30", "--output", str(out)]) == 0
+        assert len(read_csv(str(out))) == 62  # header + 61 rows
+
     def test_raw_guard(self, capsys):
         assert run(["gram", "--truncation", "8", "--raw"]) == 1
         assert "error" in capsys.readouterr().err

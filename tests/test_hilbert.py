@@ -7,6 +7,7 @@ import pytest
 from holoflat import (
     BasisSpec,
     FactorizationError,
+    QuadratureError,
     GramData,
     HoloState,
     KernelRep,
@@ -136,9 +137,29 @@ class TestGramMatrix:
         assert np.abs(gram_matrix(basis, 4).matrix - gram_matrix(basis).matrix).max() > 0.1
 
     def test_dependent_basis_fails(self):
-        basis = BasisSpec((0, 1), lambda k, z: np.ones_like(z), lambda p, q: 1.0)
+        # the order-64 grid cannot resolve N = 40: its Gram matrix loses positivity
+        gram_matrix(cylinder_basis(30), ORDER)
         with pytest.raises(FactorizationError, match="dependent"):
-            gram_matrix(basis, ORDER)
+            gram_matrix(cylinder_basis(40), ORDER)
+
+    def test_grid_integrals_need_plane_waves(self):
+        basis = bargmann_monomial_basis(3)
+        f = HoloState(basis, np.ones(4))
+        kernel = reproducing_kernel(gram_matrix(basis))
+        calls = (
+            lambda: gram_matrix(basis, ORDER),
+            lambda: inner_product(f, f, ORDER),
+            lambda: project(f, kernel, ORDER),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="plane waves"):
+                call()
+
+    def test_overflowing_integrals_refused(self):
+        # Y(6000) = sum v e^{6000 u} passes the long-double range at order 16
+        basis = BasisSpec((0, 3000), lambda k, z: np.exp(1j * k * z), lambda p, q: 1.0, plane_wave=True)
+        with pytest.raises(QuadratureError, match="overflow at order 16"):
+            gram_matrix(basis, 16)
 
 
 class TestGramData:
@@ -418,57 +439,70 @@ class TestOperatorKernel:
 
 class TestDesignMatrix:
     def test_keeps_long_double(self):
-        z = np.array([0.5 - 0.25j, -1.0 + 0.5j], dtype=np.clongdouble)
-        Phi = cylinder_basis(2).design_matrix(z)
-        assert Phi.dtype == np.clongdouble
+        # the basis functions keep long double, in which the grid Gram reads c_k = phi_k(0);
+        # the design matrix evaluates in double
+        basis = cylinder_basis(2)
+        c = basis.eval_fn(2, np.zeros(1, dtype=np.clongdouble))
+        assert c.dtype == np.clongdouble
+        assert c[0] == np.exp(np.longdouble(-2))
+        Phi = basis.design_matrix(np.array([0.5 - 0.25j, -1.0 + 0.5j], dtype=np.clongdouble))
+        assert Phi.dtype == np.complex128
         assert Phi.shape == (2, 5)
-        assert cylinder_basis(2).design_matrix([0.0, 1.0]).dtype == np.complex128
+        assert basis.design_matrix([0.0, 1.0]).dtype == np.complex128
+
+
+def node_gram(basis, order):
+    """Gram matrix of ``basis`` summed over the nodes of the order-``order`` float grid."""
+    grid = tangent_grid(order)
+    Phi = basis.design_matrix(grid.z)
+    return np.conj(Phi).T @ (grid.w[:, None] * Phi)
 
 
 class TestGridValues:
-    """The weights and basis values on a tangent grid are built once and shared."""
+    """A basis's Gram matrix G_q on a tangent grid, from the grid's 1-D sums, is formed
+    once and shared by every Gaussian integral of its states."""
 
     def test_matches_fresh_design_matrix(self):
         basis = cylinder_basis(4)
-        w, Phi = hilbert._grid_values(basis, ORDER)
-        grid = tangent_grid(ORDER)
-        z, weights = grid.z, grid.w
-        assert np.array_equal(w, weights)
-        assert np.array_equal(Phi, basis.design_matrix(z))
-        assert hilbert._grid_values(basis, ORDER)[1] is Phi
-        for array in (w, Phi):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        G = hilbert._grid_gram(basis, ORDER)
+        nodes = node_gram(basis, ORDER)
+        assert np.abs(G - nodes).max() <= 1e-12 * np.abs(nodes).max()
+        assert hilbert._grid_gram(basis, ORDER) is G
+        with pytest.raises(ValueError):
+            G[0, 0] = 0.0
 
     def test_equal_bases_share_values(self):
         # separate calls build equal bases, so the second lookup is a cache hit
-        hilbert._grid_values.cache_clear()
-        Phi = hilbert._grid_values(cylinder_basis(4), ORDER)[1]
-        assert hilbert._grid_values(cylinder_basis(4), ORDER)[1] is Phi
-        assert hilbert._grid_values.cache_info().hits == 1
+        hilbert._grid_gram.cache_clear()
+        G = hilbert._grid_gram(cylinder_basis(4), ORDER)
+        assert hilbert._grid_gram(cylinder_basis(4), ORDER) is G
+        assert hilbert._grid_gram.cache_info().hits == 1
         assert bargmann_monomial_basis(5) == bargmann_monomial_basis(5)
 
     def test_bases_in_alternation(self):
         a, b = cylinder_basis(3), cylinder_basis(5, normalized=False)
-        z = tangent_grid(ORDER).z
         for _ in range(2):
             for basis in (a, b):
-                Phi = hilbert._grid_values(basis, ORDER)[1]
-                assert np.array_equal(Phi, basis.design_matrix(z))
+                G, nodes = hilbert._grid_gram(basis, ORDER), node_gram(basis, ORDER)
+                assert np.abs(G - nodes).max() <= 1e-12 * np.abs(nodes).max()
 
     @pytest.mark.parametrize("order", [32, 128])
     def test_states_integrate_as_before(self, order):
-        # the cached values give the bits of each state evaluated on the nodes
+        # inner_product and project read G_q, and agree with the sums of the states'
+        # values over the grid's nodes that they replaced
         basis = cylinder_basis(8)
         kernel = reproducing_kernel(gram_matrix(basis))
         rng = np.random.default_rng(order)
         f, g = (HoloState(basis, rng.normal(size=17) + 1j * rng.normal(size=17)) for _ in range(2))
+        G = hilbert._grid_gram(basis, order)
+        assert inner_product(f, g, order) == complex(np.conj(f.coeffs) @ G @ g.coeffs)
+        assert np.array_equal(project(f, kernel, order).coeffs, kernel.mid @ (G @ f.coeffs))
         grid = tangent_grid(order)
         z, w = grid.z, grid.w
         old_inner = complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
-        old_project = kernel.mid @ (np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z)))
-        assert inner_product(f, g, order) == old_inner
-        assert np.array_equal(project(f, kernel, order).coeffs, old_project)
+        old_moments = np.conj(basis.design_matrix(z)).T @ (w * f.evaluate(z))
+        assert abs(inner_product(f, g, order) - old_inner) <= 1e-12 * abs(old_inner)
+        assert np.abs(G @ f.coeffs - old_moments).max() <= 1e-12 * np.abs(old_moments).max()
 
 
 class TestMomentMatrix:

@@ -55,7 +55,7 @@ def test_star_import():
 PUBLIC = {
     "__version__",
     "ValidationError", "QuadratureError", "FactorizationError",
-    "DEFAULT_ORDER", "tangent_grid",
+    "DEFAULT_ORDER", "plane_wave_moments", "tangent_grid",
     "BasisSpec", "GramData", "KernelRep", "HoloState", "bargmann_monomial_basis",
     "inner_product", "gram_matrix", "orthonormalize",
     "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
@@ -70,7 +70,7 @@ PUBLIC = {
 
 def test_public_surface():
     exported = importlib.import_module("holoflat").__all__
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 34
     assert len(exported) == len(set(exported))
     assert set(exported) == PUBLIC
 

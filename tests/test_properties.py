@@ -18,7 +18,7 @@ from holoflat import (
     gram_matrix,
     reproducing_kernel,
 )
-from holoflat import cylinder
+from holoflat import cylinder, hilbert, tangent_grid
 from holoflat.cli import run
 
 # fixed examples, no example database, no per-example deadline
@@ -46,6 +46,19 @@ def test_kernel_hermitian_and_reproducing(N, z, w, data):
     pairing = np.conj(zeta.coeffs) @ gram.matrix @ f.coeffs
     bound = np.sum(np.abs(c)) * np.abs(basis.design_matrix([w])).max()
     assert abs(pairing - f.evaluate(w)) <= 1e-11 * max(bound, 1.0)
+
+
+@SETTINGS
+@given(N=st.integers(0, 12), order=st.sampled_from([8, 16, 33, 64, 128]), normalized=st.booleans())
+def test_grid_gram_factors(N, order, normalized):
+    # G_q from the two 1-D sums against the sum over the float grid's order^2 nodes
+    normalized = normalized or N > 6  # the raw basis stops at N = 6
+    basis = cylinder_basis(N, normalized=normalized)
+    grid = tangent_grid(order)
+    Phi = basis.design_matrix(grid.z)
+    nodes = np.conj(Phi).T @ (grid.w[:, None] * Phi)
+    G = hilbert._grid_gram(basis, order)
+    assert np.abs(G - nodes).max() <= 1e-12 * np.abs(nodes).max()
 
 
 # T with Im T < 0, T = -i t (the heat kernel) among them

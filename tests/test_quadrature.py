@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holoflat import QuadratureError, ValidationError, tangent_grid
+from holoflat import QuadratureError, ValidationError, plane_wave_moments, tangent_grid
 import holoflat
 from holoflat.quadrature import _hermite_rule_cached
 
@@ -165,19 +165,17 @@ class TestTangentNodes:
     def test_matches_tensor_grid_reference(self):
         # node i * order + j sits at Hermite nodes (u_i, u_j): z = u_i - i u_j
         for order in (23, 24):
-            for extended in (False, True):
-                u, wu = (_hermite_rule_cached if extended else rule64)(order)
-                grid = tangent_grid(order, extended)
-                ref_z = [u[i] - 1j * u[j] for i in range(order) for j in range(order)]
-                ref_w = [wu[i] * wu[j] for i in range(order) for j in range(order)]
-                assert np.array_equal(grid.z, ref_z)
-                assert np.allclose(grid.w, np.array(ref_w) / np.pi, rtol=1e-15, atol=0)
+            u, wu = rule64(order)
+            grid = tangent_grid(order)
+            ref_z = [u[i] - 1j * u[j] for i in range(order) for j in range(order)]
+            ref_w = [wu[i] * wu[j] for i in range(order) for j in range(order)]
+            assert np.array_equal(grid.z, ref_z)
+            assert np.allclose(grid.w, np.array(ref_w) / np.pi, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("order", [23, 24])
-    def test_declared_reflections(self, order, extended):
+    def test_declared_reflections(self, order):
         # step_matrix folds node pairs under these permutations, so each must hold exactly
-        grid = tangent_grid(order, extended)
+        grid = tangent_grid(order)
         z, w = grid.z, grid.w
         assert np.array_equal(z[grid.mirror], -z)
         assert np.array_equal(z[grid.conj], -np.conj(z))
@@ -189,35 +187,61 @@ class TestTangentNodes:
         # the flat grid is one block of `order` nodes per outer Hermite node u_i,
         # each block running over the whole inner axis
         order = 24
-        for extended in (False, True):
-            u, wu = (_hermite_rule_cached if extended else rule64)(order)
-            grid = tangent_grid(order, extended)
-            blocks = [(u[i] - 1j * u, wu[i] * wu) for i in range(order)]
-            assert np.array_equal(grid.z, np.concatenate([zb for zb, _ in blocks]))
-            assert np.allclose(grid.w, np.concatenate([wb for _, wb in blocks]) / np.pi, rtol=1e-15, atol=0)
+        u, wu = rule64(order)
+        grid = tangent_grid(order)
+        blocks = [(u[i] - 1j * u, wu[i] * wu) for i in range(order)]
+        assert np.array_equal(grid.z, np.concatenate([zb for zb, _ in blocks]))
+        assert np.allclose(grid.w, np.concatenate([wb for _, wb in blocks]) / np.pi, rtol=1e-15, atol=0)
 
     def test_weights_sum_to_one(self):
         assert np.sum(tangent_grid(24).w) == pytest.approx(1.0, rel=1e-12)
 
     def test_extended_precision(self):
-        grid = tangent_grid(16, extended=True)
-        assert grid.z.dtype == np.clongdouble
-        assert grid.w.dtype == np.longdouble
+        # long double lives in the plane-wave moments; the grid itself is double
+        grid = tangent_grid(16)
+        assert grid.z.dtype == np.complex128 and grid.w.dtype == np.float64
+        X, Y = plane_wave_moments(16, 2)
+        assert X.dtype == np.clongdouble and Y.dtype == np.longdouble
+        assert X.shape == Y.shape == (9,)
 
     def test_order_and_precision_get_their_own_grid(self):
-        z = tangent_grid(12).z
-        z_order = tangent_grid(13).z
-        ext = tangent_grid(12, extended=True)
-        assert z_order.size == 13**2
-        assert ext.z.dtype == np.clongdouble and ext.w.dtype == np.longdouble
-        assert np.array_equal(ext.z.astype(complex), z)
+        assert tangent_grid(13).z.size == 13**2
+        # the long-double moments and the double grid share one Hermite rule: the grid
+        # integrates e^{imx} e^{sy}, z = x - i y, to X(m) Y(s) up to double rounding
+        grid = tangent_grid(12)
+        x, y = grid.z.real, -grid.z.imag
+        X, Y = plane_wave_moments(12, 1)
+        for m in range(-2, 3):
+            for s in range(-2, 3):
+                nodes = np.sum(grid.w * np.exp(1j * m * x) * np.exp(s * y))
+                assert abs(nodes - complex(X[m + 2] * Y[s + 2])) <= 1e-15 * abs(nodes)
 
     def test_calls_build_fresh_writable_arrays(self):
-        for extended in (False, True):
-            a, b = tangent_grid(6, extended), tangent_grid(6, extended)
-            assert b.z is not a.z and b.w is not a.w
-            a.z[0], a.w[0] = 0.0, 0.0
-            assert b.z[0] != 0.0 and b.w[0] != 0.0
+        a, b = tangent_grid(6), tangent_grid(6)
+        assert b.z is not a.z and b.w is not a.w
+        a.z[0], a.w[0] = 0.0, 0.0
+        assert b.z[0] != 0.0 and b.w[0] != 0.0
+
+
+class TestPlaneWaveMoments:
+    def test_closed_forms(self):
+        # int e^{imx} e^{-x^2} dx / sqrt(pi) = e^{-m^2/4}, and e^{sy} gives e^{s^2/4}:
+        # order 64 meets both to long-double rounding, far below double's 1.1e-16
+        X, Y = plane_wave_moments(64, 4)
+        j = np.arange(-8, 9).astype(np.longdouble)
+        assert np.abs(X - np.exp(-(j**2) / 4)).max() < 1e-17
+        assert np.max(np.abs(Y / np.exp(j**2 / 4) - 1)) < 1e-17
+
+    def test_conjugate_pairs(self):
+        X, Y = plane_wave_moments(33, 3)
+        assert np.array_equal(X[::-1], np.conj(X))
+        assert np.allclose(Y[::-1], Y, rtol=1e-18, atol=0)
+
+    def test_rejects_order_like_the_grid(self):
+        with pytest.raises(ValidationError):
+            plane_wave_moments(0, 1)
+        with pytest.raises(QuadratureError, match="not finite"):
+            plane_wave_moments(741, 1)
 
 
 class TestIntegrateTangent:
