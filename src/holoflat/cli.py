@@ -17,29 +17,28 @@ import numpy as np
 
 from . import __version__
 from .cylinder import (
+    DEFAULT_EPSILON,
     DEFAULT_N,
     HeatKernelParams,
     cylinder_basis,
+    greens_spectral,
+    greens_winding,
     heat_kernel_formula,
 )
 from .errors import FactorizationError, QuadratureError, ValidationError
 from .hilbert import (
     BasisSpec,
+    GramData,
     HoloState,
     gram_matrix,
     orthonormalize,
+    project,
     reproducing_kernel,
     state_norm,
 )
 from .io import matrix_csv, render_json, rows_csv, write_output
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
-from .propagator import (
-    DEFAULT_EPSILON,
-    evolve,
-    greens_spectral,
-    greens_winding,
-    step_matrix,
-)
+from .propagator import MAX_STEP_ORDER, evolve, step_matrix
 from .quadrature import DEFAULT_ORDER
 from .validation import run_criteria
 
@@ -63,8 +62,8 @@ SIZE_LIMITS = {
     "x_nodes": 4096,
     # every subcommand but greens: a (2N + 1)-function basis.  At 100, gram
     # --quadrature 0.17 s and 35 MB peak RSS (exit 1, the order-64 Gram is singular;
-    # 0.36 s and 50 MB at order 740), evolve 2.0 s and 83 MB, the rest under 0.8 s
-    # and 52 MB
+    # 0.36 s and 50 MB at order 740), evolve 0.6-0.8 s and 47 MB (exit 1, no order up
+    # to 256 resolves the basis), the rest under 0.8 s and 52 MB
     "truncation": 100,
     # evolve keeps and writes every state; at 10,000, 3.1 s and 139 MB peak RSS,
     # writing 16 MB of JSON
@@ -75,6 +74,14 @@ SIZE_LIMITS = {
 }
 # --truncation and --windings accept 0
 _OWN_LOWER_BOUND = {"truncation", "windings"}
+
+# evolve refuses a grid whose defect max |G^-1 G_q - I| exceeds this: the step S sums on
+# the grid but solves with the closed-form G, so S(0) = (G^-1 G_q)^2 = I + 2 E + O(E^2).
+# The step's own quadrature error is a few 1e-4 (at N = 8, delta = 1/32, order 128 is
+# 2.7e-4 from order 256, order 64 6.9e-4), and a defect that adds less than that smallest
+# floor, 2 * 1e-4, does not change what the step can resolve.
+GRID_DEFECT_BOUND = 1e-4
+_RESOLVING_ORDERS = (64, 96, 128, 192, 256)  # the orders the refusal names, up to the limit
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -331,6 +338,30 @@ def _state_json(state: HoloState) -> dict:
     }
 
 
+def _grid_defect(gram: GramData, order: int) -> float:
+    """max |G^-1 G_q - I| on the order-``order`` grid: column k of G^-1 G_q is the
+    projection of basis element k."""
+    basis, kernel, eye = gram.basis, reproducing_kernel(gram), np.eye(gram.basis.size)
+    cols = [project(HoloState(basis, e), kernel, order).coeffs for e in eye]
+    return float(np.abs(np.column_stack(cols) - eye).max())
+
+
+def _check_grid_resolves(gram: GramData, order: int) -> None:
+    defect = _grid_defect(gram, order)
+    if defect <= GRID_DEFECT_BOUND:
+        return
+    passing = (o for o in _RESOLVING_ORDERS if _grid_defect(gram, o) <= GRID_DEFECT_BOUND)
+    smallest = next(passing, None)
+    advice = f"--quad-order {smallest} does" if smallest else (
+        f"no --quad-order of {', '.join(map(str, _RESOLVING_ORDERS))} does"
+    )
+    raise QuadratureError(
+        f"quadrature order {order} does not resolve truncation {gram.basis.size // 2}: "
+        f"grid defect max |G^-1 G_q - I| = {defect:.1e} above the bound "
+        f"{GRID_DEFECT_BOUND:.0e}; {advice}"
+    )
+
+
 def _cmd_evolve(args) -> int:
     N = args.truncation
     basis = cylinder_basis(N)
@@ -346,6 +377,8 @@ def _cmd_evolve(args) -> int:
         raise ValidationError(f"initial state has zero or non-finite norm ({norm!r})")
     state = HoloState(basis, state.coeffs / norm)
     delta = args.t / args.steps
+    if math.isfinite(delta) and args.quad_order <= MAX_STEP_ORDER:  # else step_matrix refuses
+        _check_grid_resolves(gram, args.quad_order)
     S = step_matrix(basis, hamiltonian_free(N), delta, args.quad_order)
     trajectory = evolve(state, S, args.steps)
     times = [i * delta or 0.0 for i in range(args.steps + 1)]  # no -0.0 at step 0

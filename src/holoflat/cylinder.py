@@ -10,6 +10,8 @@ one scalar, fixed at the base point (0, 0), calibrates the first against the sec
 
 The circle's Green function and its heat kernel, the Green function at ``T = -i t``,
 share one theta-function pair: a mode sum and a winding sum, equal by Poisson summation.
+``greens_spectral`` and ``greens_winding`` evaluate the Green function in the two forms,
+whose agreement under complexified time is the end-to-end validation of the scheme.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ __all__ = [
     "HeatKernelParams",
     "cylinder_basis",
     "heat_kernel_formula",
+    "greens_winding",
+    "greens_spectral",
 ]
 
 DEFAULT_N = 8
+DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 
 _RAW_MAX_N = 6  # e^{pq} reaches e^36 here; beyond that conditioning is hopeless
 _DIVISION_GUARD = 1e-12
@@ -200,6 +205,48 @@ def _checked(what: str, g: np.ndarray, T: complex, where: str, tail, n: int, nam
     raise QuadratureError(
         f"{what}-sum tail {bound:.3e} above tolerance {_TAIL_TOL:.1e} at T={T}{where}; {advice}"
     )
+
+
+def greens_winding(
+    theta: float | np.ndarray, theta0: float, T: complex, n_max: int
+) -> complex | np.ndarray:
+    """Free-particle Green function on the circle as a winding sum:
+    ``sum_{|n|<=n_max} (2 pi i T)^{-1/2} exp(i (theta - theta0 + 2 pi n)^2 / (2T))``.
+
+    Uses the principal square root.  Requires ``Im(T) < 0`` so the terms
+    decay; evaluate at complexified time ``T*(1 - i*epsilon)`` for real T.
+    A float ``theta`` gives a complex, an array one value per entry.  A non-finite
+    angle raises ValidationError; a value that is not finite, or omitted windings
+    whose bound exceeds the tail tolerance, QuadratureError.
+    """
+    if n_max < 0:
+        raise ValidationError(f"n_max must be nonnegative, got {n_max}")
+    return _per_theta(_winding_sum, theta, theta0, T, n_max)
+
+
+def greens_spectral(
+    theta: float | np.ndarray, theta0: float, T: complex, M: int
+) -> complex | np.ndarray:
+    """Free-particle Green function on the circle as a mode sum:
+    ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
+
+    Equal to the winding sum by Poisson summation whenever both converge; values and
+    refusals as in ``greens_winding``.
+    """
+    if M < 1:
+        raise ValidationError(f"M must be >= 1, got {M}")
+    return _per_theta(_mode_sum, theta, theta0, T, M)
+
+
+def _per_theta(theta_sum, theta, theta0: float, T: complex, n: int) -> complex | np.ndarray:
+    """``theta_sum`` cut at ``n`` at the differences ``theta - theta0``, each value with
+    the bits of a scalar call; a float ``theta`` gives a complex.  A non-finite angle
+    raises ValidationError."""
+    theta = np.asarray(theta, dtype=float)
+    if not (math.isfinite(theta0) and np.isfinite(theta).all()):
+        raise ValidationError(f"theta and theta0 must be finite, got theta0={theta0}")
+    g = theta_sum(theta - theta0, T, n, f", theta0={theta0}")
+    return complex(g) if theta.ndim == 0 else g
 
 
 def heat_kernel_formula(params: HeatKernelParams, kernel: KernelRep, z, w) -> np.ndarray | complex:

@@ -1,11 +1,10 @@
-"""Path-integral time evolution and free-particle Green functions.
+"""Path-integral time evolution.
 
 One short-time step multiplies the reproducing kernel by a bounded rational
 approximation of the phase ``e^{-i Delta K_H / K}`` and projects back onto
 the truncated span; finite-time evolution iterates the precomputed step
-matrix.  The circle Green function comes in two independently convergent
-forms (mode sum and winding sum) whose agreement under complexified time is
-the end-to-end validation of the scheme.
+matrix.  The module imports nothing of the circle: the step takes any basis
+with a closed-form Gram matrix, integrated on the tangent grid.
 """
 
 from __future__ import annotations
@@ -13,26 +12,17 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
-import math
 import threading
 
 import numpy as np
 
-from .cylinder import _mode_sum, _winding_sum
 from .errors import QuadratureError, ValidationError
 from .hilbert import BasisSpec, HoloState, gram_matrix
 from .quadrature import tangent_grid
 
-__all__ = [
-    "step_matrix",
-    "evolve",
-    "evolve_exact",
-    "greens_winding",
-    "greens_spectral",
-]
+__all__ = ["step_matrix", "evolve", "evolve_exact"]
 
 DIVISION_GUARD = 1e-12  # a summed node pair needs |K| >= DIVISION_GUARD * |K_H|
-DEFAULT_EPSILON = 0.05  # Green-function regularization T -> T * (1 - i epsilon)
 _TILE = (64, 512)  # node-pair rows x columns per tile; 0.5 MB per complex buffer
 _MAX_WORKERS = 8  # threads summing row strips, each with its own 2.1 MB of tile buffers
 MAX_STEP_ORDER = 256  # the node-pair sum grows as order^4, even after pruning
@@ -342,45 +332,3 @@ def evolve_exact(state: HoloState, H: np.ndarray, t: float) -> HoloState:
         raise ValidationError("Hamiltonian is not diagonal; use evolve instead")
     phases = np.exp(-1j * np.diag(H) * t)
     return HoloState(state.basis, phases * state.coeffs)
-
-
-def greens_winding(
-    theta: float | np.ndarray, theta0: float, T: complex, n_max: int
-) -> complex | np.ndarray:
-    """Free-particle Green function on the circle as a winding sum:
-    ``sum_{|n|<=n_max} (2 pi i T)^{-1/2} exp(i (theta - theta0 + 2 pi n)^2 / (2T))``.
-
-    Uses the principal square root.  Requires ``Im(T) < 0`` so the terms
-    decay; evaluate at complexified time ``T*(1 - i*epsilon)`` for real T.
-    A float ``theta`` gives a complex, an array one value per entry.  A non-finite
-    angle raises ValidationError; a value that is not finite, or omitted windings
-    whose bound exceeds the tail tolerance, QuadratureError.
-    """
-    if n_max < 0:
-        raise ValidationError(f"n_max must be nonnegative, got {n_max}")
-    return _per_theta(_winding_sum, theta, theta0, T, n_max)
-
-
-def greens_spectral(
-    theta: float | np.ndarray, theta0: float, T: complex, M: int
-) -> complex | np.ndarray:
-    """Free-particle Green function on the circle as a mode sum:
-    ``(1/2pi) sum_{|k|<=M} e^{ik(theta-theta0)} e^{-i k^2 T / 2}``.
-
-    Equal to the winding sum by Poisson summation whenever both converge; values and
-    refusals as in ``greens_winding``.
-    """
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
-    return _per_theta(_mode_sum, theta, theta0, T, M)
-
-
-def _per_theta(theta_sum, theta, theta0: float, T: complex, n: int) -> complex | np.ndarray:
-    """``theta_sum`` cut at ``n`` at the differences ``theta - theta0``, each value with
-    the bits of a scalar call; a float ``theta`` gives a complex.  A non-finite angle
-    raises ValidationError."""
-    theta = np.asarray(theta, dtype=float)
-    if not (math.isfinite(theta0) and np.isfinite(theta).all()):
-        raise ValidationError(f"theta and theta0 must be finite, got theta0={theta0}")
-    g = theta_sum(theta - theta0, T, n, f", theta0={theta0}")
-    return complex(g) if theta.ndim == 0 else g

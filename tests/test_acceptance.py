@@ -227,3 +227,20 @@ def test_array_criteria_match_point_loops():
             worst_exp = max(worst_exp, abs(val - np.exp(u)))
     detail = validation.criterion_bargmann_sanity().detail
     assert f"series {worst_series:.3e} " in detail and f"exponential {worst_exp:.3e} " in detail
+
+
+def test_bound_excess_matches_point_loop():
+    # criterion 5's bound excess evaluates its 100 states and points in one pass; the
+    # point loop it replaced, on the same draws, gives the same ratios
+    gram = gram_matrix(cylinder_basis(8))
+    kernel = reproducing_kernel(gram)
+    batched = validation._bound_ratios(kernel, gram, np.random.default_rng(validation._SEED))
+    rng = np.random.default_rng(validation._SEED)
+    loop = []
+    for _ in range(100):
+        f = hilbert.HoloState(kernel.basis, rng.normal(size=17) + 1j * rng.normal(size=17))
+        z = complex(validation._sample_points(1, rng)[0])
+        rhs = float(np.real(kernel.eval(z, z))) * hilbert.state_norm(f, gram) ** 2
+        loop.append((abs(f.evaluate(z)) ** 2 - rhs) / rhs)
+    assert np.abs(batched - loop).max() <= 1e-12
+    assert batched.max() < 0  # the figure criterion 5 prints is max(0, this): 0.000e+00

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import holoflat
 from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, reproducing_kernel
-from holoflat import greens_spectral, greens_winding
-from holoflat import ValidationError, cli, propagator
+from holoflat import ValidationError, cli, cylinder, propagator
+from holoflat.cylinder import greens_spectral, greens_winding
 from holoflat.cli import _read_state, _state_json, run
 
 
@@ -410,9 +410,47 @@ class TestEvolve:
         # floating-point warnings before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["evolve", "--quad-order", "8", "--t", "1e308", "--steps", "1"]) == 1
+            argv = ["evolve", "--truncation", "1", "--quad-order", "8", "--t", "1e308", "--steps", "1"]
+            assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: step matrix not finite at time step delta=1.000e+308"]
+
+    @pytest.mark.parametrize(
+        "N, order, defect, advice",
+        [
+            (12, 64, "1.0e+00", "--quad-order 128 does"),
+            (8, 48, "3.0e-02", "--quad-order 64 does"),
+            (40, 32, "1.0e+00", "no --quad-order of 64, 96, 128, 192, 256 does"),
+        ],
+    )
+    def test_unresolved_grid_exit_1(self, N, order, defect, advice, monkeypatch, capsys):
+        # the step solves with the closed-form G but sums on the grid, so S(0) is
+        # (G^-1 G_q)^2: these exited 0 with a step off by up to 1
+        monkeypatch.setattr(cli, "step_matrix", lambda *a: pytest.fail("step matrix built"))
+        argv = ["evolve", "--truncation", str(N), "--quad-order", str(order)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: quadrature order {order} does not resolve truncation {N}: grid defect "
+            f"max |G^-1 G_q - I| = {defect} above the bound 1e-04; {advice}\n"
+        )
+
+    def test_resolved_grid_runs(self, tmp_path):
+        out = tmp_path / "e.json"
+        argv = ["evolve", "--truncation", "12", "--quad-order", "128", "--steps", "1"]
+        assert run(argv + ["--format", "json", "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["history"]) == 2
+
+    def test_grid_defect_is_the_step_at_zero(self):
+        # S(0) = (G^-1 G_q)^2, so the defect read from the 1-D sums is the step's
+        basis = cylinder_basis(8)
+        gram = gram_matrix(basis)
+        for order in (16, 48):
+            E = propagator.step_matrix(basis, np.zeros((17, 17)), 0.0, order)
+            root = np.linalg.solve(gram.matrix, gram_matrix(basis, order).matrix)
+            assert np.abs(E - root @ root).max() <= 1e-10
+            assert cli._grid_defect(gram, order) == pytest.approx(
+                np.abs(root - np.eye(17)).max(), rel=1e-8
+            )
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_refused_before_work(self, steps, monkeypatch, capsys):
@@ -763,7 +801,7 @@ def test_defaults_have_one_owner():
         "heat-kernel mode cutoff M": params.M,
         "heat-kernel diffusion time t": params.t,
         "periodic x-integration nodes": params.x_quad,
-        "Green-function regularization epsilon": propagator.DEFAULT_EPSILON,
+        "Green-function regularization epsilon": cylinder.DEFAULT_EPSILON,
         "kernel-ratio division guard": propagator.DIVISION_GUARD,
     }
     _, subparsers = cli._build_parser()
@@ -778,7 +816,7 @@ def test_defaults_have_one_owner():
     )
     heat = defaults["heatkernel"]
     assert (heat["t"], heat["modes"], heat["x_nodes"]) == (params.t, params.M, params.x_quad)
-    assert defaults["greens"]["epsilon"] == propagator.DEFAULT_EPSILON
+    assert defaults["greens"]["epsilon"] == cylinder.DEFAULT_EPSILON
     assert defaults["greens"]["modes"] == 40  # its own mode cutoff, not the heat kernel's
 
 

@@ -2,6 +2,7 @@
 standard library."""
 
 import ast
+import graphlib
 import importlib
 import json
 import os
@@ -26,7 +27,7 @@ out = sys.argv[1]
 commands = [
     ["gram"], ["gram", "--quadrature", "--quad-order", "16"], ["orthonormalize"],
     ["kernel"], ["heatkernel"], ["ladder"], ["greens"],
-    ["evolve", "--quad-order", "8", "--steps", "2"],
+    ["evolve", "--truncation", "1", "--quad-order", "8", "--steps", "2"],
 ]
 codes = [run(argv + ["--output", out]) for argv in commands]
 after = {m.partition(".")[0] for m in sys.modules}
@@ -95,60 +96,85 @@ def test_readme_code_figures():
     assert readme_code_figures() == (count, len(PUBLIC))
 
 
-# Private names one module takes from another.  The benchmark's tracer wraps only the
-# names in each module's __all__, so a call through one of these is invisible to it;
-# add to this list only with that in mind.
-PRIVATE_IMPORTS = {
-    ("propagator", "cylinder", "_mode_sum"),
-    ("propagator", "cylinder", "_winding_sum"),
-}
-
-
-def _private_imports() -> set[tuple[str, str, str]]:
-    """(importer, module, name) of every underscore name a module of the package imports
-    from a sibling module."""
-    found = set()
+def _package_trees() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by module name."""
     package = os.path.join(ROOT, "src", "holoflat")
+    trees = {}
     for filename in sorted(os.listdir(package)):
         if filename.endswith(".py"):
             with open(os.path.join(package, filename)) as fh:
-                tree = ast.parse(fh.read())
-            found |= {
-                (filename[:-3], node.module, alias.name)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-                for alias in node.names
-                if alias.name.startswith("_") and not alias.name.startswith("__")
-            }
-    return found
+                trees[filename[:-3]] = ast.parse(fh.read())
+    return trees
 
 
-def test_private_imports_are_listed():
-    assert _private_imports() == PRIVATE_IMPORTS
+def _sibling_imports(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(module, name) of every ``from .module import name`` and ``from . import name``."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_no_private_name_crosses_a_module():
+    # The benchmark's tracer wraps only the names in each module's __all__, so a call
+    # through a private name taken from a sibling module would be invisible to it
+    crossing = [
+        (importer, module, name)
+        for importer, tree in _package_trees().items()
+        for module, name in _sibling_imports(tree)
+        if module and name.startswith("_") and not name.startswith("__")
+    ]
+    assert not crossing, crossing
+
+
+# The sibling modules each lower layer may import: the path integral takes any basis
+# with a closed-form Gram matrix and knows neither the circle nor its operators.
+LAYERS = {
+    "errors": set(),
+    "quadrature": {"errors"},
+    "hilbert": {"errors", "quadrature"},
+    "cylinder": {"errors", "hilbert"},
+    "propagator": {"errors", "hilbert", "quadrature"},
+}
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """The sibling modules each module of the package imports, ``__init__`` left out."""
+    trees = _package_trees()
+    del trees["__init__"]
+    return {
+        importer: {module or name for module, name in _sibling_imports(tree)} & set(trees)
+        for importer, tree in trees.items()
+    }
+
+
+def test_module_layering():
+    graph = _import_graph()
+    assert {m: graph[m] for m in LAYERS} == LAYERS
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert set(order) == set(graph)
 
 
 def _loads_outside_definitions() -> set[str]:
     """Every name the package's modules load, as a name or an attribute, outside the
     top-level statement of the module that binds it."""
     loaded = set()
-    package = os.path.join(ROOT, "src", "holoflat")
-    for filename in sorted(os.listdir(package)):
-        if filename.endswith(".py"):
-            with open(os.path.join(package, filename)) as fh:
-                tree = ast.parse(fh.read())
-            for statement in tree.body:
-                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
-                bound = {getattr(statement, "name", None)}
-                bound |= {target.id for target in targets if isinstance(target, ast.Name)}
-                for node in ast.walk(statement):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        name = node.id
-                    elif isinstance(node, ast.Attribute):
-                        name = node.attr
-                    else:
-                        continue
-                    if name not in bound:
-                        loaded.add(name)
+    for tree in _package_trees().values():
+        for statement in tree.body:
+            targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+            bound = {getattr(statement, "name", None)}
+            bound |= {target.id for target in targets if isinstance(target, ast.Name)}
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in bound:
+                    loaded.add(name)
     return loaded
 
 

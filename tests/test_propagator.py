@@ -25,14 +25,13 @@ from holoflat import (
     evolve,
     evolve_exact,
     gram_matrix,
-    greens_spectral,
-    greens_winding,
     hamiltonian_free,
     ladder_lower,
     state_norm,
     step_matrix,
 )
 from holoflat import cylinder, propagator
+from holoflat.cylinder import greens_spectral, greens_winding
 from holoflat.quadrature import tangent_grid
 
 N = 8
