@@ -31,8 +31,8 @@ from .hilbert import (
     GramData,
     HoloState,
     gram_matrix,
+    grid_gram,
     orthonormalize,
-    project,
     reproducing_kernel,
     state_norm,
 )
@@ -181,7 +181,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValidationError("config file must hold a JSON object")
-    actions = {a.dest: a for a in subparsers[args.command]._actions}
+    # -h and --config itself are not defaults a config file can set
+    actions = {
+        a.dest: a for a in subparsers[args.command]._actions if a.dest not in ("help", "config")
+    }
     defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
@@ -209,7 +212,7 @@ def _cmd_gram(args) -> int:
         )
     order = DEFAULT_ORDER if args.quad_order is None else args.quad_order
     basis = cylinder_basis(args.truncation, normalized=not args.raw)
-    g = gram_matrix(basis, order if args.quadrature else None)
+    g = GramData(basis, grid_gram(basis, order)) if args.quadrature else gram_matrix(basis)
     labels = list(basis.labels)
     if args.format == "json":
         text = render_json({"labels": labels, "matrix": g.matrix})
@@ -341,9 +344,7 @@ def _state_json(state: HoloState) -> dict:
 def _grid_defect(gram: GramData, order: int) -> float:
     """max |G^-1 G_q - I| on the order-``order`` grid: column k of G^-1 G_q is the
     projection of basis element k."""
-    basis, kernel, eye = gram.basis, reproducing_kernel(gram), np.eye(gram.basis.size)
-    cols = [project(HoloState(basis, e), kernel, order).coeffs for e in eye]
-    return float(np.abs(np.column_stack(cols) - eye).max())
+    return float(np.abs(gram.inverse() @ grid_gram(gram.basis, order) - np.eye(gram.basis.size)).max())
 
 
 def _check_grid_resolves(gram: GramData, order: int) -> None:

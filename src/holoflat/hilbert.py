@@ -1,21 +1,21 @@
 """Hilbert-space machinery over a registered holomorphic basis.
 
-Inner products by Gaussian quadrature or closed form, Gram matrices and
-their Cholesky factorization, Gram-Schmidt orthonormalization in the
-alternating index order, reproducing kernels (Gram-inverse and orthonormal
-series forms), and projections.
+Closed-form Gram matrices and their Cholesky factorization, Gram-Schmidt
+orthonormalization in the alternating index order, and reproducing kernels
+(Gram-inverse and orthonormal series forms).
 
-The Gaussian integrals (``inner_product``, ``project``, ``gram_matrix(basis, order)``)
-read G_q, the Gram matrix on the tangent grid, from the grid's two 1-D sums:
-G_q[p, q] = conj(c_p) c_q X(q - p) Y(p + q), no grid node evaluated.  So they take only
-plane waves ``phi_k(z) = c_k e^{ikz}`` (``BasisSpec.plane_wave``), as both circle bases
-are, and refuse other bases: no program integrates one (monomials have a closed form).
+Every Gaussian integral over the tangent space is one matrix, ``grid_gram(basis, order)``:
+G_q, the Gram matrix on the order-``order`` tangent grid, read from the grid's two 1-D
+sums, G_q[p, q] = conj(c_p) c_q X(q - p) Y(p + q), no grid node evaluated.  Callers write
+the algebra on it: the scalar product of states f, g is ``f^H G_q g`` and the
+kernel-weighted projection of f is ``mid G_q f``.  It takes only plane waves
+``phi_k(z) = c_k e^{ikz}`` (``BasisSpec.plane_wave``), as both circle bases are, and refuses
+other bases: no program integrates one (monomials have a closed form).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Sequence
 
@@ -30,12 +30,11 @@ __all__ = [
     "KernelRep",
     "HoloState",
     "bargmann_monomial_basis",
-    "inner_product",
     "gram_matrix",
+    "grid_gram",
     "orthonormalize",
     "reproducing_kernel",
     "orthonormal_series_kernel",
-    "project",
     "state_norm",
 ]
 
@@ -144,11 +143,9 @@ def _orthonormal_inner(p, q):
     return 1.0 + 0.0j if p == q else 0.0j
 
 
-@lru_cache(maxsize=1)
-def _grid_gram(basis: BasisSpec, order: int) -> np.ndarray:
-    """G_q of a plane-wave ``basis`` on the order-``order`` grid, read-only, formed in long
-    double from ``c_k = phi_k(0)`` and the grid's 1-D sums.  The last (basis, order)
-    pair is kept, so a run of Gaussian integrals over one basis forms it once."""
+def grid_gram(basis: BasisSpec, order: int) -> np.ndarray:
+    """G_q of a plane-wave ``basis`` on the order-``order`` grid, formed in long double
+    from ``c_k = phi_k(0)`` and the grid's 1-D sums.  Exactly Hermitian for real ``c_k``."""
     if not basis.plane_wave:
         raise ValidationError("Gaussian integrals need a basis of plane waves phi_k(0) e^{ikz}")
     k = np.array(basis.labels)
@@ -160,17 +157,7 @@ def _grid_gram(basis: BasisSpec, order: int) -> np.ndarray:
     G = G.astype(complex)
     if not np.isfinite(G).all():
         raise QuadratureError(f"Gaussian integrals of the basis overflow at order {order}")
-    G.flags.writeable = False
     return G
-
-
-def inner_product(f: HoloState, g: HoloState, order: int) -> complex:
-    """Normalized Gaussian scalar product of two states on one basis, conjugate-linear
-    in ``f``, by the quadrature of order ``order``: ``f^H G_q g``.  States on different
-    bases raise ValidationError."""
-    if g.basis != f.basis:
-        raise ValidationError("the two states lie on different bases")
-    return complex(np.conj(f.coeffs) @ _grid_gram(f.basis, order) @ g.coeffs)
 
 
 def _alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
@@ -186,14 +173,9 @@ def _alternating_ordering(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(range(nb))
 
 
-def gram_matrix(basis: BasisSpec, order: int | None = None) -> GramData:
-    """Gram data of the basis (``GramData`` checks and factors the matrix).
-
-    Uses ``closed_form_inner``; with an ``order``, integrates every pair on the
-    tangent grid of that order instead, the check on the closed form.
-    """
-    if order is not None:
-        return GramData(basis, _grid_gram(basis, order))
+def gram_matrix(basis: BasisSpec) -> GramData:
+    """Gram data of the basis from ``closed_form_inner`` (``GramData`` checks and factors
+    the matrix); ``GramData(basis, grid_gram(basis, order))`` is its check on a grid."""
     closed = [[complex(basis.closed_form_inner(p, q)) for q in basis.labels] for p in basis.labels]
     return GramData(basis, np.array(closed))
 
@@ -275,19 +257,6 @@ def orthonormal_series_kernel(gram: GramData, ordering: Sequence[int] | None = N
     """Series form ``sum_j beta_j(z) conj(beta_j(w))`` of the same kernel."""
     C = orthonormalize(gram, ordering)
     return KernelRep(gram.basis, C @ np.conj(C).T)
-
-
-def project(f: HoloState, kernel: KernelRep, order: int) -> HoloState:
-    """Kernel-weighted projection of the state ``f`` onto the span of ``kernel.basis``,
-    the basis of ``f`` (else ValidationError).
-
-    For the reproducing kernel this is the orthogonal projection onto the
-    truncated span; for an operator kernel it is the operator applied to
-    that projection.  The integral runs on the order-``order`` grid: ``mid G_q f``.
-    """
-    if f.basis != kernel.basis:
-        raise ValidationError("state basis differs from the basis of the kernel")
-    return HoloState(kernel.basis, kernel.mid @ (_grid_gram(kernel.basis, order) @ f.coeffs))
 
 
 def state_norm(state: HoloState, gram: GramData) -> float:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holoflat
-from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, reproducing_kernel
-from holoflat import ValidationError, cli, cylinder, propagator
+from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, grid_gram
+from holoflat import ValidationError, cli, cylinder, propagator, reproducing_kernel
 from holoflat.cylinder import greens_spectral, greens_winding
 from holoflat.cli import _read_state, _state_json, run
 
@@ -446,7 +446,7 @@ class TestEvolve:
         gram = gram_matrix(basis)
         for order in (16, 48):
             E = propagator.step_matrix(basis, np.zeros((17, 17)), 0.0, order)
-            root = np.linalg.solve(gram.matrix, gram_matrix(basis, order).matrix)
+            root = np.linalg.solve(gram.matrix, grid_gram(basis, order))
             assert np.abs(E - root @ root).max() <= 1e-10
             assert cli._grid_defect(gram, order) == pytest.approx(
                 np.abs(root - np.eye(17)).max(), rel=1e-8
@@ -582,6 +582,15 @@ class TestPlumbing:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["gram", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("config", [{"help": True}, {"config": "other.json"}])
+    def test_parser_own_dests_are_no_config_keys(self, config, tmp_path, capsys):
+        # -h and --config are parser actions too, but no default a config file sets
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["gram", "--config", str(cfg)]) == 1
+        key = next(iter(config))
+        assert capsys.readouterr().err == f"error: config key {key!r} unknown for this subcommand\n"
 
     @pytest.mark.parametrize(
         "command, config",

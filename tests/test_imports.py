@@ -58,8 +58,8 @@ PUBLIC = {
     "ValidationError", "QuadratureError", "FactorizationError",
     "DEFAULT_ORDER", "plane_wave_moments", "tangent_grid",
     "BasisSpec", "GramData", "KernelRep", "HoloState", "bargmann_monomial_basis",
-    "inner_product", "gram_matrix", "orthonormalize",
-    "reproducing_kernel", "orthonormal_series_kernel", "project", "state_norm",
+    "gram_matrix", "grid_gram", "orthonormalize",
+    "reproducing_kernel", "orthonormal_series_kernel", "state_norm",
     "DEFAULT_N", "HeatKernelParams", "cylinder_basis",
     "heat_kernel_formula",
     "ladder_lower", "ladder_raise", "hamiltonian_free",
@@ -71,7 +71,7 @@ PUBLIC = {
 
 def test_public_surface():
     exported = importlib.import_module("holoflat").__all__
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert len(exported) == len(set(exported))
     assert set(exported) == PUBLIC
 

@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflat import (
+    GramData,
     HoloState,
     QuadratureError,
     bargmann_monomial_basis,
     cylinder_basis,
     gram_matrix,
+    grid_gram,
     reproducing_kernel,
 )
-from holoflat import cylinder, hilbert, tangent_grid
+from holoflat import cylinder, tangent_grid
 from holoflat.cli import run
 
 # fixed examples, no example database, no per-example deadline
@@ -57,8 +59,10 @@ def test_grid_gram_factors(N, order, normalized):
     grid = tangent_grid(order)
     Phi = basis.design_matrix(grid.z)
     nodes = np.conj(Phi).T @ (grid.w[:, None] * Phi)
-    G = hilbert._grid_gram(basis, order)
+    G = grid_gram(basis, order)
     assert np.abs(G - nodes).max() <= 1e-12 * np.abs(nodes).max()
+    # exactly Hermitian for real c_k, so GramData's symmetrisation leaves it bit for bit
+    assert np.array_equal(G, np.conj(G).T)
 
 
 # T with Im T < 0, T = -i t (the heat kernel) among them
@@ -118,8 +122,9 @@ def test_gram_truncation_flag_beats_config(flag, config):
 @SETTINGS
 @given(N=st.integers(1, 8), order=st.sampled_from([16, 24, 32]), data=st.data())
 def test_quadrature_gram_factors_and_solves(N, order, data):
-    # gram_matrix raises FactorizationError when the Cholesky factorization fails
-    gram = gram_matrix(cylinder_basis(N), order)
+    # GramData raises FactorizationError when the Cholesky factorization fails
+    basis = cylinder_basis(N)
+    gram = GramData(basis, grid_gram(basis, order))
     rhs = np.array(data.draw(st.lists(coefficient, min_size=2 * N + 1, max_size=2 * N + 1)))
     x = gram.solve(rhs)
     residual = np.linalg.norm(gram.matrix @ x - rhs)

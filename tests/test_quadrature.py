@@ -129,8 +129,8 @@ class TestHermiteReference:
             "assert abs(w.sum() - math.sqrt(math.pi)) < 1e-13\n"
             "assert abs(holoflat.tangent_grid(128).w.sum() - 1) < 1e-13\n"
             "basis = holoflat.cylinder_basis(2)\n"
-            "g = holoflat.gram_matrix(basis, 32)\n"
-            "assert abs(g.matrix[2, 2] - 1) < 1e-12\n"
+            "g = holoflat.grid_gram(basis, 32)\n"
+            "assert abs(g[2, 2] - 1) < 1e-12\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
