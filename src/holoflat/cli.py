@@ -38,7 +38,7 @@ from .hilbert import (
 )
 from .io import matrix_csv, render_json, rows_csv, write_output
 from .operators import adjointness_residual, hamiltonian_free, ladder_lower, ladder_raise
-from .propagator import MAX_STEP_ORDER, evolve, step_matrix
+from .propagator import MAX_STEP_ORDER, evolve, one_blas_thread, step_matrix
 from .quadrature import DEFAULT_ORDER
 from .validation import run_criteria
 
@@ -433,10 +433,14 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its exit code.  The whole command runs with numpy's OpenBLAS
+    held to one thread, so its output has the same bits on any number of CPUs, and no
+    BLAS helper woken before a step matrix spins on the cores its strip workers use."""
     try:
-        args = _parse(list(sys.argv[1:] if argv is None else argv))
-        _check_sizes(args)
-        return _COMMANDS[args.command](args)
+        with one_blas_thread():
+            args = _parse(list(sys.argv[1:] if argv is None else argv))
+            _check_sizes(args)
+            return _COMMANDS[args.command](args)
     except (ValidationError, QuadratureError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,8 +41,10 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
     and W - 1 threads.  W is the thread count of the OpenBLAS numpy links (its usable CPUs,
     or fewer if ``OPENBLAS_NUM_THREADS`` asks: ``OPENBLAS_NUM_THREADS=1`` gives one worker),
     at most the strips and ``_MAX_WORKERS`` = 8, and 1 where numpy links no OpenBLAS whose
-    count can be held to one during the sum; it is read through numpy's own extension, no
-    ``/proc`` file.  Each strip keeps its own sums, and they are added in strip order, so the
+    count can be held to one; it is read through numpy's own extension, no ``/proc`` file.
+    The whole step, from the Gram matrix and the grid through the sum to the solves, runs
+    in ``one_blas_thread``'s hold, so no BLAS helper woken by the prep spins on the
+    workers' cores.  Each strip keeps its own sums, and they are added in strip order, so the
     result has the same bits for every W.  Each worker has its own buffers, projections
     included, allocated once: memory O(order^2 * basis size) plus 2.1 MB per worker.  A
     summed pair with ``|K| < DIVISION_GUARD * |K_H|`` raises QuadratureError (the first
@@ -96,97 +98,98 @@ def step_matrix(basis: BasisSpec, H: np.ndarray, delta, order: int) -> np.ndarra
         raise ValidationError(f"Hamiltonian shape {H.shape} is not ({basis.size}, {basis.size})")
     if not np.isfinite(H).all():
         raise ValidationError("Hamiltonian entries must be finite")
-    gram = gram_matrix(basis)
-    grid = tangent_grid(order)
-    w, Phi = grid.w, basis.design_matrix(grid.z)
-    s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
-    if not np.isfinite(s).all():
-        raise QuadratureError(
-            f"basis values or weights not finite on the order-{order} quadrature grid"
+    with one_blas_thread() as blas_threads:  # from the first BLAS call to the solves
+        gram = gram_matrix(basis)
+        grid = tangent_grid(order)
+        w, Phi = grid.w, basis.design_matrix(grid.z)
+        s = w * np.einsum("ik,ik->i", Phi, np.conj(Phi)).real
+        if not np.isfinite(s).all():
+            raise QuadratureError(
+                f"basis values or weights not finite on the order-{order} quadrature grid"
+            )
+        M, nb = Phi.shape
+        mid = gram.inverse()
+        Hmid = H @ mid
+        # J maps label k to -k; the grid declares the node permutations of J and sigma.
+        # Phi is compared column by column, so no second M x nb array
+        J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
+        mirror = (
+            None not in J
+            and np.array_equal(w[grid.mirror], w)
+            and all(np.array_equal(Phi[grid.mirror, a], Phi[:, j]) for a, j in enumerate(J))
+            and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (mid, H))
         )
-    M, nb = Phi.shape
-    mid = gram.inverse()
-    Hmid = H @ mid
-    # J maps label k to -k; the grid declares the node permutations of J and sigma.
-    # Phi is compared column by column, so no second M x nb array
-    J = [basis.labels.index(-k) if -k in basis.labels else None for k in basis.labels]
-    mirror = (
-        None not in J
-        and np.array_equal(w[grid.mirror], w)
-        and all(np.array_equal(Phi[grid.mirror, a], Phi[:, j]) for a, j in enumerate(J))
-        and all(abs(m[J][:, J] - m).max() <= 1e-14 * abs(m).max() for m in (mid, H))
-    )
-    conj = (
-        np.array_equal(w[grid.conj], w)
-        and all(np.array_equal(Phi[grid.conj, a], np.conj(Phi[:, a])) for a in range(nb))
-        and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (mid, Hmid))
-    )
-    # the images of every node under the group the applicable reflections generate
-    images = [grid.mirror] * mirror + [grid.conj, grid.mirror[grid.conj]][: 1 + mirror] * conj
-    group = [np.arange(M)] + images
-    orbit = np.sort(group, axis=0)
-    weight = (1 + np.count_nonzero(np.diff(orbit, axis=0), axis=0)) / len(group)
-    s = s[orbit].max(axis=0)
-    s /= s.max()  # in [0, 1], so the threshold cannot overflow
-    thr = 2.0**-53 / M**2 * s.sum() ** 2
-    cols = np.argsort(-s, kind="stable")
-    cols = cols[s[cols] * s[cols[0]] > thr]  # the nodes in some summed pair, decreasing s
-    rows = np.flatnonzero(orbit[0, cols] == cols)  # one per orbit, as positions in cols
-    s, w, Phi, weight = s[cols], w[cols], Phi[cols], weight[cols]
-    A, B = Phi[rows] @ mid, Phi[rows] @ Hmid
-    wPhi = w[:, None] * Phi
-    wPhiH = np.conj(wPhi[rows]).T * weight[rows]
-    PhiT_conj = np.conj(Phi).T
-    del Phi  # the pruned basis values: A, B, wPhi and PhiT_conj are all the sum reads
-    steps = deltas.reshape(-1).tolist()
+        conj = (
+            np.array_equal(w[grid.conj], w)
+            and all(np.array_equal(Phi[grid.conj, a], np.conj(Phi[:, a])) for a in range(nb))
+            and all(abs(m.imag).max() <= 1e-14 * abs(m).max() for m in (mid, Hmid))
+        )
+        # the images of every node under the group the applicable reflections generate
+        images = [grid.mirror] * mirror + [grid.conj, grid.mirror[grid.conj]][: 1 + mirror] * conj
+        group = [np.arange(M)] + images
+        orbit = np.sort(group, axis=0)
+        weight = (1 + np.count_nonzero(np.diff(orbit, axis=0), axis=0)) / len(group)
+        s = s[orbit].max(axis=0)
+        s /= s.max()  # in [0, 1], so the threshold cannot overflow
+        thr = 2.0**-53 / M**2 * s.sum() ** 2
+        cols = np.argsort(-s, kind="stable")
+        cols = cols[s[cols] * s[cols[0]] > thr]  # the nodes in some summed pair, decreasing s
+        rows = np.flatnonzero(orbit[0, cols] == cols)  # one per orbit, as positions in cols
+        s, w, Phi, weight = s[cols], w[cols], Phi[cols], weight[cols]
+        A, B = Phi[rows] @ mid, Phi[rows] @ Hmid
+        wPhi = w[:, None] * Phi
+        wPhiH = np.conj(wPhi[rows]).T * weight[rows]
+        PhiT_conj = np.conj(Phi).T
+        del Phi  # the pruned basis values: A, B, wPhi and PhiT_conj are all the sum reads
+        steps = deltas.reshape(-1).tolist()
 
-    def strip(i0, buffers):
-        """Per delta, the sums of b and of its sigma image over the row strip at ``i0``."""
-        K, KH, E, D, absK, absKH, bad, P, Q = buffers
-        sums = np.zeros((2, len(steps), nb, nb), dtype=complex)
-        n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
-        for j0 in range(0, n_cols, _TILE[1]):
-            r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
-            t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
-            k, kh, e, ak, akh, p = K[t], KH[t], E[t], absK[t], absKH[t], P[t[0]]
-            np.matmul(A[r], PhiT_conj[:, c], out=k)
-            np.matmul(B[r], PhiT_conj[:, c], out=kh)
-            np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
-            if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
-                raise QuadratureError(
-                    f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
-                    f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
-                )
-            for n, dt in enumerate(steps):
-                # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
-                # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
-                # O(x^3) from the exponential, and bounded where x blows up near kernel
-                # zeros (the continuum phase integral diverges; the exponential overflows).
-                # the last scales K_H in place: one delta never writes D, so its
-                # memory is never paged in (evolve-128 peak RSS +0.65 MB otherwise)
-                d = D[t] if n < len(steps) - 1 else kh
-                np.multiply(kh, 0.5j * dt, out=d)
-                np.subtract(k, d, out=e)  # overwrites |K| and |K_H|, read only by the guard
-                d += k
-                e /= d
-                if conj:  # the sigma image: K over this factor is K times the one at -Delta
-                    np.divide(k, e, out=d)
-                    sums[1, n] += np.matmul(wPhiH[:, r], np.matmul(d, wPhi[c], out=p), out=Q)
-                e *= k  # then the step of each basis element, projected
-                sums[0, n] += np.matmul(wPhiH[:, r], np.matmul(e, wPhi[c], out=p), out=Q)
-        return sums
+        def strip(i0, buffers):
+            """Per delta, the sums of b and of its sigma image over the row strip at ``i0``."""
+            K, KH, E, D, absK, absKH, bad, P, Q = buffers
+            sums = np.zeros((2, len(steps), nb, nb), dtype=complex)
+            n_cols = np.count_nonzero(s * s[rows[i0]] > thr)  # the first row's columns
+            for j0 in range(0, n_cols, _TILE[1]):
+                r, c = slice(i0, i0 + _TILE[0]), slice(j0, min(j0 + _TILE[1], n_cols))
+                t = np.s_[: min(_TILE[0], len(rows) - i0), : c.stop - j0]
+                k, kh, e, ak, akh, p = K[t], KH[t], E[t], absK[t], absKH[t], P[t[0]]
+                np.matmul(A[r], PhiT_conj[:, c], out=k)
+                np.matmul(B[r], PhiT_conj[:, c], out=kh)
+                np.multiply(np.abs(kh, out=akh), DIVISION_GUARD, out=akh)
+                if np.less(np.abs(k, out=ak), akh, out=bad[t]).any():
+                    raise QuadratureError(
+                        f"kernel magnitude |K|={ak[bad[t]][0]:.3e} below guard "
+                        f"{DIVISION_GUARD:.1e}*|K_H|={akh[bad[t]][0]:.3e} at a node pair"
+                    )
+                for n, dt in enumerate(steps):
+                    # K (K - a K_H) / (K + a K_H), a = i Delta / 2, is K times the Pade (1,1)
+                    # approximant of e^{-ix} at x = Delta K_H / K: unimodular for real x,
+                    # O(x^3) from the exponential, and bounded where x blows up near kernel
+                    # zeros (the continuum phase integral diverges; the exponential overflows).
+                    # the last scales K_H in place: one delta never writes D, so its
+                    # memory is never paged in (evolve-128 peak RSS +0.65 MB otherwise)
+                    d = D[t] if n < len(steps) - 1 else kh
+                    np.multiply(kh, 0.5j * dt, out=d)
+                    np.subtract(k, d, out=e)  # overwrites |K| and |K_H|, read only by the guard
+                    d += k
+                    e /= d
+                    if conj:  # the sigma image: K over this factor is K times the one at -Delta
+                        np.divide(k, e, out=d)
+                        sums[1, n] += np.matmul(wPhiH[:, r], np.matmul(d, wPhi[c], out=p), out=Q)
+                    e *= k  # then the step of each basis element, projected
+                    sums[0, n] += np.matmul(wPhiH[:, r], np.matmul(e, wPhi[c], out=p), out=Q)
+            return sums
 
-    strips = range(0, len(rows), _TILE[0])  # never empty: the largest s heads an orbit
-    with _one_blas_thread(len(strips)) as workers:
+        strips = range(0, len(rows), _TILE[0])  # never empty: the largest s heads an orbit
+        workers = min(blas_threads, len(strips), _MAX_WORKERS)
         b, bimg = _sum_in_order(strip, strips, [_tile_buffers(nb) for _ in range(workers)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        b += np.conj(bimg)
-        if mirror:
-            b += b[:, J][:, :, J]  # the rows not summed are mirror images of summed ones
-    for dt, bd in zip(steps, b):
-        if not np.isfinite(bd).all():
-            raise QuadratureError(f"step matrix not finite at time step delta={dt:.3e}")
-    return np.array([gram.solve(bd) for bd in b]) if deltas.ndim else gram.solve(b[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b += np.conj(bimg)
+            if mirror:
+                b += b[:, J][:, :, J]  # the rows not summed are mirror images of summed ones
+        for dt, bd in zip(steps, b):
+            if not np.isfinite(bd).all():
+                raise QuadratureError(f"step matrix not finite at time step delta={dt:.3e}")
+        return np.array([gram.solve(bd) for bd in b]) if deltas.ndim else gram.solve(b[0])
 
 
 def _tile_buffers(nb: int) -> tuple:
@@ -273,30 +276,44 @@ def _openblas_threads():
     return None
 
 
-_BLAS_HELD = threading.Lock()  # one sum at a time holds the count, so each restores it
+# One hold at a time, re-entered by its own thread: the count is one per process, and two
+# interleaved holds would restore one thread as the count
+_BLAS_HELD = threading.RLock()
+_held = []  # the count the outermost hold read, while a hold is on
 
 
 @contextlib.contextmanager
-def _one_blas_thread(strips: int):
+def one_blas_thread():
     """Hold numpy's OpenBLAS to one thread inside the block and restore its count after;
-    yield the workers for ``strips`` strips: the count it held, at most ``strips`` and
-    ``_MAX_WORKERS``, or 1 where numpy links no OpenBLAS thread-count pair.  Idle OpenBLAS
-    threads spin on the cores that the strip workers need: at order 128, two workers took
-    0.76 s under two BLAS threads and 0.34 s under one.  Concurrent callers take turns:
-    each sum fills the cores alone, and two interleaved holds would restore one thread as
-    the count."""
+    yield the count it read, or 1 where numpy links no OpenBLAS thread-count pair.  A hold
+    inside a hold of the same thread yields the outermost hold's count and changes nothing,
+    so ``step_matrix`` under ``cli.run``'s hold still reads the count it may use as
+    workers.  Other threads wait for the hold to end: each strip sum fills the cores alone.
+
+    Spinning OpenBLAS threads take the cores that the strip workers need: at order 128,
+    two workers took 0.76 s under two BLAS threads and 0.34 s under one.  A helper thread
+    also spins for a while after each threaded call and setting the count does not stop
+    it, so the hold starts before the first BLAS call that could wake one: the whole step,
+    and the whole command in the CLI.  Under a hold around the sum alone, an order-128 step
+    that first built its cold Hermite rule (an eigensolve) lost 0.09-0.17 s of helper-thread
+    CPU to that spin; under a hold from its start, none (``BENCH_34.json``).  Every
+    product in the hold has the one-thread bits, so CLI output does not depend on the
+    host's CPU count."""
     pair = _openblas_threads()
     if pair is None:
         yield 1
         return
     get, set_ = pair
     with _BLAS_HELD:
-        before = get()
+        if _held:
+            yield _held[0]
+            return
+        _held.append(get())
         set_(1)
         try:
-            yield min(before, strips, _MAX_WORKERS)
+            yield _held[0]
         finally:
-            set_(before)
+            set_(_held.pop())
 
 
 def evolve(state: HoloState, S: np.ndarray, n_steps: int) -> list[HoloState]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import holoflat
 from holoflat import HeatKernelParams, HoloState, cylinder_basis, gram_matrix, grid_gram
-from holoflat import ValidationError, cli, cylinder, propagator, reproducing_kernel
+from holoflat import ValidationError, cli, cylinder, hilbert, propagator, reproducing_kernel
 from holoflat.cylinder import greens_spectral, greens_winding
 from holoflat.cli import _read_state, _state_json, run
 
@@ -543,6 +543,75 @@ class TestValidate:
         )
         assert proc.returncode == 0
         assert "PASS theta-identity" in proc.stdout
+
+
+class TestBlasHold:
+    """Each command runs with numpy's OpenBLAS held to one thread, its count restored after."""
+
+    @pytest.fixture
+    def blas(self):
+        pair = propagator._openblas_threads()
+        if pair is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = pair
+        blas_threads = get()
+        yield pair
+        set_(blas_threads)
+
+    def test_output_independent_of_blas_threads(self, blas, tmp_path):
+        # at truncation 40 the ladder's products are large enough for OpenBLAS to split:
+        # 6,037 floats moved by up to 5e-14 between one and two threads
+        get, set_ = blas
+        outputs = []
+        for threads in (1, 2):
+            set_(threads)
+            out = tmp_path / f"ladder-{threads}.json"
+            argv = ["ladder", "--truncation", "40", "--format", "json", "--output", str(out)]
+            assert run(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["evolve", "--truncation", "3", "--quad-order", "33", "--steps", "1"], 0),
+            (["evolve", "--truncation", "12"], 1),  # refused by the grid check
+            (["validate", "--only", "orthonormalization"], 0),
+        ],
+    )
+    def test_command_held_and_restored(self, argv, code, blas, monkeypatch, tmp_path):
+        # the grid check's Hermite rule and the step's grid, or criterion 2's grid, see one
+        # thread; the count set before the command is back after it, refused or not
+        get, set_ = blas
+        inside = []
+
+        def spy(f):
+            def wrapper(*args, **kwargs):
+                inside.append(get())
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(propagator, "tangent_grid", spy(propagator.tangent_grid))
+        monkeypatch.setattr(hilbert, "plane_wave_moments", spy(hilbert.plane_wave_moments))
+        set_(3)
+        assert run(argv + ["--output", str(tmp_path / "out")]) == code
+        assert get() == 3
+        assert inside and set(inside) == {1}
+
+    def test_restored_after_an_exception(self, blas, monkeypatch):
+        get, set_ = blas
+        inside = []
+
+        def fail(args):
+            inside.append(get())
+            raise RuntimeError("subcommand failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "gram", fail)
+        set_(3)
+        with pytest.raises(RuntimeError, match="subcommand failed"):
+            run(["gram"])
+        assert (inside, get()) == ([1], 3)
 
 
 class TestPlumbing:

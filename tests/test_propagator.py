@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from holoflat import (
     BasisSpec,
+    GramData,
     HoloState,
     QuadratureError,
     ValidationError,
@@ -30,7 +31,7 @@ from holoflat import (
     state_norm,
     step_matrix,
 )
-from holoflat import cylinder, propagator
+from holoflat import cli, cylinder, propagator
 from holoflat.cylinder import greens_spectral, greens_winding
 from holoflat.quadrature import tangent_grid
 
@@ -583,6 +584,41 @@ class TestStripWorkers:
             set_(blas_threads)
         assert seen == [(threads, 4)]
         assert set(inside) == {1}
+
+    def test_hold_spans_the_whole_step(self, monkeypatch):
+        # one BLAS thread from the grid on: in tangent_grid, at the Gram inverse that the
+        # prep products follow, in the sum and in the solves; the count is restored after
+        get, set_ = blas_pair(monkeypatch)
+        inside = {}
+
+        def spy(name, f):
+            def wrapper(*args, **kwargs):
+                inside.setdefault(name, set()).add(get())
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(propagator, "tangent_grid", spy("grid", tangent_grid))
+        monkeypatch.setattr(GramData, "inverse", spy("inverse", GramData.inverse))
+        monkeypatch.setattr(np, "less", spy("sum", np.less))
+        monkeypatch.setattr(GramData, "solve", spy("solve", GramData.solve))
+        blas_threads = get()
+        set_(3)
+        try:
+            step_matrix(cylinder_basis(N), hamiltonian_free(N), 0.05, 33)
+            assert get() == 3
+        finally:
+            set_(blas_threads)
+        assert inside == dict.fromkeys(("grid", "inverse", "sum", "solve"), {1})
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_workers_under_the_command_hold(self, workers, monkeypatch, tmp_path):
+        # the command's hold sets one thread first; the step's hold inside it yields the
+        # count the command's read, so the sum still runs on W workers, not one
+        seen = with_workers(monkeypatch, workers)
+        argv = ["evolve", "--quad-order", str(ORDER), "--steps", "1"]
+        assert cli.run(argv + ["--output", str(tmp_path / "out")]) == 0
+        assert seen == [(workers, 11)]
 
     def test_sum_in_strip_order(self, fast_switching):
         # the later strips finish first and are still added in strip order: a serial
